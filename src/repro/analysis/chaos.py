@@ -26,17 +26,12 @@ from typing import List, Optional, Sequence, Tuple
 from ..core.gossip import gossip, resolve_network
 from ..core.recovery import execute_plan_with_faults, recover
 from ..exceptions import RecoveryExhaustedError, ReproError, SweepTimeoutError
+from ..percentile import nearest_rank
 from ..simulator.engine import execute_schedule
 from ..simulator.lossy import FaultModel
 from ..simulator.state import labeled_holdings
 
 __all__ = ["ChaosCell", "ChaosReport", "run_chaos_sweep"]
-
-
-def _rank(sorted_values: Sequence[int], q: float) -> int:
-    """Nearest-rank percentile of a sorted non-empty integer sequence."""
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[int(rank)]
 
 
 @dataclass(frozen=True)
@@ -228,8 +223,8 @@ def run_chaos_sweep(
                     baseline_total=baseline,
                     deliveries_lost=lost_total,
                     repair_attempts_max=attempts_max,
-                    overhead_p50=_rank(overheads, 0.50) if overheads else None,
-                    overhead_p90=_rank(overheads, 0.90) if overheads else None,
+                    overhead_p50=nearest_rank(overheads, 0.50) if overheads else None,
+                    overhead_p90=nearest_rank(overheads, 0.90) if overheads else None,
                     overhead_max=overheads[-1] if overheads else None,
                 )
             )

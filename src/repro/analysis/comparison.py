@@ -40,6 +40,7 @@ from ..core.gossip import gossip, resolve_network
 from ..core.recovery import execute_plan_with_faults
 from ..networks.graph import Graph
 from ..networks.properties import radius as graph_radius
+from ..percentile import nearest_rank
 from ..simulator.lossy import FaultModel
 from .bounds import (
     concurrent_updown_upper_bound,
@@ -169,12 +170,6 @@ def format_comparison(rows: Sequence[ComparisonRow]) -> str:
 # ---------------------------------------------------------------------------
 # Adversarial suite: deterministic schedules vs randomized baselines.
 # ---------------------------------------------------------------------------
-
-
-def _rank(sorted_values: Sequence[int], q: float) -> int:
-    """Nearest-rank percentile of a sorted non-empty integer sequence."""
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[int(rank)]
 
 
 @dataclass(frozen=True)
@@ -337,8 +332,8 @@ def _epidemic_stats(
         algorithm=algorithm,
         trials=n_trials,
         completed=sum(1 for done, _, _, _ in outcomes if done),
-        rounds_p50=_rank(rounds, 0.50) if rounds else None,
-        rounds_p95=_rank(rounds, 0.95) if rounds else None,
+        rounds_p50=nearest_rank(rounds, 0.50) if rounds else None,
+        rounds_p95=nearest_rank(rounds, 0.95) if rounds else None,
         mean_messages=sum(m for _, _, m, _ in outcomes) / n_trials,
         mean_redundancy=sum(d for _, _, _, d in outcomes) / n_trials,
     )

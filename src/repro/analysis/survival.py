@@ -42,15 +42,10 @@ from ..exceptions import (
     SurvivorSetError,
     SweepTimeoutError,
 )
+from ..percentile import nearest_rank
 from ..simulator.lossy import FaultModel
 
 __all__ = ["SurvivalCell", "SurvivalReport", "run_survival_sweep"]
-
-
-def _rank(sorted_values: Sequence[int], q: float) -> int:
-    """Nearest-rank percentile of a sorted non-empty integer sequence."""
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[int(rank)]
 
 
 @dataclass(frozen=True)
@@ -262,8 +257,8 @@ def run_survival_sweep(
                     within_bound=within_bound,
                     dead_max=dead_max,
                     components_max=components_max,
-                    rounds_p50=_rank(rounds, 0.50) if rounds else None,
-                    rounds_p90=_rank(rounds, 0.90) if rounds else None,
+                    rounds_p50=nearest_rank(rounds, 0.50) if rounds else None,
+                    rounds_p90=nearest_rank(rounds, 0.90) if rounds else None,
                     rounds_max=rounds[-1] if rounds else None,
                 )
             )

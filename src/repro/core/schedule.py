@@ -60,6 +60,14 @@ __all__ = [
 #: builder falls back to the object representation beyond it.
 _MAX_PACKED_ID = 1 << 22
 
+#: Set-bit count and ascending set-bit positions of every byte value
+#: (rows padded with zeros), for :meth:`ArraySchedule.destination_pairs`.
+_BYTE_POPCOUNT = np.array([v.bit_count() for v in range(256)], dtype=np.int64)
+_BYTE_BITS = np.array(
+    [[b for b in range(8) if v >> b & 1] + [0] * (8 - v.bit_count()) for v in range(256)],
+    dtype=np.int64,
+)
+
 
 def _mask_width(n: int) -> int:
     """Number of uint64 words needed for an ``n``-bit destination mask."""
@@ -597,14 +605,23 @@ class ArraySchedule:
         Rows appear in transmission order, destinations ascending — the
         vectorised expansion of every multicast into unicasts.
         """
-        if len(self.round) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        bits = np.unpackbits(
-            self.dest_mask.view(np.uint8), axis=1, bitorder="little"
+        masks = self.dest_mask
+        word_row, word_col = np.nonzero(masks)
+        # Expand only the non-zero words, byte by byte through a lookup
+        # table: unpacking whole rows would allocate E x n bytes.
+        byte = masks[word_row, word_col].view(np.uint8)
+        nz = np.flatnonzero(byte)
+        value = byte[nz]
+        count = _BYTE_POPCOUNT[value]
+        first = np.cumsum(count) - count
+        rank = np.arange(int(count.sum())) - np.repeat(first, count)
+        word = np.repeat(nz >> 3, count)
+        dest = (
+            word_col[word] * 64
+            + np.repeat((nz & 7) * 8, count)
+            + _BYTE_BITS[np.repeat(value, count), rank]
         )
-        row, dest = np.nonzero(bits)
-        return row.astype(np.int64), dest.astype(np.int64)
+        return word_row[word].astype(np.int64), dest.astype(np.int64)
 
     def widen(self, n: int, n_messages: Optional[int] = None) -> "ArraySchedule":
         """The same schedule on a larger processor universe.

@@ -2,8 +2,8 @@
 
 :func:`lint_schedule` checks a schedule against the multicasting
 communication model, a set of efficiency lints, and (given a
-ConcurrentUpDown plan) the paper's structural invariants — all by
-propagating abstract possession sets in a single pass, never by
+ConcurrentUpDown plan) the paper's structural invariants — all from
+one arrival-matrix pass over the schedule's array columns, never by
 executing.  Nothing in this package imports the simulator; a clean
 :class:`LintReport` is a purely static certificate.
 

@@ -1,42 +1,52 @@
 """The static analysis driver: :func:`lint_schedule`.
 
-The driver never executes a schedule.  Instead it propagates *abstract
-possession sets* — one integer bitmask per processor — through the
-rounds in a single chronological pass.  This is sound **and exact** for
-the multicasting model because possession is monotone (processors never
-forget a message) and delivery timing is deterministic: a message sent
-in round ``t`` is held by its destinations from time ``t + 1`` on, and
-the model's receive-before-send rule means round ``t``'s sends see
-exactly the deliveries of rounds ``< t``.  Landing round ``t - 1``'s
-deliveries before checking round ``t``'s sends therefore reproduces the
-engine's possession judgement bit for bit — without importing the
-engine (the differential tests in ``tests/lint`` prove both claims).
+The driver never executes a schedule.  It reads the schedule as flat
+columns — one ``(round, sender, message)`` row per transmission plus the
+``(row, destination)`` delivery pairs, the canonical
+:class:`~repro.core.schedule.ArraySchedule` form — and answers every rule
+as a vectorised query over one **arrival matrix**: ``A[v, m]`` is the
+first time processor ``v`` holds message ``m`` (0 for initial holdings,
+``t + 1`` for the earliest delivery sent in round ``t``).  This is exact
+for the multicasting model because possession is monotone, every
+in-range delivery lands at ``t + 1`` whether or not it was legal, and
+receive-before-send means round ``t``'s sends see exactly the deliveries
+of rounds ``< t``: ``v`` holds ``m`` at round ``t`` iff ``A[v, m] <= t``,
+the engine's judgement bit for bit, without importing the engine (the
+differential tests in ``tests/lint`` prove both claims).
 
-The driver accepts a :class:`~repro.core.schedule.Schedule`, a bare
-:class:`~repro.core.schedule.ArraySchedule` (the canonical array form —
-normalised through the lazy object-view facade), or a raw sequence of
-rounds (each an iterable of
-:class:`~repro.core.schedule.Transmission`).  Raw input matters: the
-``Round`` constructor already rejects same-round sender/receiver
-collisions, so only raw rounds can reach the
-``model/sender-collision`` / ``model/receiver-collision`` rules — which
-is exactly how the test suite proves the lint layer agrees with the
-constructors' conflict checks.
+Array-backed input is read straight from its columns; the
+``Transmission`` object view is never built.  A
+:class:`~repro.core.schedule.Schedule` of objects or a raw sequence of
+rounds (each an iterable of transmissions) is packed into the same
+columns by one loop.  Only raw rounds can reach the
+``model/sender-collision`` / ``model/receiver-collision`` rules, since
+the ``Round`` constructor rejects them — which is how the test suite
+proves the lint layer agrees with the constructors' conflict checks.
+
+Diagnostics are built only for findings, each with an emission key that
+reproduces a round-by-round walk: round ``t - 1``'s landings, then round
+``t``'s idle-round finding, its per-transmission model findings (row
+order, destinations ascending) and its idle senders by processor; after
+the last round, completeness, mergeable sends, the paper tier and the
+budget certificate.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
+
+import numpy as np
 
 from ..core.gossip import GossipPlan
 from ..core.schedule import ArraySchedule, Round, Schedule, Transmission
@@ -73,6 +83,13 @@ _EXCEPTION_OF_RULE: Dict[str, type] = {
     R.INCOMPLETE_GOSSIP.id: IncompleteGossipError,
 }
 
+#: Arrival time of a message a processor never holds.
+_NEVER = np.iinfo(np.int32).max
+
+#: Element budget of one idle-sender batch (bounds every temporary of
+#: shape directed-edges x messages or directed-edges x rounds).
+_BATCH = 1 << 18
+
 
 def diagnostic_exception(diag: Diagnostic) -> ScheduleError:
     """The typed exception equivalent to one model diagnostic.
@@ -84,25 +101,83 @@ def diagnostic_exception(diag: Diagnostic) -> ScheduleError:
     return exc_type(diag.message)
 
 
-def _normalize(schedule: ScheduleLike) -> Tuple[Tuple[Transmission, ...], ...]:
-    """Flatten a schedule-like object into tuples of transmissions."""
+class _Columns(NamedTuple):
+    """Rows ``t, s, m`` in round order; pairs ``row, d`` sorted by row,
+    then destination.  ``set_pos``: each pair's position in its
+    destination set's iteration order (``None``: the frozenset of the
+    ascending destinations, as the array form materialises it)."""
+
+    t: np.ndarray
+    s: np.ndarray
+    m: np.ndarray
+    row: np.ndarray
+    d: np.ndarray
+    total: int
+    set_pos: Optional[np.ndarray]
+
+
+def _columns(schedule: ScheduleLike) -> _Columns:
+    """Read a schedule-like object as flat columns."""
+    if isinstance(schedule, Schedule) and schedule.is_array_backed:
+        schedule = schedule.arrays()
     if isinstance(schedule, ArraySchedule):
-        return tuple(rnd.transmissions for rnd in schedule.build_rounds())
-    if isinstance(schedule, Schedule):
-        return tuple(rnd.transmissions for rnd in schedule)
-    out: List[Tuple[Transmission, ...]] = []
-    for rnd in schedule:
-        if isinstance(rnd, Round):
-            out.append(rnd.transmissions)
-        else:
-            txs = tuple(rnd)
-            for tx in txs:
-                if not isinstance(tx, Transmission):
-                    raise ReproError(
-                        f"cannot lint {tx!r}: rounds must contain Transmission objects"
-                    )
-            out.append(txs)
-    return tuple(out)
+        row, d = schedule.destination_pairs()
+        return _Columns(
+            schedule.round.astype(np.int64), schedule.sender.astype(np.int64),
+            schedule.message.astype(np.int64), row, d, schedule.total_time, None,
+        )
+    rows: List[Tuple[int, int, int]] = []
+    pairs: List[Tuple[int, int]] = []
+    total = 0
+    for t, rnd in enumerate(schedule):
+        total = t + 1
+        for tx in rnd.transmissions if isinstance(rnd, Round) else rnd:
+            if not isinstance(tx, Transmission):
+                raise ReproError(
+                    f"cannot lint {tx!r}: rounds must contain Transmission objects"
+                )
+            pairs.extend((len(rows), d) for d in tx.destinations)
+            rows.append((t, tx.sender, tx.message))
+    try:
+        row_cols = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        pair_cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError as exc:
+        raise ReproError("cannot lint ids that do not fit in 64 bits") from exc
+    row, d = pair_cols
+    order = np.lexsort((d, row))
+    set_pos = np.arange(len(row)) - np.searchsorted(row, row)
+    return _Columns(*row_cols, row[order], d[order], total, set_pos[order])
+
+
+def _repeats(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions whose key already occurred earlier, and that first position."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(len(ranked), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    head = order[np.flatnonzero(new)[np.cumsum(new) - 1]]
+    return order[~new], head[~new]
+
+
+def _hold_bits(holds: List[int], n_messages: int) -> np.ndarray:
+    """Initial possession bitmasks as an ``(n, W)`` bool matrix.
+
+    ``W >= n_messages``: columns past ``n_messages`` keep any initial bits
+    outside the message range, and a negative mask's infinite tail sets
+    the last column, so set differences and equality with the full mask
+    behave as the integer arithmetic does.
+    """
+    negative = any(h < 0 for h in holds)
+    top = max(((~h if h < 0 else h).bit_length() for h in holds), default=0)
+    width = max(n_messages, top) + negative
+    size = (width + 7) // 8
+    low = (1 << width) - 1
+    raw = b"".join((h & low).to_bytes(size, "little") for h in holds)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(holds), size),
+        axis=1, bitorder="little",
+    )
+    return bits[:, :width].astype(bool)
 
 
 def _initial_holds(
@@ -173,7 +248,7 @@ def lint_schedule(
     LintReport
         Every finding of every active rule, in round order.
     """
-    rounds = _normalize(schedule)
+    cols = _columns(schedule)
     n = graph.n
     n_msgs = int(n_messages) if n_messages is not None else n
 
@@ -193,7 +268,9 @@ def lint_schedule(
     if not require_complete:
         active -= {R.INCOMPLETE_GOSSIP.id}
 
-    ctx = _Pass(graph, rounds, n_msgs, _initial_holds(n, plan, initial_holds), active)
+    ctx = _ArrivalPass(
+        graph, cols, n_msgs, _initial_holds(n, plan, initial_holds), active
+    )
     ctx.run()
     if plan is not None and any(R.RULES[r].tier == R.PAPER for r in active):
         ctx.check_paper(plan)
@@ -205,257 +282,260 @@ def lint_schedule(
         else ""
     )
     return LintReport(
-        diagnostics=tuple(ctx.diagnostics),
+        diagnostics=ctx.diagnostics(),
         rules_run=tuple(sorted(active)),
         name=name,
     )
 
 
-class _Pass:
-    """One abstract-possession propagation pass over the rounds."""
+class _ArrivalPass:
+    """Every rule as a vectorised query over the columns and ``A``."""
 
     def __init__(
         self,
         graph: Graph,
-        rounds: Tuple[Tuple[Transmission, ...], ...],
+        cols: _Columns,
         n_messages: int,
         holds: List[int],
         active: FrozenSet[str],
     ) -> None:
         self.graph = graph
-        self.rounds = rounds
-        self.n = graph.n
+        self.cols = cols
+        self.n = n = graph.n
         self.n_messages = n_messages
-        self.holds = holds
+        self.total = cols.total
         self.active = active
-        self.diagnostics: List[Diagnostic] = []
-        #: per-round receiver sets (who is targeted in round t).
-        self.receivers: List[Set[int]] = []
-        #: per-round sender sets.
-        self.senders: List[Set[int]] = []
-        #: (sender, message) -> [(round, destinations)], for merge lints.
-        self.sends_of: Dict[Tuple[int, int], List[Tuple[int, FrozenSet[int]]]] = {}
-        #: first time each processor held every message (None = never).
-        self.complete_at: List[Optional[int]] = [None] * self.n
-        self._full = (1 << n_messages) - 1
-        self._neighbour_sets: Dict[int, FrozenSet[int]] = {}
-        for v in range(self.n):
-            if holds[v] == self._full:
-                self.complete_at[v] = 0
+        self._found: List[Tuple[Tuple[int, ...], Diagnostic]] = []
+        self.sender_ok = (cols.s >= 0) & (cols.s < n)
+        self.message_ok = (cols.m >= 0) & (cols.m < n_messages)
+        self.dest_ok = (cols.d >= 0) & (cols.d < n)
+        # Per-pair views of the row columns.
+        self.pt, self.ps, self.pm = cols.t[cols.row], cols.s[cols.row], cols.m[cols.row]
+        held = _hold_bits(holds, n_messages)
+        self.arrival = np.where(held, 0, _NEVER).astype(np.int32)
+        self.redundant = self._land()
+        inner = self.arrival[:, :n_messages]
+        full = (inner < _NEVER).all(axis=1) & ~held[:, n_messages:].any(axis=1)
+        #: first time each processor held every message (-1 = never).
+        self.complete_at = np.where(full, inner.max(axis=1, initial=0), -1)
+        self.receiving = np.zeros((n, self.total), dtype=bool)
+        self.receiving[cols.d[self.dest_ok], self.pt[self.dest_ok]] = True
 
     # ------------------------------------------------------------------
     def emit(
-        self,
-        rule: R.Rule,
-        message: str,
-        *,
-        round: Optional[int] = None,
-        sender: Optional[int] = None,
-        message_id: Optional[int] = None,
-        destination: Optional[int] = None,
+        self, rule: R.Rule, message: str, key: Optional[Tuple[int, ...]] = None,
+        **locus: Optional[int],
     ) -> None:
-        """Record a finding if the rule is active."""
-        if rule.id not in self.active:
-            return
-        self.diagnostics.append(
-            Diagnostic(
-                rule=rule.id,
-                severity=rule.severity,
-                message=message,
-                round=round,
-                sender=sender,
-                message_id=message_id,
-                destination=destination,
+        """Record a finding if the rule is active.  ``key`` places a
+        round-walk finding; keyless ones follow every round, in order."""
+        if rule.id in self.active:
+            key = key or (self.total + 1, len(self._found))
+            self._found.append(
+                (key, Diagnostic(rule.id, rule.severity, message, **locus))
             )
-        )
 
-    def _neighbours(self, v: int) -> FrozenSet[int]:
-        cached = self._neighbour_sets.get(v)
-        if cached is None:
-            cached = self._neighbour_sets[v] = frozenset(self.graph.neighbors(v))
-        return cached
+    def diagnostics(self) -> Tuple[Diagnostic, ...]:
+        """All findings in emission order."""
+        return tuple(d for _, d in sorted(self._found, key=lambda f: f[0]))
+
+    def _row(self, e: int) -> Tuple[int, int, int]:
+        c = self.cols
+        return int(c.t[e]), int(c.s[e]), int(c.m[e])
+
+    def _land(self) -> np.ndarray:
+        """Fill ``A`` from the deliveries; return the redundant pairs.
+
+        A delivery is redundant iff its destination held the message
+        from the start or an earlier pair (round, then pair order)
+        already delivered it — only the first lands.
+        """
+        cols = self.cols
+        live = np.flatnonzero(self.dest_ok & self.message_ok[cols.row])
+        again, _ = _repeats(cols.d[live] * self.arrival.shape[1] + self.pm[live])
+        first = np.ones(len(live), dtype=bool)
+        first[again] = False
+        lead = live[first]
+        d, m = cols.d[lead], self.pm[lead]
+        held = self.arrival[d, m] == 0
+        self.arrival[d[~held], m[~held]] = self.pt[lead[~held]] + 1
+        return np.sort(np.concatenate([live[again], lead[held]]))
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        """The single chronological pass (model + per-round efficiency)."""
-        pending: List[Tuple[int, int, int, int]] = []  # (dest, msg, sender, round)
-        for t, txs in enumerate(self.rounds):
-            self._land(pending, t)
-            pending = self._check_round(t, txs)
-        self._land(pending, len(self.rounds))
-        self._check_completeness()
-        self._check_mergeable()
-
-    def _land(self, pending: List[Tuple[int, int, int, int]], now: int) -> None:
-        """Apply the previous round's deliveries (receive-before-send)."""
-        for dest, msg, sender, sent_round in pending:
-            if (self.holds[dest] >> msg) & 1:
-                self.emit(
-                    R.REDUNDANT_DELIVERY,
-                    f"round {sent_round}: processor {sender} delivers message "
-                    f"{msg} to {dest}, which already holds it",
-                    round=sent_round,
-                    sender=sender,
-                    message_id=msg,
-                    destination=dest,
-                )
-            else:
-                self.holds[dest] |= 1 << msg
-                if self.holds[dest] == self._full and self.complete_at[dest] is None:
-                    self.complete_at[dest] = now
-
-    def _check_round(
-        self, t: int, txs: Tuple[Transmission, ...]
-    ) -> List[Tuple[int, int, int, int]]:
-        """Model-check one round's sends; return its pending deliveries."""
-        seen_senders: Dict[int, int] = {}
-        seen_receivers: Dict[int, int] = {}
-        receivers: Set[int] = set()
-        senders: Set[int] = set()
-        pending: List[Tuple[int, int, int, int]] = []
-
-        if not txs and t + 1 < len(self.rounds):
+        """The model and efficiency tiers."""
+        self._check_model()
+        for p in self.redundant.tolist():
+            t, s, m = self._row(int(self.cols.row[p]))
+            d = int(self.cols.d[p])
+            self.emit(
+                R.REDUNDANT_DELIVERY,
+                f"round {t}: processor {s} delivers message {m} to {d}, "
+                f"which already holds it",
+                (t + 1, 0, p), round=t, sender=s, message_id=m, destination=d,
+            )
+        busy = np.bincount(self.cols.t, minlength=self.total) > 0
+        for t in np.flatnonzero(~busy[:-1]).tolist():
             self.emit(
                 R.IDLE_ROUND,
                 f"round {t} performs no communication but later rounds do",
-                round=t,
+                (t, 1), round=t,
+            )
+        if R.IDLE_SENDER.id in self.active and busy.any():
+            self._check_idle_senders(busy)
+        self._check_completeness()
+        self._check_mergeable()
+
+    def _check_model(self) -> None:
+        """Per-transmission and per-destination model findings."""
+        c, n = self.cols, self.n
+
+        def at(rule: R.Rule, e: int, slot: int, text: str, p: Optional[int] = None) -> None:
+            t, s, m = self._row(e)
+            d = None if p is None else int(c.d[p])
+            key = (t, 2, e, slot if p is None else 3 + 2 * p + slot)
+            self.emit(
+                rule, f"round {t}: " + text.format(s=s, m=m, d=d), key,
+                round=t, sender=s, message_id=m, destination=d,
             )
 
-        for tx in txs:
-            s, m = tx.sender, tx.message
-            sender_ok = 0 <= s < self.n
-            message_ok = 0 <= m < self.n_messages
-            if not sender_ok:
-                self.emit(
-                    R.VERTEX_RANGE,
-                    f"round {t}: sender {s} out of range for n={self.n}",
-                    round=t, sender=s, message_id=m,
-                )
-            elif s in seen_senders:
-                self.emit(
-                    R.SENDER_COLLISION,
-                    f"round {t}: processor {s} sends two messages in one round: "
-                    f"{seen_senders[s]} and {m}",
-                    round=t, sender=s, message_id=m,
-                )
-            if sender_ok:
-                seen_senders.setdefault(s, m)
-                senders.add(s)
-            if not message_ok:
-                self.emit(
-                    R.MESSAGE_RANGE,
-                    f"round {t}: message {m} out of range for "
-                    f"n_messages={self.n_messages}",
-                    round=t, sender=s, message_id=m,
-                )
-            if sender_ok and message_ok and not (self.holds[s] >> m) & 1:
-                self.emit(
-                    R.SEND_WITHOUT_HOLD,
-                    f"round {t}: processor {s} sends message {m} it cannot "
-                    f"hold yet",
-                    round=t, sender=s, message_id=m,
-                )
-            neighbours = self._neighbours(s) if sender_ok else frozenset()
-            for d in sorted(tx.destinations):
-                if not 0 <= d < self.n:
-                    self.emit(
-                        R.VERTEX_RANGE,
-                        f"round {t}: destination {d} out of range for n={self.n}",
-                        round=t, sender=s, message_id=m, destination=d,
-                    )
-                    continue
-                if d in seen_receivers:
-                    self.emit(
-                        R.RECEIVER_COLLISION,
-                        f"round {t}: processor {d} receives two messages in "
-                        f"one round: {seen_receivers[d]} and {m}",
-                        round=t, sender=s, message_id=m, destination=d,
-                    )
-                seen_receivers.setdefault(d, m)
-                receivers.add(d)
-                if sender_ok and d not in neighbours:
-                    self.emit(
-                        R.NON_EDGE,
-                        f"round {t}: transmission {s} -> {d} does not follow "
-                        f"an edge of the network",
-                        round=t, sender=s, message_id=m, destination=d,
-                    )
-                if message_ok:
-                    pending.append((d, m, s, t))
-            if sender_ok and message_ok:
-                self.sends_of.setdefault((s, m), []).append(
-                    (t, frozenset(tx.destinations))
-                )
+        for e in np.flatnonzero(~self.sender_ok).tolist():
+            at(R.VERTEX_RANGE, e, 0, f"sender {{s}} out of range for n={n}")
+        ok = np.flatnonzero(self.sender_ok)
+        for e, h in zip(*(ok[i].tolist() for i in _repeats(c.t[ok] * n + c.s[ok]))):
+            at(R.SENDER_COLLISION, e, 0, "processor {s} sends two messages in one "
+               f"round: {int(c.m[h])} and {{m}}")
+        for e in np.flatnonzero(~self.message_ok).tolist():
+            at(R.MESSAGE_RANGE, e, 1, f"message {{m}} out of range for "
+               f"n_messages={self.n_messages}")
+        ok = np.flatnonzero(self.sender_ok & self.message_ok)
+        for e in ok[self.arrival[c.s[ok], c.m[ok]] > c.t[ok]].tolist():
+            at(R.SEND_WITHOUT_HOLD, e, 2, "processor {s} sends message {m} it cannot hold yet")
 
-        self.receivers.append(receivers)
-        self.senders.append(senders)
-        if R.IDLE_SENDER.id in self.active:
-            self._check_idle_senders(t, senders, receivers)
-        return pending
+        for p in np.flatnonzero(~self.dest_ok).tolist():
+            at(R.VERTEX_RANGE, int(c.row[p]), 0, f"destination {{d}} out of range for n={n}", p)
+        ok = np.flatnonzero(self.dest_ok)
+        for p, h in zip(*(ok[i].tolist() for i in _repeats(self.pt[ok] * n + c.d[ok]))):
+            at(R.RECEIVER_COLLISION, int(c.row[p]), 0, "processor {d} receives two "
+               f"messages in one round: {int(self.pm[h])} and {{m}}", p)
+        ok = np.flatnonzero(self.dest_ok & self.sender_ok[c.row])
+        edges = np.repeat(np.arange(n), self.graph.degrees()) * n + self.graph.indices
+        for p in ok[~np.isin(self.ps[ok] * n + c.d[ok], edges)].tolist():
+            at(R.NON_EDGE, int(c.row[p]), 1,
+               "transmission {s} -> {d} does not follow an edge of the network", p)
 
-    def _check_idle_senders(
-        self, t: int, senders: Set[int], receivers: Set[int]
-    ) -> None:
-        """Flag processors that could legally deliver this round but don't."""
-        if not self.rounds[t]:
-            return  # the idle-round lint already covers fully-silent rounds
-        for v in range(self.n):
-            if v in senders:
-                continue
-            have = self.holds[v]
-            for u in self._neighbours(v):
-                if u in receivers:
-                    continue
-                missing = have & ~self.holds[u]
-                if missing:
+    def _check_idle_senders(self, busy: np.ndarray) -> None:
+        """Flag processors that could legally deliver this round but don't.
+
+        ``v`` holds something its neighbour ``u`` lacks at round ``t`` iff
+        ``v``'s held messages ``{m : A[v, m] <= t}`` include one with
+        ``A[u, m] > t``.  With ``v``'s messages sorted by arrival that is
+        one running maximum of ``A[u, .]`` per directed edge, read at
+        ``v``'s hold count of every round.  The witness neighbour is the
+        first qualifying one in ``frozenset(graph.neighbors(v))`` order.
+        """
+        c, n, total, arrival = self.cols, self.n, self.total, self.arrival
+        width, span = arrival.shape[1], total + 1
+        sending = np.zeros((n, total), dtype=bool)
+        sending[c.s[self.sender_ok], c.t[self.sender_ok]] = True
+        ptr = np.asarray(self.graph.indptr)
+        tail = np.repeat(np.arange(n, dtype=np.int64), np.diff(ptr))
+        head = np.fromiter(
+            chain.from_iterable(frozenset(self.graph.neighbors(v)) for v in range(n)),
+            dtype=np.int64, count=int(ptr[-1]),
+        )
+        by_arrival = np.argsort(arrival, axis=1, kind="stable").astype(np.int32)
+        landed = np.minimum(arrival, total) + np.arange(n)[:, None] * span
+        held = np.bincount(landed.ravel(), minlength=n * span).reshape(n, span)
+        held = np.cumsum(held, axis=1, dtype=np.int32)[:, :total]
+        # Batches of whole vertices, about _BATCH elements each.
+        step = max(1, _BATCH // (max(width, total) + 1))
+        cuts = np.searchsorted(ptr, np.arange(0, ptr[-1], step), side="right") - 1
+        cuts = np.unique(np.concatenate([[0], cuts, [n]]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            v, u = tail[ptr[lo]:ptr[hi]], head[ptr[lo]:ptr[hi]]
+            latest = np.empty((len(v), width + 1), dtype=arrival.dtype)
+            latest[:, 0] = -1
+            np.maximum.accumulate(
+                np.take_along_axis(arrival[u], by_arrival[v], axis=1),
+                axis=1, out=latest[:, 1:],
+            )
+            lacking = np.take_along_axis(latest, held[v], axis=1) > np.arange(total)
+            edge, when = np.nonzero(lacking & busy & ~sending[v] & ~self.receiving[u])
+            _, first = np.unique(v[edge] * total + when, return_index=True)
+            fv, fu, ft = v[edge[first]], u[edge[first]], when[first]
+            chunk = max(1, _BATCH // width)
+            for k in range(0, len(first), chunk):
+                sl = slice(k, k + chunk)
+                now = ft[sl, None]
+                witness = np.argmax((arrival[fv[sl]] <= now) & (arrival[fu[sl]] > now), axis=1)
+                for vv, uu, tt, w in zip(
+                    fv[sl].tolist(), fu[sl].tolist(), ft[sl].tolist(), witness.tolist()
+                ):
                     self.emit(
                         R.IDLE_SENDER,
-                        f"round {t}: processor {v} is idle but holds message "
-                        f"{_lowest_bit(missing)} its free neighbour {u} misses",
-                        round=t, sender=v,
+                        f"round {tt}: processor {vv} is idle but holds message "
+                        f"{w} its free neighbour {uu} misses",
+                        (tt, 3, vv), round=tt, sender=vv,
                     )
-                    break  # one finding per idle processor per round
 
     def _check_completeness(self) -> None:
         if R.INCOMPLETE_GOSSIP.id not in self.active:
             return
+        inner = self.arrival[:, : self.n_messages]
         missing = {
-            v: _bits_missing(self.holds[v], self._full)
-            for v in range(self.n)
-            if self.holds[v] != self._full
+            v: tuple(np.flatnonzero(inner[v] == _NEVER).tolist())
+            for v in np.flatnonzero(self.complete_at < 0).tolist()
         }
         if missing:
             self.emit(
                 R.INCOMPLETE_GOSSIP,
-                f"gossip incomplete after {len(self.rounds)} rounds; "
+                f"gossip incomplete after {self.total} rounds; "
                 f"missing: {missing}",
             )
 
     def _check_mergeable(self) -> None:
         """Repeat sends of one (sender, message) that an earlier multicast
         could have absorbed — fan-out waste, not a model violation."""
-        if R.UNICAST_MERGEABLE.id not in self.active:
+        c = self.cols
+        if R.UNICAST_MERGEABLE.id not in self.active or not len(c.d):
             return
-        for (s, m), sends in self.sends_of.items():
-            if len(sends) < 2:
-                continue
-            t0, dests0 = sends[0]
-            free_at_t0 = self.receivers[t0]
-            for t1, dests1 in sends[1:]:
-                extra = dests1 - dests0
-                if extra and all(d not in free_at_t0 for d in extra):
-                    self.emit(
-                        R.UNICAST_MERGEABLE,
-                        f"round {t1}: processor {s} re-sends message {m}; the "
-                        f"destinations {sorted(extra)} were free in round {t0} "
-                        f"and could have joined that multicast",
-                        round=t1, sender=s, message_id=m,
-                    )
+        ok = np.flatnonzero(self.sender_ok & self.message_ok)
+        later, first = _repeats(c.s[ok] * self.n_messages + c.m[ok])
+        order = np.lexsort((ok[later], ok[first]))
+        later, first = ok[later][order], ok[first][order]
+        # The destination pairs of every repeat send, and whether each
+        # destination also received the first send of its (s, m).
+        ptr = np.searchsorted(c.row, np.arange(len(c.t) + 1))
+        size = ptr[later + 1] - ptr[later]
+        bounds = np.concatenate([[0], np.cumsum(size)])
+        owner = np.repeat(np.arange(len(later)), size)
+        q = np.arange(bounds[-1]) + np.repeat(ptr[later] - bounds[:-1], size)
+        _, code = np.unique(c.d, return_inverse=True)
+        span = int(code.max()) + 1
+        keys = c.row * span + code
+        probe = first[owner] * span + code[q]
+        extra = keys[np.searchsorted(keys, probe).clip(max=len(keys) - 1)] != probe
+        t0 = c.t[first[owner]]
+        blocked = extra & self.dest_ok[q]
+        blocked[blocked] = self.receiving[c.d[q[blocked]], t0[blocked]]
+        n_extra = np.bincount(owner[extra], minlength=len(later))
+        n_blocked = np.bincount(owner[blocked], minlength=len(later))
+        for i in np.flatnonzero((n_extra > 0) & (n_blocked == 0)).tolist():
+            t1, s, m = self._row(int(later[i]))
+            sl = slice(bounds[i], bounds[i + 1])
+            dests = c.d[q[sl][extra[sl]]].tolist()
+            self.emit(
+                R.UNICAST_MERGEABLE,
+                f"round {t1}: processor {s} re-sends message {m}; the "
+                f"destinations {dests} were free in round {int(c.t[first[i]])} "
+                f"and could have joined that multicast",
+                round=t1, sender=s, message_id=m,
+            )
 
     # ------------------------------------------------------------------
     def check_budget(self, plan: Optional[GossipPlan]) -> None:
         """The ``n + r`` certificate lint (efficiency tier)."""
-        if R.OVER_BUDGET.id not in self.active or not self.rounds:
+        if R.OVER_BUDGET.id not in self.active or not self.total:
             return
         if plan is not None:
             r = plan.tree.height
@@ -464,11 +544,10 @@ class _Pass:
 
             r = radius(self.graph)
         budget = self.n + r
-        total = len(self.rounds)
-        if total > budget:
+        if self.total > budget:
             self.emit(
                 R.OVER_BUDGET,
-                f"schedule takes {total} rounds, beyond the n + r = "
+                f"schedule takes {self.total} rounds, beyond the n + r = "
                 f"{self.n} + {r} = {budget} certificate",
                 round=budget,
             )
@@ -477,84 +556,100 @@ class _Pass:
     # Paper-invariant tier (ConcurrentUpDown structural rules)
     # ------------------------------------------------------------------
     def check_paper(self, plan: GossipPlan) -> None:
-        tree, labeled = plan.tree, plan.labeled
+        tree, c = plan.tree, self.cols
         self._check_label_contiguity(plan)
 
-        parent = [tree.parent(v) for v in range(tree.n)]
-        children = {v: frozenset(tree.children(v)) for v in range(tree.n)}
-        blocks = labeled.blocks()
-        up_events: Dict[int, List[Tuple[int, int]]] = {}
+        blocks = plan.labeled.blocks()
+        lo = np.array([b.i for b in blocks], dtype=np.int64)
+        hi = np.array([b.j for b in blocks], dtype=np.int64)
+        parent = np.array(tree.parents(), dtype=np.int64)
+        on_tree = (
+            (self.ps >= 0) & (self.ps < tree.n) & self.message_ok[c.row]
+            & (c.d >= 0) & (c.d < tree.n)
+        )
+        q = np.flatnonzero(on_tree)
+        s, m, d = self.ps[q], self.pm[q], c.d[q]
+        up = d == parent[s]
+        down = ~up & (parent[d] == s)
+        outside = up & ((m < lo[s]) | (m > hi[s]))
+        backflow = down & (lo[d] <= m) & (m <= hi[d])
+        hits = np.flatnonzero(outside | backflow | ~(up | down))
+        pos = self._set_positions(q[hits])
+        for k in np.lexsort((pos, c.row[q[hits]])).tolist():
+            i = int(hits[k])
+            t, sv, mv, dv = int(self.pt[q[i]]), int(s[i]), int(m[i]), int(d[i])
+            locus = dict(round=t, sender=sv, message_id=mv, destination=dv)
+            if outside[i]:
+                self.emit(
+                    R.UP_MONOTONE,
+                    f"round {t}: processor {sv} sends message {mv} up to its "
+                    f"parent, outside its subtree interval [{lo[sv]}, {hi[sv]}]",
+                    **locus,
+                )
+            elif backflow[i]:
+                self.emit(
+                    R.DOWN_NO_BACKFLOW,
+                    f"round {t}: processor {sv} sends message {mv} down into "
+                    f"the subtree of child {dv} that originated it (interval "
+                    f"[{lo[dv]}, {hi[dv]}])",
+                    **locus,
+                )
+            else:
+                self.emit(
+                    R.TREE_EDGE,
+                    f"round {t}: transmission {sv} -> {dv} is not a tree "
+                    f"parent-child edge",
+                    **locus,
+                )
 
-        for t, txs in enumerate(self.rounds):
-            for tx in txs:
-                s, m = tx.sender, tx.message
-                if not (0 <= s < tree.n and 0 <= m < self.n_messages):
-                    continue  # already a model error
-                blk = blocks[s]
-                for d in tx.destinations:
-                    if not 0 <= d < tree.n:
-                        continue
-                    if d == parent[s]:
-                        if not blk.i <= m <= blk.j:
-                            self.emit(
-                                R.UP_MONOTONE,
-                                f"round {t}: processor {s} sends message {m} "
-                                f"up to its parent, outside its subtree "
-                                f"interval [{blk.i}, {blk.j}]",
-                                round=t, sender=s, message_id=m, destination=d,
-                            )
-                        up_events.setdefault(s, []).append((t, m))
-                    elif d in children[s]:
-                        db = blocks[d]
-                        if db.i <= m <= db.j:
-                            self.emit(
-                                R.DOWN_NO_BACKFLOW,
-                                f"round {t}: processor {s} sends message {m} "
-                                f"down into the subtree of child {d} that "
-                                f"originated it (interval [{db.i}, {db.j}])",
-                                round=t, sender=s, message_id=m, destination=d,
-                            )
-                    else:
-                        self.emit(
-                            R.TREE_EDGE,
-                            f"round {t}: transmission {s} -> {d} is not a "
-                            f"tree parent-child edge",
-                            round=t, sender=s, message_id=m, destination=d,
-                        )
-
-        for v, events in up_events.items():
-            events.sort()
-            for (t_prev, m_prev), (t_next, m_next) in zip(events, events[1:]):
-                if m_next <= m_prev:
-                    self.emit(
-                        R.UP_MONOTONE,
-                        f"round {t_next}: processor {v} sends message {m_next} "
-                        f"up after message {m_prev} (round {t_prev}); the "
-                        f"up-phase must be label-monotone",
-                        round=t_next, sender=v, message_id=m_next,
-                    )
+        # Up sends per vertex (vertices by first up send), by (round, message).
+        us, ut, um = s[up], self.pt[q[up]], m[up]
+        first_up = np.full(tree.n, len(c.t), dtype=np.int64)
+        np.minimum.at(first_up, us, c.row[q[up]])
+        order = np.lexsort((um, ut, first_up[us]))
+        us, ut, um = us[order].tolist(), ut[order].tolist(), um[order].tolist()
+        for k in range(1, len(us)):
+            if us[k] == us[k - 1] and um[k] <= um[k - 1]:
+                self.emit(
+                    R.UP_MONOTONE,
+                    f"round {ut[k]}: processor {us[k]} sends message {um[k]} "
+                    f"up after message {um[k - 1]} (round {ut[k - 1]}); the "
+                    f"up-phase must be label-monotone",
+                    round=ut[k], sender=us[k], message_id=um[k],
+                )
 
         if R.ROOT_COMPLETE.id in self.active and tree.n >= 1:
-            root_done = self.complete_at[tree.root]
-            if root_done is None or root_done > tree.n:
-                when = "never" if root_done is None else f"at round {root_done}"
+            done = int(self.complete_at[tree.root])
+            if done < 0 or done > tree.n:
+                when = "never" if done < 0 else f"at round {done}"
                 self.emit(
                     R.ROOT_COMPLETE,
                     f"root {tree.root} holds all {self.n_messages} messages "
                     f"{when}, not by round n = {tree.n}",
-                    round=None if root_done is None else root_done,
+                    round=None if done < 0 else done,
                 )
 
         if R.LENGTH_CERTIFICATE.id in self.active:
             expected = tree.n + tree.height if tree.n >= 2 else 0
-            total = len(self.rounds)
-            if total != expected:
+            if self.total != expected:
                 self.emit(
                     R.LENGTH_CERTIFICATE,
-                    f"schedule takes {total} rounds; Theorem 1 certifies "
+                    f"schedule takes {self.total} rounds; Theorem 1 certifies "
                     f"exactly n + r = {tree.n} + {tree.height} = {expected}",
-                    round=total,
+                    round=self.total,
                 )
+
+    def _set_positions(self, pairs: np.ndarray) -> np.ndarray:
+        """Each pair's position in its destination set's iteration order."""
+        c = self.cols
+        if c.set_pos is not None:
+            return c.set_pos[pairs]
+        out: List[int] = []
+        for p in pairs.tolist():
+            r = c.row[p]
+            lo, hi = np.searchsorted(c.row, [r, r + 1])
+            out.append(list(frozenset(c.d[lo:hi].tolist())).index(int(c.d[p])))
+        return np.array(out, dtype=np.int64)
 
     def _check_label_contiguity(self, plan: GossipPlan) -> None:
         """Re-derive the DFS interval invariants instead of trusting them."""
@@ -604,19 +699,3 @@ class _Pass:
                         f"expected {blk.j}",
                         sender=v,
                     )
-
-
-def _lowest_bit(mask: int) -> int:
-    """Index of the lowest set bit of a non-zero mask."""
-    return (mask & -mask).bit_length() - 1
-
-
-def _bits_missing(held: int, full: int) -> Tuple[int, ...]:
-    """Message ids present in ``full`` but absent from ``held``."""
-    missing = full & ~held
-    out: List[int] = []
-    while missing:
-        b = _lowest_bit(missing)
-        out.append(b)
-        missing &= missing - 1
-    return tuple(out)

@@ -17,13 +17,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional, Sequence
 
+from ..percentile import nearest_rank
+
 __all__ = ["ServiceStats", "StatsRecorder"]
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty sequence."""
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[int(rank)]
 
 
 @dataclass(frozen=True)
@@ -314,7 +310,7 @@ class StatsRecorder:
             hits = sorted(self._hit_latencies)
 
             def pct(vals: Sequence[float], q: float) -> Optional[float]:
-                return _percentile(vals, q) * 1e3 if vals else None
+                return nearest_rank(vals, q) * 1e3 if vals else None
 
             return ServiceStats(
                 requests=self.requests,

@@ -5,7 +5,8 @@ Runs ``benchmarks/bench_planner.py --check --quick`` and
 (standalone processes), asserting the bit-identical-tree, >= 3x
 ``grid:400`` speedup, and <= ``COLD_MAX_RATIO``x cold-plan gates plus
 the all-families schedule-identity sweep and the ``BENCH_planner.json``
-trajectory artefact (including its ``cold_gate`` block), and exercises
+trajectory artefact (including its ``cold_gate`` block, written to a
+temporary path so a test run never rewrites the committed file), and exercises
 :func:`repro.analysis.planner_bench.run_planner_bench` in-process for
 coverage of both entry points.
 """
@@ -28,7 +29,6 @@ from repro.exceptions import ReproError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 BENCH = REPO_ROOT / "benchmarks" / "bench_planner.py"
-ARTIFACT = REPO_ROOT / "BENCH_planner.json"
 
 CHECK_OK = (
     "check: bit-identical trees, identical schedules, and "
@@ -50,14 +50,17 @@ def _run(cmd):
     )
 
 
-def test_benchmark_check_mode_passes_and_writes_artifact():
-    proc = _run([sys.executable, str(BENCH), "--check", "--quick"])
+def test_benchmark_check_mode_passes_and_writes_artifact(tmp_path):
+    artefact = tmp_path / "BENCH_planner.json"
+    proc = _run([
+        sys.executable, str(BENCH), "--check", "--quick", "--json", str(artefact),
+    ])
     assert proc.returncode == 0, (
         f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
     )
     assert CHECK_OK in proc.stdout
-    assert ARTIFACT.exists()
-    payload = json.loads(ARTIFACT.read_text())
+    assert artefact.exists()
+    payload = json.loads(artefact.read_text())
     assert payload["benchmark"] == "planner"
     assert payload["gate"]["min_speedup"] == MIN_SPEEDUP
     cold_gate = payload["cold_gate"]

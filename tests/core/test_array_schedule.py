@@ -85,6 +85,25 @@ class TestStructure:
         assert np.all(np.diff(row) >= 0)
         assert dest.min() >= 0 and dest.max() < arr.n
 
+    @pytest.mark.parametrize("spec", ["grid:16", "complete:70", "star:130", "hypercube:128"])
+    def test_destination_pairs_match_the_unpacked_masks(self, spec):
+        """Multi-word and dense masks: every set bit, rows in order,
+        destinations ascending within a row."""
+        arr = _plan(spec).arrays()
+        bits = np.unpackbits(arr.dest_mask.view(np.uint8), axis=1, bitorder="little")
+        want_row, want_dest = np.nonzero(bits)
+        row, dest = arr.destination_pairs()
+        assert row.dtype == dest.dtype == np.int64
+        assert np.array_equal(row, want_row) and np.array_equal(dest, want_dest)
+
+    def test_destination_pairs_of_an_empty_schedule(self):
+        zero = np.zeros(0, dtype=np.int64)
+        arr = ArraySchedule.from_events(
+            zero, zero, zero, np.zeros((0, 1), dtype=np.uint64), n=5
+        )
+        row, dest = arr.destination_pairs()
+        assert len(row) == len(dest) == 0 and row.dtype == np.int64
+
     def test_widen_preserves_contents(self):
         arr = _plan("path:9").arrays()
         wide = arr.widen(200)

@@ -108,6 +108,10 @@ class TestRanges:
         found = report.by_rule("model/vertex-range")
         assert found and found[0].destination == 77
 
+    def test_ids_beyond_64_bits_are_a_typed_refusal(self, grid):
+        with pytest.raises(ReproError, match="64 bits"):
+            lint_schedule(grid, [[tx(0, 0, {2**70})]], require_complete=False)
+
     def test_n_messages_override(self, grid):
         report = lint_schedule(
             grid, [[tx(0, 0, {1})]], n_messages=24, require_complete=False
