@@ -21,9 +21,11 @@ Runs three ways:
 * under pytest(-benchmark) with the rest of the suite — records rows in
   the reproduction summary;
 * standalone: ``python benchmarks/bench_planner.py --check`` exits
-  non-zero unless both gates hold, and writes ``BENCH_planner.json`` at
-  the repo root so successive PRs can compare the trajectory (wired
-  into tier-1 via ``tests/analysis/test_planner_check.py``);
+  non-zero unless both gates hold (wired into tier-1 via
+  ``tests/analysis/test_planner_check.py``).  It writes nothing unless
+  asked: ``--update`` rewrites the committed ``BENCH_planner.json`` at
+  the repo root so successive changes can compare the trajectory, and
+  ``--json PATH`` writes the same artefact elsewhere;
 * by hand through ``python -m repro.cli plan-bench``.
 """
 
@@ -81,18 +83,23 @@ def main(argv=None) -> int:
         help="benchmark the small tier-1 subset instead of the full sweep",
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--json", default=str(ARTIFACT), metavar="PATH",
-        help="where to write the trajectory artefact (default: repo root "
-             "BENCH_planner.json; use '' to skip writing)",
+    output = parser.add_mutually_exclusive_group()
+    output.add_argument(
+        "--update", action="store_true",
+        help="rewrite the committed trajectory artefact BENCH_planner.json",
+    )
+    output.add_argument(
+        "--json", default=None, metavar="PATH",
+        help="write the trajectory artefact to PATH instead",
     )
     args = parser.parse_args(argv)
 
     result = run(quick=args.quick, repeats=args.repeats)
     print(result.format())
-    if args.json:
-        result.write_json(args.json)
-        print(f"wrote {args.json}")
+    target = str(ARTIFACT) if args.update else args.json
+    if target:
+        result.write_json(target)
+        print(f"wrote {target}")
     if args.check:
         try:
             result.check()

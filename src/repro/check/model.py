@@ -21,6 +21,18 @@ them.  The conformance driver (:mod:`repro.check.replay`) closes the
 remaining gap by comparing model executions against recorded
 :class:`~repro.runtime.transport.NetChaos` runtime runs.
 
+A step reads only the stepping peer's own :class:`PeerView` plus model
+constants (tree, horizon, crash rounds, ``fence_skew``), so its
+peer-local part — barrier, fence and monotonicity checks, crash and
+horizon cases, the processor's multicast, the possession check — is
+memoised per model keyed ``(v, view)``, and memoising it is exact.  The
+real processor still runs on the peer's ``(delivered, t)``, once per
+distinct view that reaches the send.  The sender/receiver clash checks
+against the global send log stay per call.  Deliveries, step
+enabledness and the barrier over-admission probe are memoised the same
+way; the explorer's certificates, which re-apply the same peer-local
+steps many times, mostly hit these caches.
+
 States are canonical hashable tuples (:class:`ModelState`), so the
 explorer's visited set is a plain ``set``.  Safety invariants are
 checked *inside* :meth:`ProtocolModel.apply` and returned as rendered
@@ -121,6 +133,15 @@ class _ProcSpec(NamedTuple):
     children: Tuple[_ChildInfo, ...]
 
 
+class _LocalStep(NamedTuple):
+    """The peer-local part of one step: all of it but the clash checks."""
+
+    peer: PeerView
+    record: Optional[SentRecord]
+    tokens: FrozenSet[Token]
+    violations: Tuple[str, ...]
+
+
 class ProtocolModel:
     """The explorable model of one plan under one crash scenario.
 
@@ -195,6 +216,31 @@ class ProtocolModel:
                 nbrs.append(parent)
             self.neighbours.append(tuple(sorted(nbrs)))
             self.labels.append(block.i)
+
+        # The offline schedule, read once from the canonical columns (rows
+        # in round order, each row's destinations ascending).
+        arrays = plan.arrays()
+        rounds = arrays.round.tolist()
+        messages = arrays.message.tolist()
+        dest_lists: List[List[int]] = [[] for _ in rounds]
+        self._arrivals: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
+        rows, dests = arrays.destination_pairs()
+        for row, d in zip(rows.tolist(), dests.tolist()):
+            dest_lists[row].append(d)
+            self._arrivals[d].append((rounds[row], messages[row]))
+        self._offline = frozenset(
+            SentRecord(round=rnd, sender=sender, message=message,
+                       destinations=tuple(ds))
+            for rnd, sender, message, ds in zip(
+                rounds, arrays.sender.tolist(), messages, dest_lists)
+        )
+
+        # Peer-local memos: each maps a peer's own view (plus the action's
+        # argument) to what the model computes from that view alone.
+        self._step_memo: Dict[Tuple[int, PeerView], _LocalStep] = {}
+        self._deliver_memo: Dict[Tuple[Token, PeerView], Optional[PeerView]] = {}
+        self._enabled_memo: Dict[Tuple[int, PeerView], bool] = {}
+        self._overadmission_memo: Dict[Tuple[int, PeerView], Optional[str]] = {}
 
     # -- construction ---------------------------------------------------
     def initial(self) -> ModelState:
@@ -292,6 +338,14 @@ class ProtocolModel:
         round's message.  Returns the rendered violation, or ``None``.
         """
         peer = state.peers[v]
+        key = (v, peer)
+        try:
+            return self._overadmission_memo[key]
+        except KeyError:
+            found = self._overadmission_memo[key] = self._overadmission(peer, v)
+            return found
+
+    def _overadmission(self, peer: PeerView, v: int) -> Optional[str]:
         t = peer.t
         if t == 0 or peer.done or peer.died_at is not None:
             return None
@@ -317,11 +371,17 @@ class ProtocolModel:
     def step_enabled(self, state: ModelState, v: int) -> bool:
         """Whether peer ``v`` can execute its next round-loop iteration."""
         peer = state.peers[v]
-        if peer.done or peer.died_at is not None:
-            return False
-        if peer.t == 0:
-            return True
-        return self._barrier_tokens(peer, v, peer.t) is not None
+        key = (v, peer)
+        try:
+            return self._enabled_memo[key]
+        except KeyError:
+            enabled = self._enabled_memo[key] = (
+                not peer.done and peer.died_at is None and (
+                    peer.t == 0
+                    or self._barrier_tokens(peer, v, peer.t) is not None
+                )
+            )
+            return enabled
 
     def enabled(self, state: ModelState) -> List[Action]:
         """All enabled actions, in canonical (deterministic) order."""
@@ -359,18 +419,29 @@ class ProtocolModel:
             raise ProtocolCheckError(f"delivering a token not in flight: {token}")
         flight = state.flight - {token}
         peer = state.peers[token.dst]
+        key = (token, peer)
+        try:
+            new = self._deliver_memo[key]
+        except KeyError:
+            new = self._deliver_memo[key] = self._receive(peer, token)
+        if new is None:
+            return ModelState(state.peers, flight, state.sent), ()
+        peers = _replace_peer(state.peers, token.dst, new)
+        return ModelState(peers, flight, state.sent), ()
+
+    @staticmethod
+    def _receive(peer: PeerView, token: Token) -> Optional[PeerView]:
+        """The receiver's view after ``token`` lands; None if absorbed."""
         if peer.died_at is not None:
             # A fail-stopped transport hears nothing (PeerProtocol drops
             # receives after kill); the copy is consumed by the void.
-            return ModelState(state.peers, flight, state.sent), ()
+            return None
         key = (token.round, token.sender)
         if any((rnd, sender) == key for rnd, sender, _ in peer.tokens):
             # Duplicate of an already-buffered record: dedup suppresses.
-            return ModelState(state.peers, flight, state.sent), ()
+            return None
         tokens = peer.tokens | {(token.round, token.sender, token.payload)}
-        peers = _replace_peer(state.peers, token.dst,
-                              peer._replace(tokens=tokens))
-        return ModelState(peers, flight, state.sent), ()
+        return peer._replace(tokens=tokens)
 
     def apply_duplicate(self, state: ModelState,
                         token: Token) -> Tuple[ModelState, Tuple[str, ...]]:
@@ -388,6 +459,43 @@ class ProtocolModel:
         self, state: ModelState, v: int
     ) -> Tuple[ModelState, Tuple[str, ...]]:
         peer = state.peers[v]
+        key = (v, peer)
+        try:
+            local = self._step_memo[key]
+        except KeyError:
+            local = self._step_memo[key] = self._local_step(peer, v)
+        peers = _replace_peer(state.peers, v, local.peer)
+        flight = state.flight | local.tokens if local.tokens else state.flight
+        record = local.record
+        if record is None:
+            return ModelState(peers, flight, state.sent), local.violations
+
+        # The only checks that read beyond the peer's own view: this
+        # multicast against everything already sent in the same round.
+        violations = list(local.violations)
+        t, message = record.round, record.message
+        dests = set(record.destinations)
+        for other in state.sent:
+            if other.round != t:
+                continue
+            clash = dests.intersection(other.destinations)
+            if clash:
+                violations.append(
+                    f"receiver clash at round {t}: peers {sorted(clash)} "
+                    f"receive both message {other.message} from "
+                    f"{other.sender} and message {message} from {v} (one "
+                    f"receive per round)"
+                )
+            if other.sender == v:
+                violations.append(
+                    f"sender clash at round {t}: peer {v} multicasts "
+                    f"twice ({other.message} and {message})"
+                )
+        sent = state.sent | {record}
+        return ModelState(peers, flight, sent), tuple(violations)
+
+    def _local_step(self, peer: PeerView, v: int) -> _LocalStep:
+        """One round-loop iteration of ``v``, as a function of its view."""
         violations: List[str] = []
         if peer.done or peer.died_at is not None:
             raise ProtocolCheckError(f"stepping finished/dead peer {v}")
@@ -430,20 +538,14 @@ class ProtocolModel:
             # transport.kill() discards the socket and everything buffered;
             # clearing the token store canonicalises the abort state (what a
             # dead peer had buffered is unobservable).
-            peers = _replace_peer(
-                state.peers, v,
-                peer._replace(holds=holds, delivered=delivered, died_at=t,
-                              tokens=frozenset()),
-            )
-            return ModelState(peers, state.flight, state.sent), tuple(violations)
+            dead = peer._replace(holds=holds, delivered=delivered, died_at=t,
+                                 tokens=frozenset())
+            return _LocalStep(dead, None, frozenset(), tuple(violations))
 
         # 3. Horizon: the final barrier has been consumed; nothing to send.
         if t == self.horizon:
-            peers = _replace_peer(
-                state.peers, v,
-                peer._replace(holds=holds, delivered=delivered, done=True),
-            )
-            return ModelState(peers, state.flight, state.sent), tuple(violations)
+            done = peer._replace(holds=holds, delivered=delivered, done=True)
+            return _LocalStep(done, None, frozenset(), tuple(violations))
 
         # 4. Compute the round-t multicast with the real processor.
         message: Optional[int] = None
@@ -460,8 +562,7 @@ class ProtocolModel:
             message = txs[0].message
             dests = tuple(sorted(txs[0].destinations))
 
-        sent = state.sent
-        flight = state.flight
+        record: Optional[SentRecord] = None
         if message is not None:
             if not holds >> message & 1:
                 violations.append(
@@ -469,22 +570,8 @@ class ProtocolModel:
                     f"{message} at round {t} without holding it "
                     f"(receive-before-send)"
                 )
-            for record in state.sent:
-                if record.round == t and set(record.destinations) & set(dests):
-                    clash = sorted(set(record.destinations) & set(dests))
-                    violations.append(
-                        f"receiver clash at round {t}: peers {clash} receive "
-                        f"both message {record.message} from {record.sender} "
-                        f"and message {message} from {v} (one receive per "
-                        f"round)"
-                    )
-                if record.round == t and record.sender == v:
-                    violations.append(
-                        f"sender clash at round {t}: peer {v} multicasts "
-                        f"twice ({record.message} and {message})"
-                    )
-            sent = sent | {SentRecord(round=t, sender=v, message=message,
-                                      destinations=dests)}
+            record = SentRecord(round=t, sender=v, message=message,
+                                destinations=dests)
         new_tokens: List[Token] = []
         for u in self.neighbours[v]:
             if message is not None and u in dests:
@@ -497,12 +584,9 @@ class ProtocolModel:
                     Token(kind=FENCE, phase=PHASE_ONLINE, round=t, sender=v,
                           dst=u, payload=None)
                 )
-        flight = flight | frozenset(new_tokens)
-        peers = _replace_peer(
-            state.peers, v,
-            peer._replace(t=t + 1, holds=holds, delivered=delivered),
-        )
-        return ModelState(peers, flight, sent), tuple(violations)
+        stepped = peer._replace(t=t + 1, holds=holds, delivered=delivered)
+        return _LocalStep(stepped, record, frozenset(new_tokens),
+                          tuple(violations))
 
     # -- quiescence -----------------------------------------------------
     def classify_quiescent(self, state: ModelState) -> Tuple[str, Tuple[str, ...]]:
@@ -585,25 +669,15 @@ class ProtocolModel:
         check pins the model's abort states to it.
         """
         holds = 1 << self.labels[vertex]
-        for t, rnd in enumerate(self.plan.schedule.rounds):
-            if t + 1 > death_round:
+        for rnd, message in self._arrivals[vertex]:
+            if rnd + 1 > death_round:
                 break
-            for tx in rnd:
-                if vertex in tx.destinations:
-                    holds |= 1 << tx.message
+            holds |= 1 << message
         return holds
 
     def offline_records(self) -> FrozenSet[SentRecord]:
         """The offline schedule as :class:`SentRecord` rows (fault-free ref)."""
-        records: List[SentRecord] = []
-        for t, rnd in enumerate(self.plan.schedule.rounds):
-            for tx in rnd:
-                records.append(
-                    SentRecord(round=t, sender=tx.sender, message=tx.message,
-                               destinations=tuple(sorted(tx.destinations)))
-                )
-        return frozenset(records)
-
+        return self._offline
 
 def _replace_peer(peers: Tuple[PeerView, ...], v: int,
                   new: PeerView) -> Tuple[PeerView, ...]:

@@ -4,6 +4,8 @@ The full committed matrix (path/star/complete × 3..5) runs in CI via
 ``cli check-protocol --check``; tier-1 pins the n=3 column (and one n=4
 instance) against the committed ``CHECK_protocol.json`` so state-count
 drift — a changed model is a changed specification — fails fast.
+Fault-free ``binary-tree:7`` (height 2) is the first branching depth-2
+tree under the checker; its counts are pinned here, not in the matrix.
 """
 
 import json
@@ -36,6 +38,25 @@ class TestFaultFreeExploration:
             model = ProtocolModel(plan_for(family, 4))
             report = explore(model)
             assert report.ok, (family, report.counterexample)
+
+
+class TestBranchingDepthTwoTree:
+    def test_binary_tree7_explores_clean_to_the_offline_schedule(self):
+        plan = plan_for("binary-tree", 7)
+        assert (plan.labeled.n, plan.tree.height, plan.total_time) == (7, 2, 9)
+        model = ProtocolModel(plan)
+        report = explore(model)
+        assert report.ok, report.counterexample
+        assert report.fallback_states == 0
+        assert (report.states, report.transitions) == (38_779, 56_140)
+        assert report.quiescent == {"complete": 1}
+        # every run reaches the unique terminal; follow one to it
+        state = model.initial()
+        while model.enabled(state):
+            state, violations = model.apply(state, model.enabled(state)[0])
+            assert violations == ()
+        assert model.classify_quiescent(state) == ("complete", ())
+        assert state.sent == model.offline_records()
 
 
 class TestCrashExploration:
