@@ -52,6 +52,14 @@ Plus one repository-hygiene rule, checked when run from the repo root:
 12. **No tracked compiled artifacts** — ``git ls-files`` must list no
     ``*.pyc`` / ``__pycache__`` entries.
 
+And one import-cost rule:
+
+13. **Heavy dependencies load lazily** — no module-level ``import
+    networkx`` / ``import scipy`` (or ``from`` either) anywhere in
+    ``src/repro``; together they about double ``import repro``'s time
+    and memory for a few interop and analysis helpers.  Imports inside
+    function bodies and ``if TYPE_CHECKING:`` blocks are fine.
+
 Exit status: 0 when clean, 1 with one ``file:line: message`` per
 violation on stdout.  Run from the repository root::
 
@@ -137,6 +145,9 @@ PIPE_PROTOCOL_ORDER = {"HELLO": 0, "ADDRS": 1, "START": 2}
 
 #: Callable names that put a tuple on a control pipe (rule 10).
 PIPE_SEND_NAMES = {"send", "_send", "_broadcast", "_safe_send"}
+
+#: Top-level packages that may not be imported at module level (rule 13).
+LAZY_IMPORTS = ("networkx", "scipy")
 
 #: Method names that block the calling thread (rule 11).
 BLOCKING_METHODS = frozenset({
@@ -596,6 +607,56 @@ def tracked_artifact_violations(
 
 
 # ---------------------------------------------------------------------------
+# Rule 13: heavy dependencies load lazily
+# ---------------------------------------------------------------------------
+
+def _is_type_checking(test: ast.expr) -> bool:
+    """``TYPE_CHECKING`` or ``typing.TYPE_CHECKING``."""
+    if isinstance(test, ast.Attribute):
+        return test.attr == "TYPE_CHECKING"
+    return isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
+
+
+def _import_time_nodes(body: List[ast.stmt]) -> Iterator[ast.AST]:
+    """Statements run at import time: skips function bodies and
+    ``if TYPE_CHECKING:`` blocks, descends into everything else."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(stmt, ast.If) and _is_type_checking(stmt.test):
+            yield from _import_time_nodes(stmt.orelse)
+            continue
+        yield stmt
+        for field in ("body", "orelse", "finalbody"):
+            yield from _import_time_nodes(getattr(stmt, field, []))
+        for handler in getattr(stmt, "handlers", []):
+            yield from _import_time_nodes(handler.body)
+
+
+def _lazy_import_violations(
+    path: pathlib.Path, tree: ast.Module
+) -> Iterator[Violation]:
+    """Rule 13: no module-level ``networkx`` / ``scipy`` import."""
+    for node in _import_time_nodes(tree.body):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top in LAZY_IMPORTS:
+                yield (
+                    path,
+                    node.lineno,
+                    f"module-level import of {top}; import it inside the "
+                    f"function that needs it (or under TYPE_CHECKING for "
+                    f"annotations) so `import repro` stays light",
+                )
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -610,6 +671,7 @@ def check_file(path: pathlib.Path) -> Iterator[Violation]:
         yield from _blocking_async_violations(path, tree)
     if _needs_pipe_discipline(path):
         yield from _pipe_order_violations(path, tree)
+    yield from _lazy_import_violations(path, tree)
     for node in ast.walk(tree):
         if _needs_seeded_rng(path):
             yield from _seeded_rng_violations(path, node)

@@ -2,19 +2,22 @@
 
 The library keeps its own lean :class:`~repro.networks.graph.Graph`, but
 real projects live in a networkx world, so lossless conversion both ways
-is provided (vertex ids are normalised to ``0..n-1``).
+is provided (vertex ids are normalised to ``0..n-1``).  networkx is
+imported only inside the two converters, so ``import repro`` never pays
+for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Sequence, Tuple
 
 from ..exceptions import GraphError
 from ..tree.tree import Tree
 from ..types import EdgeList
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "from_edges",
@@ -74,6 +77,8 @@ def from_networkx(g: "nx.Graph", name: str = "") -> Tuple[Graph, Dict[Hashable, 
 
 def to_networkx(graph: Graph) -> "nx.Graph":
     """Convert to a networkx graph with integer node labels."""
+    import networkx as nx
+
     g = nx.Graph(name=graph.name)
     g.add_nodes_from(range(graph.n))
     g.add_edges_from(graph.edge_list())

@@ -23,6 +23,8 @@ scipy is unavailable.
 
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 
 from ..exceptions import DisconnectedGraphError
@@ -38,13 +40,9 @@ __all__ = [
     "minimum_depth_spanning_tree_fast",
 ]
 
-try:  # pragma: no cover - exercised implicitly by which branch runs
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path as _scipy_shortest_path
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
+#: Whether scipy is installed; found without importing it, so loading
+#: this module (and ``import repro``) never pays scipy's import cost.
+_HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 def all_pairs_distances(graph: Graph) -> np.ndarray:
@@ -56,12 +54,15 @@ def all_pairs_distances(graph: Graph) -> np.ndarray:
     """
     if not _HAVE_SCIPY:
         return distance_matrix(graph)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     n = graph.n
     data = np.ones(graph.indices.shape[0], dtype=np.int8)
     adjacency = csr_matrix(
         (data, graph.indices, graph.indptr), shape=(n, n)
     )
-    dist = _scipy_shortest_path(adjacency, method="D", unweighted=True)
+    dist = shortest_path(adjacency, method="D", unweighted=True)
     out = np.where(np.isinf(dist), -1, dist).astype(np.int64)
     return out
 

@@ -29,6 +29,21 @@ Every DATA/FENCE is retransmitted until acknowledged::
       ^          │
       └──timeout─┘   backoff_t = min(cap, base * factor^attempt) * jitter
 
+``base`` is the peer's estimated retransmit timeout (RTO), kept by one
+RFC 6298 estimator per peer (Jacobson/Karels: ``SRTT``/``RTTVAR`` with
+α = 1/8, β = 1/4, ``RTO = SRTT + 4·RTTVAR``).  Its samples are the
+send→ack times of records acked on their *first* copy; under Karn's
+rule a retransmitted record gives no sample, since its ack cannot be
+matched to one copy.  ``RuntimeConfig.ack_timeout`` is both the RTO
+before any sample and the RTO's ceiling, so a retransmit only ever
+fires *earlier* than a fixed ``ack_timeout`` timer would — never later,
+even when a loaded host inflates the samples.  Samples are read from
+the injectable :class:`~repro.runtime.clock.Clock` in virtual seconds,
+so a :class:`~repro.runtime.clock.ScaledClock` run stays
+scale-invariant.  The timer sets the pace of every lossy round: a fence
+barrier waits for the round's slowest reliable record, and the default
+``ack_timeout`` is about 20 loopback round trips.
+
 ``jitter`` is a seeded splitmix64 draw keyed by
 ``(seed, src, dst, phase, round, attempt)``, so two peers' retry storms
 decorrelate deterministically.  Receivers acknowledge *every* copy
@@ -54,7 +69,8 @@ A peer restarted by the :class:`~repro.runtime.supervisor.Supervisor`
 owns nothing but its own message; before it can take part in a repair
 schedule it pulls a live neighbour's hold bitset over the same socket:
 ``RESYNC_REQ`` is retransmitted (fresh loss draws per copy) until every
-16-bit ``RESYNC`` chunk of the bitset has landed.  Chunks are
+16-bit ``RESYNC`` chunk of the bitset has landed, on the same
+estimated-RTO backoff as every other reliable send.  Chunks are
 idempotent, so the responder simply re-answers every request copy.
 
 Phase 2 (survival) replays a :func:`repro.core.survival.survive`
@@ -94,7 +110,14 @@ from .wire import (
     encode,
 )
 
-__all__ = ["RuntimeConfig", "PeerScript", "TranscriptEntry", "GossipPeer", "PeerProtocol"]
+__all__ = [
+    "RuntimeConfig",
+    "RttEstimator",
+    "PeerScript",
+    "TranscriptEntry",
+    "GossipPeer",
+    "PeerProtocol",
+]
 
 _TAG_BACKOFF = 0xBAC0
 
@@ -116,11 +139,17 @@ class RuntimeConfig:
     Attributes
     ----------
     ack_timeout:
-        Initial retransmit backoff for unacknowledged DATA/FENCE.
+        Initial and maximum retransmit timeout (RTO) for unacknowledged
+        DATA/FENCE.  Before a peer has measured a round trip its RTO is
+        ``ack_timeout`` (RFC 6298's "before any sample"); afterwards it
+        is the peer's :class:`RttEstimator` value, capped here, so an
+        estimate inflated by a loaded host never waits longer than a
+        fixed ``ack_timeout`` timer would.
     backoff_factor / backoff_cap:
-        Exponential backoff growth and ceiling.
+        Exponential backoff growth and ceiling (``backoff_cap`` must be
+        at least ``ack_timeout``).
     heartbeat_interval:
-        Beacon period of the failure detector.
+        Beacon period of the failure detector (positive).
     fail_after:
         Silence after which a neighbour is suspected dead.  Must exceed
         a handful of heartbeat intervals or healthy-but-lossy links get
@@ -156,6 +185,15 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.ack_timeout <= 0 or self.backoff_factor < 1.0:
             raise GossipRuntimeError("backoff parameters must be positive/growing")
+        if self.backoff_cap < self.ack_timeout:
+            raise GossipRuntimeError(
+                f"backoff_cap must be >= ack_timeout "
+                f"({self.backoff_cap} < {self.ack_timeout})"
+            )
+        if self.heartbeat_interval <= 0:
+            raise GossipRuntimeError(
+                f"heartbeat_interval must be positive, got {self.heartbeat_interval}"
+            )
         if self.max_attempts < 1:
             raise GossipRuntimeError("max_attempts must be >= 1")
         if self.fail_after <= 2 * self.heartbeat_interval:
@@ -170,14 +208,56 @@ class RuntimeConfig:
             )
 
     def backoff(self, attempt: int, *, src: int, dst: int, phase: int,
-                rnd: int) -> float:
-        """Seeded-exponential backoff before retransmission ``attempt + 1``."""
-        base = min(self.backoff_cap, self.ack_timeout * self.backoff_factor ** attempt)
+                rnd: int, rto: Optional[float] = None) -> float:
+        """Seeded-exponential backoff before retransmission ``attempt + 1``.
+
+        Grows from ``rto``, the sender's estimated retransmit timeout
+        (``None`` before any round-trip sample), capped at
+        ``ack_timeout``.
+        """
+        initial = self.ack_timeout if rto is None else min(self.ack_timeout, rto)
+        base = min(self.backoff_cap, initial * self.backoff_factor ** attempt)
         jitter = _uniform(self.seed, _TAG_BACKOFF, src, dst, phase, rnd, attempt)
         return base * (0.5 + jitter)
 
 
-@dataclass(frozen=True)
+class RttEstimator:
+    """RFC 6298 round-trip estimator (Jacobson/Karels, α = 1/8, β = 1/4).
+
+    Fed only by records acked on their first copy (Karn's rule is the
+    caller's side: a retransmitted record is never sampled).  :attr:`rto`
+    is ``SRTT + 4·RTTVAR``, or ``None`` until the first sample;
+    :meth:`RuntimeConfig.backoff` caps it at ``ack_timeout``.
+    """
+
+    __slots__ = ("srtt", "rttvar")
+
+    ALPHA = 1 / 8
+    BETA = 1 / 4
+    K = 4
+
+    def __init__(self) -> None:
+        self.srtt: Optional[float] = None
+        self.rttvar = 0.0
+
+    def sample(self, rtt: float) -> None:
+        """Fold one measured round trip ``rtt`` (clock seconds) in."""
+        if self.srtt is None:
+            self.srtt = rtt
+            self.rttvar = rtt / 2
+        else:
+            self.rttvar += self.BETA * (abs(self.srtt - rtt) - self.rttvar)
+            self.srtt += self.ALPHA * (rtt - self.srtt)
+
+    @property
+    def rto(self) -> Optional[float]:
+        """Estimated retransmit timeout, uncapped; ``None`` before a sample."""
+        if self.srtt is None:
+            return None
+        return self.srtt + self.K * self.rttvar
+
+
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
     """One executed multicast, in offline-schedule coordinates."""
 
@@ -304,6 +384,8 @@ class GossipPeer:
         self.retransmissions = 0
         self.duplicates_suppressed = 0
         self.died_at: Optional[int] = None
+        #: Round-trip estimate behind every retransmit timeout.
+        self.rtt = RttEstimator()
 
         self._abort = asyncio.Event()
         self._stopped = False
@@ -362,12 +444,15 @@ class GossipPeer:
 
         A destination that swallows ``max_attempts`` copies without one
         ack is handed to the suspicion path — the retransmit loop is a
-        failure detector too, never an infinite loop.
+        failure detector too, never an infinite loop.  A record acked on
+        its first copy feeds its round trip to :attr:`rtt` (Karn's rule:
+        a retransmitted one does not).
         """
         key = (dest, dgram.phase, dgram.round)
         event = asyncio.Event()
         self.ack_events[key] = event
         attempt = 0
+        sent_at = self.clock.time()
         try:
             while not event.is_set():
                 if self._abort.is_set() and dgram.phase == PHASE_ONLINE:
@@ -384,12 +469,14 @@ class GossipPeer:
                     self.retransmissions += 1
                 timeout = self.config.backoff(
                     attempt, src=self.vertex, dst=dest,
-                    phase=dgram.phase, rnd=dgram.round,
+                    phase=dgram.phase, rnd=dgram.round, rto=self.rtt.rto,
                 )
                 try:
                     await self.clock.wait_for(event.wait(), timeout)
                 except asyncio.TimeoutError:
                     attempt += 1
+            if not attempt:
+                self.rtt.sample(self.clock.time() - sent_at)
             return True
         finally:
             self.ack_events.pop(key, None)
@@ -568,10 +655,10 @@ class GossipPeer:
     async def fetch_resync(self, source: int) -> int:
         """Pull ``source``'s hold bitset (the rejoin state transfer).
 
-        Retransmits the request with the usual seeded backoff until all
-        chunks are here, folds them into ``self.holds``, and returns the
-        merged bitset.  Bounded by ``round_timeout``
-        (:class:`~repro.exceptions.RuntimeDeadlineError`,
+        Retransmits the request with the usual seeded, estimated-RTO
+        backoff until all chunks are here, folds them into
+        ``self.holds``, and returns the merged bitset.  Bounded by
+        ``round_timeout`` (:class:`~repro.exceptions.RuntimeDeadlineError`,
         ``phase="rejoin"``).
         """
         chunks = (self.proc.n + 15) // 16
@@ -592,7 +679,7 @@ class GossipPeer:
                 self.retransmissions += 1
             timeout = self.config.backoff(
                 attempt, src=self.vertex, dst=source,
-                phase=PHASE_REJOIN, rnd=0,
+                phase=PHASE_REJOIN, rnd=0, rto=self.rtt.rto,
             )
             self.token_arrived.clear()
             try:

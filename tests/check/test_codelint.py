@@ -173,6 +173,55 @@ class TestBlockingAsyncRule:
         assert messages == []
 
 
+class TestLazyImportRule:
+    def test_module_level_imports_fire(self, tmp_path):
+        messages = lint(tmp_path, "networks", "interop.py", """\
+            import networkx as nx
+            from scipy.sparse import csr_matrix
+            try:
+                import scipy.sparse.csgraph
+            except ImportError:
+                pass
+            """)
+        assert len(messages) == 3
+        assert all("module-level import" in m for m in messages)
+        assert "networkx" in messages[0] and "scipy" in messages[1]
+
+    def test_class_body_import_fires(self, tmp_path):
+        messages = lint(tmp_path, "analysis", "holder.py", """\
+            class Holder:
+                import networkx
+            """)
+        assert len(messages) == 1 and "networkx" in messages[0]
+
+    def test_function_and_type_checking_imports_are_clean(self, tmp_path):
+        messages = lint(tmp_path, "networks", "lazy.py", """\
+            from typing import TYPE_CHECKING
+            import typing
+            import numpy as np
+            if TYPE_CHECKING:
+                import networkx as nx
+            if typing.TYPE_CHECKING:
+                from scipy.sparse import csr_matrix
+            def to_nx(g) -> "nx.Graph":
+                import networkx as nx
+                return nx.Graph()
+            class Backend:
+                def distances(self):
+                    from scipy.sparse.csgraph import shortest_path
+                    return shortest_path
+            """)
+        assert messages == []
+
+    def test_relative_and_lookalike_imports_are_clean(self, tmp_path):
+        messages = lint(tmp_path, "networks", "near.py", """\
+            from . import scipy
+            import networkxlike
+            from .networkx import convert
+            """)
+        assert messages == []
+
+
 class TestTrackedArtifacts:
     def test_non_git_dir_is_silent(self, tmp_path):
         assert tracked_artifact_violations(tmp_path) == []

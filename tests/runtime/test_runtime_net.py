@@ -6,6 +6,9 @@ topology with a :class:`~repro.runtime.ScaledClock` so whole
 failure-detection scenarios finish in tens of milliseconds of real time.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.gossip import gossip
@@ -15,6 +18,7 @@ from repro.runtime import (
     ObservedDeaths,
     RuntimeConfig,
     ScaledClock,
+    TranscriptEntry,
     run_gossip_network,
 )
 
@@ -152,6 +156,22 @@ class TestConfigValidation:
         with pytest.raises(GossipRuntimeError):
             RuntimeConfig(fail_after=1.5, round_timeout=1.0)
 
+    def test_backoff_cap_below_ack_timeout_is_rejected(self):
+        # A cap below ack_timeout (say, negative) would make every ack
+        # wait time out at once: a healthy peer would be suspected after
+        # max_attempts instant copies.
+        with pytest.raises(GossipRuntimeError, match="backoff_cap"):
+            RuntimeConfig(backoff_cap=-1.0)
+        with pytest.raises(GossipRuntimeError, match="backoff_cap"):
+            RuntimeConfig(ack_timeout=0.05, backoff_cap=0.04)
+        RuntimeConfig(ack_timeout=0.05, backoff_cap=0.05)  # equal is fine
+
+    @pytest.mark.parametrize("interval", [0.0, -0.25])
+    def test_non_positive_heartbeat_interval_is_rejected(self, interval):
+        # A zero interval would make heartbeat_loop spin.
+        with pytest.raises(GossipRuntimeError, match="heartbeat_interval"):
+            RuntimeConfig(heartbeat_interval=interval)
+
     def test_backoff_is_deterministic_and_bounded(self):
         config = RuntimeConfig(seed=9)
         key = dict(src=1, dst=2, phase=0, rnd=3)
@@ -159,6 +179,27 @@ class TestConfigValidation:
         second = [config.backoff(k, **key) for k in range(8)]
         assert first == second
         assert all(0.0 < b <= config.backoff_cap * 1.5 for b in first)
+
+
+class TestTranscriptEntry:
+    ENTRY = TranscriptEntry(round=2, sender=1, message=0, destinations=(3, 4))
+
+    def test_slotted_value_type(self):
+        entry = self.ENTRY
+        assert not hasattr(entry, "__dict__")
+        same = TranscriptEntry(round=2, sender=1, message=0,
+                               destinations=(3, 4))
+        assert entry == same and hash(entry) == hash(same)
+        assert entry != TranscriptEntry(round=2, sender=1, message=0,
+                                        destinations=(3,))
+        with pytest.raises(AttributeError):
+            entry.round = 5
+
+    def test_pickle_and_copy_round_trip(self):
+        entry = self.ENTRY
+        for clone in (pickle.loads(pickle.dumps(entry)), copy.copy(entry),
+                      copy.deepcopy(entry)):
+            assert clone == entry and hash(clone) == hash(entry)
 
 
 class TestObservedDeaths:
