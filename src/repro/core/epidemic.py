@@ -144,31 +144,19 @@ def _resolve_receivers(
 def _surviving_destinations(
     model: FaultModel, t: int, sender: int, dests: Sequence[int]
 ) -> Tuple[Optional[List[int]], int]:
-    """Apply the lossy-model hazards in their canonical order.
+    """Apply the lossy-model hazards of one multicast.
 
     Returns ``(survivors, lost)``; ``survivors is None`` means the send
-    itself was suppressed (sender fail-stopped or crashed).  The hazard
-    order matches :func:`repro.simulator.lossy.execute_with_faults`
-    exactly, so an online run and a transcript replay under the same
-    model consume the same coordinate-keyed draws and agree on every
-    outcome.
+    itself was suppressed (sender fail-stopped or crashed).  The checks
+    are :meth:`FaultModel.send_fault` and :meth:`FaultModel.delivery_fault`,
+    the ones :func:`repro.simulator.lossy.execute_with_faults` makes, so
+    an online run and a transcript replay under the same model consume
+    the same coordinate-keyed draws and agree on every outcome.
     """
-    if model.fail_stopped(t, sender) or model.crashed(t, sender):
+    if model.send_fault(t, sender):
         return None, 0
-    survivors: List[int] = []
-    lost = 0
-    for d in dests:
-        if (
-            model.fail_stopped(t, d)
-            or model.link_failed(t, sender, d)
-            or model.link_out(t, sender, d)
-            or model.crashed(t, d)
-            or model.drops_delivery(t, sender, d)
-        ):
-            lost += 1
-        else:
-            survivors.append(d)
-    return survivors, lost
+    survivors = [d for d in dests if not model.delivery_fault(t, sender, d)]
+    return survivors, len(dests) - len(survivors)
 
 
 @dataclass(frozen=True)

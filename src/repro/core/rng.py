@@ -6,17 +6,17 @@ repository's reproducibility contract is absolute: every run must be a
 pure function of its seed.  This module provides the only randomness
 source those protocols are allowed to use (enforced by
 ``scripts/check_conventions.py`` rule 6 — ``random.*`` and
-``numpy.random`` are banned there), built on the **same splitmix64
-finaliser and golden-ratio increment** as the fault model in
-:mod:`repro.simulator.lossy`, so one seed governs both the protocol's
-coin flips and the faults injected into it without the two streams ever
-colliding (they are domain-separated by tag).
+``numpy.random`` are banned there), and the one keyed draw every layer
+uses: the fault model in :mod:`repro.simulator.lossy` and the runtime's
+chaos transport and retransmit jitter draw from :func:`keyed_uniform`
+too, so one seed governs both the protocol's coin flips and the faults
+injected into it without the streams ever colliding (they are
+domain-separated by tag).
 
 Two access patterns are offered:
 
 * :func:`keyed_uniform` / :func:`keyed_u64` — stateless draws keyed by
-  ``(seed, tag, *coords)``, exactly like
-  ``repro.simulator.lossy._uniform``: iteration-order independent, so a
+  ``(seed, tag, *coords)``: iteration-order independent, so a
   protocol that asks "what does vertex ``v`` do in round ``t``?" gets
   the same answer no matter who asks first;
 * :class:`SplitMix64` — a sequential stream (the classic splitmix64
@@ -26,6 +26,7 @@ Two access patterns are offered:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, TypeVar
 
 from ..exceptions import ReproError
@@ -45,11 +46,21 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def mix64(x: int) -> int:
-    """splitmix64 finaliser — identical to ``repro.simulator.lossy._mix64``."""
+    """splitmix64 finaliser — a high-quality 64-bit avalanche."""
     x = (x + _GOLDEN) & MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
+
+
+@lru_cache(maxsize=4096)
+def _keyed_prefix(seed: int, tag: int) -> int:
+    """The coordinate-free head of the keyed chain.
+
+    Cached: a run makes thousands of draws under one seed and a handful
+    of tags, so only the per-coordinate steps are paid per draw.
+    """
+    return mix64(mix64(seed & MASK64) ^ tag)
 
 
 def keyed_u64(seed: int, tag: int, *coords: int) -> int:
@@ -57,12 +68,17 @@ def keyed_u64(seed: int, tag: int, *coords: int) -> int:
 
     Pure function of its arguments — independent of call order, so
     per-(round, vertex) protocol decisions are reproducible even if the
-    iteration order of the surrounding loop changes.
+    iteration order of the surrounding loop changes.  The chain is
+    ``h = mix64(mix64(seed) ^ tag)``, then ``h = mix64(h ^ (c + 1) *
+    golden)`` per coordinate.
     """
-    h = mix64(seed & MASK64)
-    h = mix64(h ^ tag)
+    h = _keyed_prefix(seed, tag)
     for c in coords:
-        h = mix64(h ^ ((c + 1) * _GOLDEN & MASK64))
+        # mix64 inlined: this loop is on the lossy runtime's hot path.
+        x = ((h ^ ((c + 1) * _GOLDEN & MASK64)) + _GOLDEN) & MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+        h = x ^ (x >> 31)
     return h
 
 

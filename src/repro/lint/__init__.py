@@ -5,7 +5,9 @@ communication model, a set of efficiency lints, and (given a
 ConcurrentUpDown plan) the paper's structural invariants — all from
 one arrival-matrix pass over the schedule's array columns, never by
 executing.  Nothing in this package imports the simulator; a clean
-:class:`LintReport` is a purely static certificate.
+:class:`LintReport` is a purely static certificate.  The same pass,
+built by :func:`arrival_pass` with the execution rules only, is what
+:func:`repro.simulator.engine.execute_schedule` answers from.
 
 Quick start::
 
@@ -22,7 +24,13 @@ soundness argument.
 """
 
 from .diagnostics import Diagnostic, LintReport, Severity
-from .driver import ScheduleLike, diagnostic_exception, lint_schedule
+from .driver import (
+    ArrivalPass,
+    ScheduleLike,
+    arrival_pass,
+    diagnostic_exception,
+    lint_schedule,
+)
 from .rules import (
     EFFICIENCY,
     MODEL,
@@ -46,6 +54,8 @@ __all__ = [
     "PAPER",
     "STATIC_MODEL_RULES",
     "ScheduleLike",
+    "ArrivalPass",
+    "arrival_pass",
     "expand_selection",
     "diagnostic_exception",
     "lint_schedule",

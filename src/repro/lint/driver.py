@@ -12,7 +12,10 @@ in-range delivery lands at ``t + 1`` whether or not it was legal, and
 receive-before-send means round ``t``'s sends see exactly the deliveries
 of rounds ``< t``: ``v`` holds ``m`` at round ``t`` iff ``A[v, m] <= t``,
 the engine's judgement bit for bit, without importing the engine (the
-differential tests in ``tests/lint`` prove both claims).
+differential tests in ``tests/lint`` prove both claims).  The same pass,
+built by :func:`arrival_pass` with only the execution rules active, is
+what :func:`repro.simulator.engine.execute_schedule` answers from: the
+simulator imports this module, never the other way round.
 
 Array-backed input is read straight from its columns; the
 ``Transmission`` object view is never built.  A
@@ -33,6 +36,7 @@ budget certificate.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from typing import (
     Dict,
@@ -61,7 +65,13 @@ from ..networks.graph import Graph
 from .diagnostics import Diagnostic, LintReport
 from . import rules as R
 
-__all__ = ["lint_schedule", "diagnostic_exception", "ScheduleLike"]
+__all__ = [
+    "ArrivalPass",
+    "ScheduleLike",
+    "arrival_pass",
+    "diagnostic_exception",
+    "lint_schedule",
+]
 
 #: Anything the driver understands as a schedule: the object view, the
 #: canonical array form, or a raw sequence of rounds (each a ``Round``
@@ -126,8 +136,11 @@ def _columns(schedule: ScheduleLike) -> _Columns:
             schedule.round.astype(np.int64), schedule.sender.astype(np.int64),
             schedule.message.astype(np.int64), row, d, schedule.total_time, None,
         )
-    rows: List[Tuple[int, int, int]] = []
-    pairs: List[Tuple[int, int]] = []
+    ts: List[int] = []
+    ss: List[int] = []
+    ms: List[int] = []
+    fan: List[int] = []
+    dests: List[int] = []
     total = 0
     for t, rnd in enumerate(schedule):
         total = t + 1
@@ -136,17 +149,19 @@ def _columns(schedule: ScheduleLike) -> _Columns:
                 raise ReproError(
                     f"cannot lint {tx!r}: rounds must contain Transmission objects"
                 )
-            pairs.extend((len(rows), d) for d in tx.destinations)
-            rows.append((t, tx.sender, tx.message))
+            ts.append(t)
+            ss.append(tx.sender)
+            ms.append(tx.message)
+            fan.append(len(tx.destinations))
+            dests.extend(tx.destinations)
     try:
-        row_cols = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-        pair_cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        t_col, s_col, m_col, d = (np.array(c, dtype=np.int64) for c in (ts, ss, ms, dests))
     except OverflowError as exc:
         raise ReproError("cannot lint ids that do not fit in 64 bits") from exc
-    row, d = pair_cols
+    row = np.repeat(np.arange(len(ts), dtype=np.int64), fan)
     order = np.lexsort((d, row))
     set_pos = np.arange(len(row)) - np.searchsorted(row, row)
-    return _Columns(*row_cols, row[order], d[order], total, set_pos[order])
+    return _Columns(t_col, s_col, m_col, row[order], d[order], total, set_pos[order])
 
 
 def _repeats(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -248,9 +263,7 @@ def lint_schedule(
     LintReport
         Every finding of every active rule, in round order.
     """
-    cols = _columns(schedule)
-    n = graph.n
-    n_msgs = int(n_messages) if n_messages is not None else n
+    n_msgs = int(n_messages) if n_messages is not None else graph.n
 
     default_tiers = [R.MODEL, R.EFFICIENCY]
     if plan is not None and plan.algorithm == "concurrent-updown":
@@ -268,14 +281,11 @@ def lint_schedule(
     if not require_complete:
         active -= {R.INCOMPLETE_GOSSIP.id}
 
-    ctx = _ArrivalPass(
-        graph, cols, n_msgs, _initial_holds(n, plan, initial_holds), active
+    ctx = arrival_pass(
+        graph, schedule, active,
+        holds=_initial_holds(graph.n, plan, initial_holds), n_messages=n_msgs,
+        plan=plan,
     )
-    ctx.run()
-    if plan is not None and any(R.RULES[r].tier == R.PAPER for r in active):
-        ctx.check_paper(plan)
-    ctx.check_budget(plan)
-
     name = (
         schedule.name
         if isinstance(schedule, (Schedule, ArraySchedule))
@@ -288,8 +298,44 @@ def lint_schedule(
     )
 
 
-class _ArrivalPass:
-    """Every rule as a vectorised query over the columns and ``A``."""
+def arrival_pass(
+    graph: Graph,
+    schedule: ScheduleLike,
+    rules: Iterable[str],
+    *,
+    holds: Sequence[int],
+    n_messages: int,
+    plan: Optional[GossipPlan] = None,
+) -> "ArrivalPass":
+    """Build the arrival matrix of ``schedule`` and run ``rules`` over it.
+
+    The one entry point to the pass: :func:`lint_schedule` calls it with
+    the resolved selection, the engine with the execution rules only.
+    ``holds`` are the initial possession bitmasks (one per processor);
+    the ``paper`` tier runs only when ``plan`` is given.  Work that no
+    requested rule reads (the per-round receiving matrix, the collision
+    sorts, the idle-sender scan) is skipped.
+    """
+    ctx = ArrivalPass(graph, _columns(schedule), n_messages, list(holds),
+                      frozenset(rules))
+    ctx.run()
+    if plan is not None and any(R.RULES[r].tier == R.PAPER for r in ctx.active):
+        ctx.check_paper(plan)
+    ctx.check_budget(plan)
+    return ctx
+
+
+class ArrivalPass:
+    """Every rule as a vectorised query over the columns and ``A``.
+
+    Attributes read by callers: ``cols`` (the flat schedule columns),
+    ``pt`` / ``ps`` / ``pm`` (round, sender and message of each delivery
+    pair), ``total`` (rounds), ``arrival`` (``A``; the int32 maximum
+    where a message never arrives), ``redundant`` (positions of the
+    redundant delivery pairs, ascending), ``complete_at`` (first time
+    each processor held every message, ``-1`` = never) and
+    :meth:`diagnostics`.
+    """
 
     def __init__(
         self,
@@ -318,8 +364,13 @@ class _ArrivalPass:
         full = (inner < _NEVER).all(axis=1) & ~held[:, n_messages:].any(axis=1)
         #: first time each processor held every message (-1 = never).
         self.complete_at = np.where(full, inner.max(axis=1, initial=0), -1)
-        self.receiving = np.zeros((n, self.total), dtype=bool)
-        self.receiving[cols.d[self.dest_ok], self.pt[self.dest_ok]] = True
+
+    @cached_property
+    def receiving(self) -> np.ndarray:
+        """``receiving[v, t]``: some delivery targets ``v`` in round ``t``."""
+        out = np.zeros((self.n, self.total), dtype=bool)
+        out[self.cols.d[self.dest_ok], self.pt[self.dest_ok]] = True
+        return out
 
     # ------------------------------------------------------------------
     def emit(
@@ -364,15 +415,16 @@ class _ArrivalPass:
     def run(self) -> None:
         """The model and efficiency tiers."""
         self._check_model()
-        for p in self.redundant.tolist():
-            t, s, m = self._row(int(self.cols.row[p]))
-            d = int(self.cols.d[p])
-            self.emit(
-                R.REDUNDANT_DELIVERY,
-                f"round {t}: processor {s} delivers message {m} to {d}, "
-                f"which already holds it",
-                (t + 1, 0, p), round=t, sender=s, message_id=m, destination=d,
-            )
+        if R.REDUNDANT_DELIVERY.id in self.active:
+            for p in self.redundant.tolist():
+                t, s, m = self._row(int(self.cols.row[p]))
+                d = int(self.cols.d[p])
+                self.emit(
+                    R.REDUNDANT_DELIVERY,
+                    f"round {t}: processor {s} delivers message {m} to {d}, "
+                    f"which already holds it",
+                    (t + 1, 0, p), round=t, sender=s, message_id=m, destination=d,
+                )
         busy = np.bincount(self.cols.t, minlength=self.total) > 0
         for t in np.flatnonzero(~busy[:-1]).tolist():
             self.emit(
@@ -400,10 +452,11 @@ class _ArrivalPass:
 
         for e in np.flatnonzero(~self.sender_ok).tolist():
             at(R.VERTEX_RANGE, e, 0, f"sender {{s}} out of range for n={n}")
-        ok = np.flatnonzero(self.sender_ok)
-        for e, h in zip(*(ok[i].tolist() for i in _repeats(c.t[ok] * n + c.s[ok]))):
-            at(R.SENDER_COLLISION, e, 0, "processor {s} sends two messages in one "
-               f"round: {int(c.m[h])} and {{m}}")
+        if R.SENDER_COLLISION.id in self.active:
+            ok = np.flatnonzero(self.sender_ok)
+            for e, h in zip(*(ok[i].tolist() for i in _repeats(c.t[ok] * n + c.s[ok]))):
+                at(R.SENDER_COLLISION, e, 0, "processor {s} sends two messages in "
+                   f"one round: {int(c.m[h])} and {{m}}")
         for e in np.flatnonzero(~self.message_ok).tolist():
             at(R.MESSAGE_RANGE, e, 1, f"message {{m}} out of range for "
                f"n_messages={self.n_messages}")
@@ -413,10 +466,11 @@ class _ArrivalPass:
 
         for p in np.flatnonzero(~self.dest_ok).tolist():
             at(R.VERTEX_RANGE, int(c.row[p]), 0, f"destination {{d}} out of range for n={n}", p)
-        ok = np.flatnonzero(self.dest_ok)
-        for p, h in zip(*(ok[i].tolist() for i in _repeats(self.pt[ok] * n + c.d[ok]))):
-            at(R.RECEIVER_COLLISION, int(c.row[p]), 0, "processor {d} receives two "
-               f"messages in one round: {int(self.pm[h])} and {{m}}", p)
+        if R.RECEIVER_COLLISION.id in self.active:
+            ok = np.flatnonzero(self.dest_ok)
+            for p, h in zip(*(ok[i].tolist() for i in _repeats(self.pt[ok] * n + c.d[ok]))):
+                at(R.RECEIVER_COLLISION, int(c.row[p]), 0, "processor {d} receives "
+                   f"two messages in one round: {int(self.pm[h])} and {{m}}", p)
         ok = np.flatnonzero(self.dest_ok & self.sender_ok[c.row])
         edges = np.repeat(np.arange(n), self.graph.degrees()) * n + self.graph.indices
         for p in ok[~np.isin(self.ps[ok] * n + c.d[ok], edges)].tolist():

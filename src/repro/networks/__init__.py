@@ -24,12 +24,6 @@ from .bfs import (
     shortest_path,
 )
 from .dynamic import TreeMaintainer
-from .fast_paths import (
-    all_pairs_distances,
-    fast_eccentricities,
-    fast_radius,
-    minimum_depth_spanning_tree_fast,
-)
 from .builders import (
     from_adjacency,
     from_edges,
@@ -83,10 +77,6 @@ __all__ = [
     "graph_to_tree",
     "bfs_spanning_tree",
     "minimum_depth_spanning_tree",
-    "minimum_depth_spanning_tree_fast",
-    "all_pairs_distances",
-    "fast_eccentricities",
-    "fast_radius",
     "TreeMaintainer",
     "approximate_min_depth_tree",
     "best_root",

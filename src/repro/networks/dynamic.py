@@ -29,8 +29,9 @@ if TYPE_CHECKING:  # avoid a networks -> core import cycle at load time
 
 from ..exceptions import GraphError, ReproError
 from ..tree.tree import Tree
-from .fast_paths import fast_radius, minimum_depth_spanning_tree_fast
 from .graph import Graph
+from .properties import radius
+from .spanning_tree import minimum_depth_spanning_tree
 
 __all__ = ["TreeMaintainer"]
 
@@ -59,7 +60,7 @@ class TreeMaintainer:
             raise ReproError(f"unknown maintenance policy {policy!r}")
         return cls(
             graph=graph,
-            tree=minimum_depth_spanning_tree_fast(graph),
+            tree=minimum_depth_spanning_tree(graph),
             policy=policy,
             rebuilds=1,
         )
@@ -87,7 +88,7 @@ class TreeMaintainer:
         if self.policy == "eager" or tree_edge:
             return TreeMaintainer(
                 graph=new_graph,
-                tree=minimum_depth_spanning_tree_fast(new_graph),
+                tree=minimum_depth_spanning_tree(new_graph),
                 policy=self.policy,
                 rebuilds=self.rebuilds + 1,
             )
@@ -99,7 +100,7 @@ class TreeMaintainer:
         if self.policy == "eager":
             return TreeMaintainer(
                 graph=new_graph,
-                tree=minimum_depth_spanning_tree_fast(new_graph),
+                tree=minimum_depth_spanning_tree(new_graph),
                 policy=self.policy,
                 rebuilds=self.rebuilds + 1,
             )
@@ -120,13 +121,13 @@ class TreeMaintainer:
         Costs one O(mn) sweep to evaluate — call it to *decide* whether a
         lazy rebuild is worth it, not on every operation.
         """
-        return self.tree.height - fast_radius(self.graph)
+        return self.tree.height - radius(self.graph)
 
     def refreshed(self) -> "TreeMaintainer":
         """Force a rebuild now (e.g. after :attr:`height_gap` grew)."""
         return TreeMaintainer(
             graph=self.graph,
-            tree=minimum_depth_spanning_tree_fast(self.graph),
+            tree=minimum_depth_spanning_tree(self.graph),
             policy=self.policy,
             rebuilds=self.rebuilds + 1,
         )

@@ -86,13 +86,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.online import OnlineProcessor
+from ..core.rng import keyed_uniform
 from ..exceptions import (
     GossipRuntimeError,
     PeerDeadError,
     RuntimeDeadlineError,
     WireFormatError,
 )
-from ..simulator.lossy import _uniform
 from .clock import Clock
 from .transport import LossyDatagramTransport
 from .wire import (
@@ -217,7 +217,7 @@ class RuntimeConfig:
         """
         initial = self.ack_timeout if rto is None else min(self.ack_timeout, rto)
         base = min(self.backoff_cap, initial * self.backoff_factor ** attempt)
-        jitter = _uniform(self.seed, _TAG_BACKOFF, src, dst, phase, rnd, attempt)
+        jitter = keyed_uniform(self.seed, _TAG_BACKOFF, src, dst, phase, rnd, attempt)
         return base * (0.5 + jitter)
 
 

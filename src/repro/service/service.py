@@ -11,8 +11,9 @@ is wasted work.  ``GossipService`` amortises it:
 * concurrent requests for the same network **coalesce**: exactly one
   thread runs the planner, everyone else waits on its future;
 * :meth:`plan_many` fans a batch out across a shared
-  :class:`~concurrent.futures.ThreadPoolExecutor` (the scipy fast path
-  releases the GIL inside its BFS kernels, so batch planning overlaps);
+  :class:`~concurrent.futures.ThreadPoolExecutor` (the planner's
+  bit-parallel BFS runs inside numpy kernels that release the GIL, so
+  batch planning overlaps);
 * :meth:`maintain` binds a :class:`~repro.networks.dynamic.TreeMaintainer`
   to the cache so topology churn *patches or invalidates* affected
   entries instead of flushing everything
@@ -150,8 +151,8 @@ class GossipService:
     planner:
         Plan constructor, called as ``planner(graph, algorithm=...,
         tree=...)``.  Defaults to :func:`repro.core.gossip.gossip` over
-        the accelerated spanning-tree construction (identical trees,
-        scipy BFS kernels that release the GIL).
+        the pruned, bit-parallel spanning-tree construction (numpy BFS
+        kernels that release the GIL).
     planner_timeout:
         Per-request wall-clock budget (seconds) for one planner run.
         ``None`` (the default) disables the budget and runs the planner

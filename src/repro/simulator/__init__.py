@@ -1,8 +1,9 @@
 """Execution substrate: the synchronous round-based network simulator.
 
 Ground truth for schedule correctness: :func:`~repro.simulator.engine.execute_schedule`
-enforces the two communication rules of Section 1, and
-:mod:`~repro.simulator.validator` wraps it with structural checks.
+enforces the communication rules of Section 1, answering from the lint
+arrival matrix (one model semantics for linter, validator and engine),
+and :mod:`~repro.simulator.validator` wraps it with structural checks.
 :mod:`~repro.simulator.trace` extracts per-vertex timelines (the paper's
 Tables 1–4); :mod:`~repro.simulator.metrics` summarises executions;
 :mod:`~repro.simulator.faults` perturbs schedules for robustness tests;
@@ -20,7 +21,6 @@ from .lossy import (
     execute_with_faults,
 )
 from .metrics import ScheduleMetrics, compute_metrics, link_loads
-from .reference import ReferenceResult, reference_execute
 from .state import HoldState, identity_holdings, labeled_holdings
 from .trace import VertexTimeline, all_timelines, vertex_timeline
 from .validator import assert_gossip_schedule, check_static, validate_schedule
@@ -34,8 +34,6 @@ __all__ = [
     "LostDelivery",
     "SuppressedSend",
     "execute_with_faults",
-    "reference_execute",
-    "ReferenceResult",
     "HoldState",
     "identity_holdings",
     "labeled_holdings",

@@ -1,46 +1,59 @@
 """Synchronous round-based execution of communication schedules.
 
 This is the library's ground truth: a schedule is *correct* iff this
-engine, which enforces exactly the two communication rules of Section 1,
+engine, which enforces exactly the communication rules of Section 1,
 executes it without violations and ends with every processor holding
 every message.
 
 Model recap (paper Section 1):
 
 1. per round each processor receives at most one message — enforced
-   structurally by :class:`~repro.core.schedule.Round`;
+   structurally by :class:`~repro.core.schedule.Round` and
+   :class:`~repro.core.schedule.ArraySchedule`;
 2. per round each processor sends at most one held message, multicast to
    a subset of its *adjacent* processors — adjacency and possession are
    enforced here;
 3. receive happens before send: a message delivered at time ``t`` (sent
    in round ``t - 1``) may be forwarded in round ``t``.
 
-The engine therefore applies round ``t-1``'s deliveries before checking
-round ``t``'s sends.
-
-Array-backed schedules take a vectorised fast path (unless an arrival
-log was requested): possession, adjacency, and the hold-set updates all
-run on the flat round/sender/message columns and the uint64 destination
-masks via :class:`~repro.simulator.state.PackedHoldState`, one numpy
-round at a time instead of one Python transmission at a time.  Results
-— completion times, duplicate counts, final holds, and every error
-message — are identical to the object path; the differential tests
-execute both and assert it.
+Under these rules possession is monotone and every delivery sent in
+round ``t`` lands at ``t + 1``, so "processor ``v`` holds message ``m``
+at round ``t``" is exactly ``A[v, m] <= t``, where ``A`` is the
+first-arrival matrix.  The engine therefore does not walk rounds: it
+builds ``A`` with :func:`repro.lint.arrival_pass` (the pass the linter
+and the validator use) restricted to the execution rules, and reads
+every result field and every error off it.  The first violation is the
+first finding in (round, row) order, with id ranges and possession
+checked before the destinations (ascending); completion times, the
+duplicate count, final holds and the delivery log come from ``A``, the
+redundant delivery pairs and the schedule columns.
+``tests/property/test_property_executors.py`` checks all of it against
+the lossy executor under a null fault model and two test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.schedule import ArraySchedule, Schedule, Transmission
+from ..core.schedule import ArraySchedule, Schedule
 from ..exceptions import IncompleteGossipError, ModelViolationError
+from ..lint import ArrivalPass, Diagnostic, arrival_pass
+from ..lint import rules as R
 from ..networks.graph import Graph
-from .state import HoldState, PackedHoldState
+from .state import initial_holdings
 
 __all__ = ["ExecutionResult", "execute_schedule", "ArrivalEvent"]
+
+#: The lint rules that decide whether a schedule executes.
+_EXECUTION_RULES = (
+    R.VERTEX_RANGE.id,
+    R.MESSAGE_RANGE.id,
+    R.SEND_WITHOUT_HOLD.id,
+    R.NON_EDGE.id,
+)
 
 
 @dataclass(frozen=True)
@@ -112,10 +125,9 @@ def execute_schedule(
         sender's neighbours).
     schedule:
         The rounds to execute — a :class:`Schedule` or a bare
-        :class:`ArraySchedule` (normalised through the facade).
-        Structural per-round rules were already checked at
-        :class:`~repro.core.schedule.Round` (object path) or
-        :class:`ArraySchedule` (array path) construction.
+        :class:`ArraySchedule`.  Structural per-round rules were already
+        checked at :class:`~repro.core.schedule.Round` or
+        :class:`ArraySchedule` construction.
     initial_holds:
         Initial hold bitsets; defaults to "processor ``v`` holds message
         ``v``".  Pass :func:`repro.simulator.state.labeled_holdings` when
@@ -126,198 +138,87 @@ def execute_schedule(
         When true, raise :class:`~repro.exceptions.IncompleteGossipError`
         unless gossip finished.
     record_arrivals:
-        When true, log every delivery (needed by the table benchmarks).
+        When true, log every delivery (needed by the table benchmarks),
+        by send round, then transmission, then destination ascending.
 
     Raises
     ------
     ModelViolationError
-        A sender transmits a message it does not hold, or to a
-        non-neighbour.
+        A sender or message id is out of range, or a sender transmits a
+        message it does not hold, or to a non-neighbour.
     IncompleteGossipError
         Only with ``require_complete=True``.
+    SimulationError
+        ``initial_holds`` has the wrong length or a bit at or past
+        ``n_messages``.
     """
-    if isinstance(schedule, ArraySchedule):
-        schedule = Schedule.from_arrays(schedule)
-    if (
-        not record_arrivals
-        and schedule.is_array_backed
-        and schedule.arrays().n == graph.n
-    ):
-        return _execute_arrays(
-            graph,
-            schedule.arrays(),
-            initial_holds=initial_holds,
-            n_messages=n_messages,
-            require_complete=require_complete,
-        )
-    state = HoldState(
-        graph.n,
-        initial=initial_holds,
-        n_messages=n_messages,
-        track_arrivals=record_arrivals,
-    )
-    arrivals: List[ArrivalEvent] = []
-    pending: List[Tuple[int, int, int]] = []  # (receiver, sender, message)
-    # Per-sender neighbour sets, built once per sender across the whole
-    # run: repeat senders in large multicast schedules would otherwise
-    # pay a tuple rebuild + O(degree) scan per transmission.
-    neighbour_sets: Dict[int, FrozenSet[int]] = {}
+    n_msgs = graph.n if n_messages is None else n_messages
+    holds = initial_holdings(graph.n, initial_holds, n_msgs)
+    run = arrival_pass(graph, schedule, _EXECUTION_RULES, holds=holds, n_messages=n_msgs)
+    found = run.diagnostics()
+    if found:
+        raise _violation(run, found[0])
 
-    for t, rnd in enumerate(schedule):
-        # Receive-before-send: apply last round's deliveries first.
-        for receiver, sender, message in pending:
-            state.deliver(receiver, message, t)
-            if record_arrivals:
-                arrivals.append(ArrivalEvent(t, receiver, sender, message))
-        pending = []
-        for tx in rnd:
-            _check_transmission(graph, state, tx, t, neighbour_sets)
-            for d in tx.destinations:
-                pending.append((d, tx.sender, tx.message))
-    final_time = schedule.total_time
-    for receiver, sender, message in pending:
-        state.deliver(receiver, message, final_time)
-        if record_arrivals:
-            arrivals.append(ArrivalEvent(final_time, receiver, sender, message))
-
-    complete = state.all_complete()
+    held = run.arrival <= run.total
+    complete = bool((run.complete_at >= 0).all())
     if require_complete and not complete:
         missing = {
-            v: state.missing_of(v) for v in range(graph.n) if not state.is_complete(v)
+            v: np.flatnonzero(~held[v]).tolist()
+            for v in np.flatnonzero(run.complete_at < 0).tolist()
         }
         raise IncompleteGossipError(
-            f"gossip incomplete after {final_time} rounds; missing: {missing}"
+            f"gossip incomplete after {run.total} rounds; missing: {missing}"
         )
+    packed = np.packbits(held, axis=1, bitorder="little")
+    arrivals: List[ArrivalEvent] = []
+    if record_arrivals:
+        arrivals = [
+            ArrivalEvent(*event)
+            for event in zip(
+                (run.pt + 1).tolist(), run.cols.d.tolist(),
+                run.ps.tolist(), run.pm.tolist(),
+            )
+        ]
     return ExecutionResult(
         complete=complete,
-        total_time=final_time,
-        completion_times=state.completion_times(),
-        duplicate_deliveries=state.duplicate_deliveries,
-        final_holds=state.snapshot(),
+        total_time=run.total,
+        completion_times=[t if t >= 0 else None for t in run.complete_at.tolist()],
+        duplicate_deliveries=len(run.redundant),
+        final_holds=[int.from_bytes(row.tobytes(), "little") for row in packed],
         arrivals=arrivals,
     )
 
 
-def _packed_adjacency(graph: Graph) -> np.ndarray:
-    """Neighbour sets as an ``(n, ceil(n / 64))`` uint64 bitmask matrix.
+def id_range_violation(
+    time: int, sender: int, message: int, n: int, n_messages: int
+) -> Optional[str]:
+    """The error text for an out-of-range sender or message id, if any.
 
-    Same word/bit convention as the schedule destination masks, so
-    "every destination is adjacent" is one masked AND per transmission.
+    Shared with :func:`repro.simulator.lossy.execute_with_faults`, which
+    rejects the same ids before its round loop.
     """
-    adj = np.zeros((graph.n, (graph.n + 63) // 64), dtype=np.uint64)
-    for v in range(graph.n):
-        for u in graph.neighbors(v):
-            adj[v, u >> 6] |= np.uint64(1) << np.uint64(u & 63)
-    return adj
-
-
-def _execute_arrays(
-    graph: Graph,
-    arrays,
-    *,
-    initial_holds: Optional[Sequence[int]],
-    n_messages: Optional[int],
-    require_complete: bool,
-) -> ExecutionResult:
-    """The vectorised execution path for array-backed schedules.
-
-    Walks the CSR round slices of an
-    :class:`~repro.core.schedule.ArraySchedule`, checking possession
-    against the packed hold matrix and adjacency against the packed
-    neighbour matrix, then applying the round's flat delivery stream in
-    one scatter.  Receive-before-send and all error messages mirror the
-    object path exactly.
-    """
-    state = PackedHoldState(graph.n, initial=initial_holds, n_messages=n_messages)
-    adj = _packed_adjacency(graph)
-    ptr = arrays.round_ptr
-    masks = arrays.dest_mask
-    senders = arrays.sender.astype(np.int64)
-    messages = arrays.message.astype(np.int64)
-    # Flat delivery stream, sliced per round: pair i delivers
-    # messages[pair_row[i]] to pair_dest[i].
-    pair_row, pair_dest = arrays.destination_pairs()
-    pair_ptr = np.searchsorted(pair_row, ptr)
-
-    final_time = arrays.total_time
-    pend_recv = pend_msg = np.zeros(0, dtype=np.int64)
-    for t in range(final_time):
-        # Receive-before-send: apply last round's deliveries first.
-        state.deliver_round(pend_recv, pend_msg, t)
-        lo, hi = int(ptr[t]), int(ptr[t + 1])
-        if hi > lo:
-            snd = senders[lo:hi]
-            msg = messages[lo:hi]
-            poss_ok = state.holds_mask(snd, msg)
-            adj_ok = ~np.any(masks[lo:hi] & ~adj[snd], axis=1)
-            if not (poss_ok.all() and adj_ok.all()):
-                i = int(np.flatnonzero(~poss_ok | ~adj_ok)[0])
-                s, m = int(snd[i]), int(msg[i])
-                if not poss_ok[i]:
-                    raise ModelViolationError(
-                        f"at time {t} processor {s} sends message {m} "
-                        f"it does not hold (holds {state.messages_of(s)})"
-                    )
-                stray = masks[lo + i] & ~adj[s]
-                w = int(np.flatnonzero(stray)[0])
-                d = w * 64 + (int(stray[w]) & -int(stray[w])).bit_length() - 1
-                raise ModelViolationError(
-                    f"at time {t} processor {s} multicasts to {d}, "
-                    "which is not an adjacent processor"
-                )
-        plo, phi = int(pair_ptr[t]), int(pair_ptr[t + 1])
-        pend_recv = pair_dest[plo:phi]
-        pend_msg = messages[pair_row[plo:phi]]
-    state.deliver_round(pend_recv, pend_msg, final_time)
-
-    complete = state.all_complete()
-    if require_complete and not complete:
-        missing = {
-            v: state.missing_of(v)
-            for v in range(graph.n)
-            if not state.is_complete(v)
-        }
-        raise IncompleteGossipError(
-            f"gossip incomplete after {final_time} rounds; missing: {missing}"
+    if not 0 <= sender < n:
+        return f"at time {time} sender {sender} is not one of the {n} processors"
+    if not 0 <= message < n_messages:
+        return (
+            f"at time {time} processor {sender} sends message {message}, "
+            f"not one of the {n_messages} message ids"
         )
-    return ExecutionResult(
-        complete=complete,
-        total_time=final_time,
-        completion_times=state.completion_times(),
-        duplicate_deliveries=state.duplicate_deliveries,
-        final_holds=state.snapshot(),
-        arrivals=[],
-    )
+    return None
 
 
-def _check_transmission(
-    graph: Graph,
-    state: HoldState,
-    tx: Transmission,
-    time: int,
-    neighbour_sets: Optional[Dict[int, FrozenSet[int]]] = None,
-) -> None:
-    """Enforce possession and adjacency for one transmission.
-
-    ``neighbour_sets`` is a per-sender cache of frozenset neighbour
-    views shared across one execution (membership tests are O(1) against
-    the O(degree) scan of the raw neighbour tuple).
-    """
-    if not state.holds(tx.sender, tx.message):
-        raise ModelViolationError(
-            f"at time {time} processor {tx.sender} sends message {tx.message} "
-            f"it does not hold (holds {state.messages_of(tx.sender)})"
-        )
-    if neighbour_sets is None:
-        neighbours: FrozenSet[int] = frozenset(graph.neighbors(tx.sender))
+def _violation(run: ArrivalPass, first: Diagnostic) -> ModelViolationError:
+    """The engine's error for the first execution finding."""
+    t, s, m, d = first.round, first.sender, first.message_id, first.destination
+    assert t is not None and s is not None and m is not None
+    if first.rule == R.SEND_WITHOUT_HOLD.id:
+        holds = np.flatnonzero(run.arrival[s] <= t).tolist()
+        text = f"at time {t} processor {s} sends message {m} it does not hold (holds {holds})"
+    elif d is not None:
+        # A non-edge, or a destination outside the network.
+        text = f"at time {t} processor {s} multicasts to {d}, which is not an adjacent processor"
     else:
-        cached = neighbour_sets.get(tx.sender)
-        if cached is None:
-            cached = neighbour_sets[tx.sender] = frozenset(graph.neighbors(tx.sender))
-        neighbours = cached
-    for d in tx.destinations:
-        if d not in neighbours:
-            raise ModelViolationError(
-                f"at time {time} processor {tx.sender} multicasts to {d}, "
-                "which is not an adjacent processor"
-            )
+        bad_id = id_range_violation(t, s, m, run.n, run.n_messages)
+        assert bad_id is not None  # the remaining execution rules are the id ranges
+        text = bad_id
+    return ModelViolationError(text)

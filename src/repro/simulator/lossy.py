@@ -9,8 +9,8 @@ transient windows.  This is the regime the related gossip literature
 substrate :mod:`repro.core.recovery` repairs on top of.
 
 Determinism is the load-bearing property.  Every fault decision is a
-pure function of ``(model.seed, kind, round, endpoints)`` through a
-splitmix64-style mixer, so:
+pure function of ``(model.seed, kind, round, endpoints)`` through the
+keyed splitmix64 draw :func:`repro.core.rng.keyed_uniform`, so:
 
 * a run is byte-for-byte reproducible for a fixed seed, on any platform,
   regardless of iteration order;
@@ -21,10 +21,13 @@ splitmix64-style mixer, so:
   , independent draw (the round index is part of the hash), so repair
   attempts are not doomed to repeat the original loss.
 
-A fault-free model (:attr:`FaultModel.is_null`) takes the exact
-:func:`~repro.simulator.engine.execute_schedule` code path semantics:
-every observable field of the result matches bit for bit (property-
-tested in ``tests/property/test_property_lossy.py``).
+A fault-free model (:attr:`FaultModel.is_null`) reproduces
+:func:`~repro.simulator.engine.execute_schedule`: every observable field
+of the result matches bit for bit, the delivery log included (property-
+tested in ``tests/property/test_property_lossy.py`` and
+``tests/property/test_property_executors.py``).  This loop is the only
+executor that walks rounds, because "not-held" suppression cascades: a
+loss in one round decides what a sender holds in a later one.
 
 Fault semantics, applied to the round sent at time ``t``:
 
@@ -68,10 +71,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.rng import keyed_uniform
 from ..core.schedule import Schedule
 from ..exceptions import ModelViolationError, SimulationError
 from ..networks.graph import Graph
-from .engine import ArrivalEvent, ExecutionResult
+from .engine import ArrivalEvent, ExecutionResult, id_range_violation
 from .state import HoldState, bits_of
 
 __all__ = [
@@ -82,9 +86,6 @@ __all__ = [
     "execute_with_faults",
 ]
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-
 # Domain-separation tags so a delivery draw never collides with a link
 # or crash draw at the same coordinates.
 _TAG_DROP = 0xD09
@@ -92,23 +93,6 @@ _TAG_LINK = 0x11F
 _TAG_CRASH = 0xC9A
 _TAG_FAIL_STOP = 0xF57
 _TAG_LINK_FAIL = 0x1F1
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finaliser — a high-quality 64-bit avalanche."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _uniform(seed: int, tag: int, *coords: int) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` keyed by the coordinates."""
-    h = _mix64(seed & _MASK64)
-    h = _mix64(h ^ tag)
-    for c in coords:
-        h = _mix64(h ^ ((c + 1) * _GOLDEN & _MASK64))
-    return h / 2.0**64
 
 
 @dataclass(frozen=True)
@@ -198,14 +182,14 @@ class FaultModel:
         """Whether the delivery ``sender -> receiver`` sent at ``time`` is lost."""
         if self.drop_rate == 0.0:
             return False
-        return _uniform(self.seed, _TAG_DROP, time, sender, receiver) < self.drop_rate
+        return keyed_uniform(self.seed, _TAG_DROP, time, sender, receiver) < self.drop_rate
 
     def link_out(self, time: int, u: int, v: int) -> bool:
         """Whether the (undirected) link ``{u, v}`` is down for round ``time``."""
         if self.link_outage_rate == 0.0:
             return False
         a, b = (u, v) if u < v else (v, u)
-        return _uniform(self.seed, _TAG_LINK, time, a, b) < self.link_outage_rate
+        return keyed_uniform(self.seed, _TAG_LINK, time, a, b) < self.link_outage_rate
 
     def crashed(self, time: int, v: int) -> bool:
         """Whether processor ``v`` is inside a transient crash window at ``time``.
@@ -222,7 +206,7 @@ class FaultModel:
             key = (start, v)
             hit = starts.get(key)
             if hit is None:
-                hit = _uniform(self.seed, _TAG_CRASH, start, v) < self.crash_rate
+                hit = keyed_uniform(self.seed, _TAG_CRASH, start, v) < self.crash_rate
                 starts[key] = hit
             if hit:
                 return True
@@ -243,7 +227,7 @@ class FaultModel:
             return first <= time
         start = self._fail_stop_scanned.get(v, 0)
         for t in range(start, time + 1):
-            if _uniform(self.seed, _TAG_FAIL_STOP, t, v) < self.fail_stop_rate:
+            if keyed_uniform(self.seed, _TAG_FAIL_STOP, t, v) < self.fail_stop_rate:
                 self._fail_stop_first[v] = t
                 return True
         self._fail_stop_scanned[v] = time + 1
@@ -263,11 +247,46 @@ class FaultModel:
             return first <= time
         start = self._link_fail_scanned.get(key, 0)
         for t in range(start, time + 1):
-            if _uniform(self.seed, _TAG_LINK_FAIL, t, *key) < self.link_fail_rate:
+            if keyed_uniform(self.seed, _TAG_LINK_FAIL, t, *key) < self.link_fail_rate:
                 self._link_fail_first[key] = t
                 return True
         self._link_fail_scanned[key] = time + 1
         return False
+
+    # ------------------------------------------------------------------
+    # The hazard order: every executor of the model (this module's loop,
+    # the epidemic and coded protocols) asks these two questions in this
+    # order, so they consume the same keyed draws and agree on outcomes.
+    def send_fault(self, time: int, sender: int) -> Optional[str]:
+        """Why the multicast ``sender`` starts at ``time`` never happens.
+
+        ``"sender-fail-stop"`` or ``"sender-crash"``; ``None`` when the
+        sender is up.
+        """
+        if self.fail_stopped(time, sender):
+            return "sender-fail-stop"
+        if self.crashed(time, sender):
+            return "sender-crash"
+        return None
+
+    def delivery_fault(self, time: int, sender: int, receiver: int) -> Optional[str]:
+        """Why the delivery ``sender -> receiver`` sent at ``time`` is lost.
+
+        ``"receiver-fail-stop"``, ``"link-fail"``, ``"link-outage"``,
+        ``"receiver-crash"`` or ``"drop"`` (checked in that order);
+        ``None`` when it lands.
+        """
+        if self.fail_stopped(time, receiver):
+            return "receiver-fail-stop"
+        if self.link_failed(time, sender, receiver):
+            return "link-fail"
+        if self.link_out(time, sender, receiver):
+            return "link-outage"
+        if self.crashed(time, receiver):
+            return "receiver-crash"
+        if self.drops_delivery(time, sender, receiver):
+            return "drop"
+        return None
 
 
 @dataclass(frozen=True)
@@ -371,16 +390,19 @@ def execute_with_faults(
     Raises
     ------
     ModelViolationError
-        A transmission targets a non-neighbour.  Possession gaps caused
-        by earlier losses are *not* violations — they suppress the send
-        and are recorded in :attr:`FaultyExecutionResult.suppressed`.
+        A sender or message id is out of range (checked before the
+        first round runs), or a transmission targets a non-neighbour.
+        Possession gaps caused by earlier losses are *not* violations —
+        they suppress the send and are recorded in
+        :attr:`FaultyExecutionResult.suppressed`.
     """
-    state = HoldState(
-        graph.n,
-        initial=initial_holds,
-        n_messages=n_messages,
-        track_arrivals=record_arrivals,
-    )
+    state = HoldState(graph.n, initial=initial_holds, n_messages=n_messages)
+    rounds = list(schedule)
+    for t, rnd in enumerate(rounds):
+        for tx in rnd:
+            bad = id_range_violation(t, tx.sender, tx.message, graph.n, state.n_messages)
+            if bad:
+                raise ModelViolationError(bad)
     init_snapshot = tuple(state.snapshot())
     arrivals: List[ArrivalEvent] = []
     lost: List[LostDelivery] = []
@@ -389,7 +411,7 @@ def execute_with_faults(
     neighbour_sets: Dict[int, frozenset] = {}
     null_model = model.is_null
 
-    for t, rnd in enumerate(schedule):
+    for t, rnd in enumerate(rounds):
         for receiver, sender, message in pending:
             state.deliver(receiver, message, t)
             if record_arrivals:
@@ -400,22 +422,18 @@ def execute_with_faults(
             if neighbours is None:
                 neighbours = frozenset(graph.neighbors(tx.sender))
                 neighbour_sets[tx.sender] = neighbours
-            for d in tx.destinations:
+            # Destinations ascending: the engine's delivery-log order.
+            dests = sorted(tx.destinations)
+            for d in dests:
                 if d not in neighbours:
                     raise ModelViolationError(
                         f"at time {t} processor {tx.sender} multicasts to {d}, "
                         "which is not an adjacent processor"
                     )
             if not null_model:
-                if model.fail_stopped(t, tx.sender):
-                    suppressed.append(
-                        SuppressedSend(t, tx.sender, tx.message, "sender-fail-stop")
-                    )
-                    continue
-                if model.crashed(t, tx.sender):
-                    suppressed.append(
-                        SuppressedSend(t, tx.sender, tx.message, "sender-crash")
-                    )
+                reason = model.send_fault(t, tx.sender)
+                if reason:
+                    suppressed.append(SuppressedSend(t, tx.sender, tx.message, reason))
                     continue
             if not state.holds(tx.sender, tx.message):
                 # Cascading fault: an earlier loss starved this sender.
@@ -423,34 +441,11 @@ def execute_with_faults(
                     SuppressedSend(t, tx.sender, tx.message, "not-held")
                 )
                 continue
-            for d in tx.destinations:
+            for d in dests:
                 if not null_model:
-                    if model.fail_stopped(t, d):
-                        lost.append(
-                            LostDelivery(
-                                t, d, tx.sender, tx.message, "receiver-fail-stop"
-                            )
-                        )
-                        continue
-                    if model.link_failed(t, tx.sender, d):
-                        lost.append(
-                            LostDelivery(t, d, tx.sender, tx.message, "link-fail")
-                        )
-                        continue
-                    if model.link_out(t, tx.sender, d):
-                        lost.append(
-                            LostDelivery(t, d, tx.sender, tx.message, "link-outage")
-                        )
-                        continue
-                    if model.crashed(t, d):
-                        lost.append(
-                            LostDelivery(t, d, tx.sender, tx.message, "receiver-crash")
-                        )
-                        continue
-                    if model.drops_delivery(t, tx.sender, d):
-                        lost.append(
-                            LostDelivery(t, d, tx.sender, tx.message, "drop")
-                        )
+                    reason = model.delivery_fault(t, tx.sender, d)
+                    if reason:
+                        lost.append(LostDelivery(t, d, tx.sender, tx.message, reason))
                         continue
                 pending.append((d, tx.sender, tx.message))
     final_time = schedule.total_time

@@ -1,36 +1,29 @@
-"""Hold-set state for the synchronous simulator.
+"""Round-by-round hold-set state.
 
 Each processor's hold set ``h_i`` (the messages it has) is a Python
 integer used as a bitset: bit ``m`` set means message ``m`` is held.
 Bitsets make the per-round bookkeeping O(1) amortised per delivery and
-the "who is complete" test a single comparison with ``(1 << n) - 1`` —
-far cheaper than per-message Python sets when ``n`` runs into the
-thousands in the scaling benchmarks.
+the "who is complete" test a single comparison with ``(1 << n) - 1``.
 
-:class:`PackedHoldState` is the array-native mirror of the same state:
-all ``n`` hold sets in one ``(n, ceil(n_messages / 64))`` uint64 matrix,
-updated one *round* at a time straight from an
-:class:`~repro.core.schedule.ArraySchedule`'s flat delivery stream
-(word/bit convention identical to the destination masks: message ``m``
-is bit ``m % 64`` of word ``m // 64``).  The two representations are
-kept honest against each other by :meth:`PackedHoldState.assert_parity`,
-which compares ``int.bit_count()`` per processor and then exact bitset
-equality with the object path.
+:class:`HoldState` is the state of the code that has to walk rounds:
+:func:`repro.simulator.lossy.execute_with_faults` (a loss can starve a
+later sender) and the store-and-forward schedule builders.  The fault-free
+engine keeps no state: it reads possession off the lint arrival matrix.
+Both the engine and :class:`HoldState` validate their initial holdings
+through :func:`initial_holdings`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence
 
 from ..exceptions import SimulationError
 from ..types import Message, Vertex
 
 __all__ = [
     "HoldState",
-    "PackedHoldState",
     "identity_holdings",
+    "initial_holdings",
     "labeled_holdings",
 ]
 
@@ -50,6 +43,31 @@ def labeled_holdings(labels: Sequence[int]) -> List[int]:
     return [1 << int(lbl) for lbl in labels]
 
 
+def initial_holdings(
+    n: int, initial: Optional[Sequence[int]], n_messages: int
+) -> List[int]:
+    """Validated initial hold bitsets (default: ``v`` holds ``v``).
+
+    Raises :class:`~repro.exceptions.SimulationError` for an empty
+    network, a length that is not ``n``, or a bit at or past
+    ``n_messages``.
+    """
+    if n < 1:
+        raise SimulationError("need at least one processor")
+    holds = list(identity_holdings(n) if initial is None else map(int, initial))
+    if len(holds) != n:
+        raise SimulationError(
+            f"initial holdings has {len(holds)} entries for n={n} processors"
+        )
+    full = (1 << n_messages) - 1
+    for v, h in enumerate(holds):
+        if h & ~full:
+            raise SimulationError(
+                f"processor {v} initially holds a message >= n_messages"
+            )
+    return holds
+
+
 class HoldState:
     """Mutable hold sets of all ``n`` processors for ``n_messages`` messages.
 
@@ -66,7 +84,6 @@ class HoldState:
         "_holds",
         "_completion_time",
         "_duplicates",
-        "_arrival_time",
     )
 
     def __init__(
@@ -74,34 +91,15 @@ class HoldState:
         n: int,
         initial: Optional[Sequence[int]] = None,
         n_messages: Optional[int] = None,
-        track_arrivals: bool = False,
     ) -> None:
-        if n < 1:
-            raise SimulationError("need at least one processor")
         self.n = n
         self.n_messages = n if n_messages is None else n_messages
         self._full = (1 << self.n_messages) - 1
-        holds = list(identity_holdings(n) if initial is None else map(int, initial))
-        if len(holds) != n:
-            raise SimulationError(
-                f"initial holdings has {len(holds)} entries for n={n} processors"
-            )
-        for v, h in enumerate(holds):
-            if h & ~self._full:
-                raise SimulationError(
-                    f"processor {v} initially holds a message >= n_messages"
-                )
-        self._holds = holds
+        self._holds = initial_holdings(n, initial, self.n_messages)
         self._completion_time: List[Optional[int]] = [
-            0 if h == self._full else None for h in holds
+            0 if h == self._full else None for h in self._holds
         ]
         self._duplicates = 0
-        # arrival_time[v][m] = first time message m was present at v.
-        self._arrival_time: Optional[List[Dict[int, int]]] = None
-        if track_arrivals:
-            self._arrival_time = [
-                {m: 0 for m in bits_of(h)} for h in holds
-            ]
 
     # ------------------------------------------------------------------
     def holds(self, v: Vertex, m: Message) -> bool:
@@ -129,8 +127,6 @@ class HoldState:
             self._duplicates += 1
             return
         self._holds[v] |= bit
-        if self._arrival_time is not None:
-            self._arrival_time[v][m] = time
         if self._holds[v] == self._full and self._completion_time[v] is None:
             self._completion_time[v] = time
 
@@ -150,12 +146,6 @@ class HoldState:
         """Per-processor completion times."""
         return list(self._completion_time)
 
-    def arrival_time(self, v: Vertex, m: Message) -> Optional[int]:
-        """First time message ``m`` was at ``v`` (needs ``track_arrivals``)."""
-        if self._arrival_time is None:
-            raise SimulationError("arrival tracking was not enabled")
-        return self._arrival_time[v].get(m)
-
     @property
     def duplicate_deliveries(self) -> int:
         """Count of deliveries of already-held messages."""
@@ -164,160 +154,6 @@ class HoldState:
     def snapshot(self) -> List[int]:
         """Copy of all hold bitsets."""
         return list(self._holds)
-
-
-class PackedHoldState:
-    """All hold sets as one ``(n, words)`` uint64 matrix.
-
-    The vectorised counterpart of :class:`HoldState` for the simulator's
-    array fast path: one :meth:`deliver_round` call applies a whole
-    round's deliveries, and possession of a batch of (sender, message)
-    pairs is a single fancy-indexed gather.  Completion times and
-    duplicate-delivery counts match :class:`HoldState` exactly — the
-    differential tests drive both and call :meth:`assert_parity`.
-
-    Within one round each receiver gets at most one delivery (the
-    model's Rule 1, enforced when the schedule's destination masks are
-    validated), which is what makes the plain scatter in
-    :meth:`deliver_round` safe.
-    """
-
-    __slots__ = (
-        "n",
-        "n_messages",
-        "words",
-        "_holds",
-        "_full_row",
-        "_completion_time",
-        "_duplicates",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        initial: Optional[Sequence[int]] = None,
-        n_messages: Optional[int] = None,
-    ) -> None:
-        if n < 1:
-            raise SimulationError("need at least one processor")
-        self.n = n
-        self.n_messages = n if n_messages is None else n_messages
-        self.words = (self.n_messages + 63) // 64
-        full = (1 << self.n_messages) - 1
-        holds = list(identity_holdings(n) if initial is None else map(int, initial))
-        if len(holds) != n:
-            raise SimulationError(
-                f"initial holdings has {len(holds)} entries for n={n} processors"
-            )
-        self._holds = np.zeros((n, self.words), dtype=np.uint64)
-        for v, h in enumerate(holds):
-            if h & ~full:
-                raise SimulationError(
-                    f"processor {v} initially holds a message >= n_messages"
-                )
-            w = 0
-            while h:
-                self._holds[v, w] = h & 0xFFFFFFFFFFFFFFFF
-                h >>= 64
-                w += 1
-        self._full_row = np.zeros(self.words, dtype=np.uint64)
-        w = 0
-        while full:
-            self._full_row[w] = full & 0xFFFFFFFFFFFFFFFF
-            full >>= 64
-            w += 1
-        self._completion_time = np.full(n, -1, dtype=np.int64)
-        self._completion_time[
-            np.all(self._holds == self._full_row, axis=1)
-        ] = 0
-        self._duplicates = 0
-
-    # ------------------------------------------------------------------
-    def holds_mask(
-        self, senders: np.ndarray, messages: np.ndarray
-    ) -> np.ndarray:
-        """Boolean per pair: does ``senders[i]`` hold ``messages[i]``?"""
-        word = messages >> 6
-        bit = np.left_shift(np.uint64(1), (messages & 63).astype(np.uint64))
-        return (self._holds[senders, word] & bit) != 0
-
-    def deliver_round(
-        self, receivers: np.ndarray, messages: np.ndarray, time: int
-    ) -> None:
-        """Apply one round's deliveries (receivers distinct per Rule 1)."""
-        if not len(receivers):
-            return
-        word = messages >> 6
-        bit = np.left_shift(np.uint64(1), (messages & 63).astype(np.uint64))
-        cur = self._holds[receivers, word]
-        dup = (cur & bit) != 0
-        self._duplicates += int(dup.sum())
-        self._holds[receivers, word] = cur | bit
-        fresh = receivers[~dup]
-        if len(fresh):
-            cand = fresh[self._completion_time[fresh] < 0]
-            if len(cand):
-                done = np.all(self._holds[cand] == self._full_row, axis=1)
-                self._completion_time[cand[done]] = time
-
-    # ------------------------------------------------------------------
-    def row_int(self, v: Vertex) -> int:
-        """Processor ``v``'s hold set as a Python-int bitset."""
-        return int.from_bytes(
-            self._holds[v].astype("<u8").tobytes(), "little"
-        )
-
-    def messages_of(self, v: Vertex) -> List[int]:
-        """Sorted list of messages held by ``v``."""
-        return bits_of(self.row_int(v))
-
-    def missing_of(self, v: Vertex) -> List[int]:
-        """Sorted list of messages ``v`` still lacks."""
-        full = (1 << self.n_messages) - 1
-        return bits_of(full & ~self.row_int(v))
-
-    def is_complete(self, v: Vertex) -> bool:
-        """Whether ``v`` holds every message."""
-        return bool(np.array_equal(self._holds[v], self._full_row))
-
-    def all_complete(self) -> bool:
-        """Whether every processor holds every message (gossip done)."""
-        return bool(np.all(self._holds == self._full_row))
-
-    def completion_times(self) -> List[Optional[int]]:
-        """Per-processor completion times (``None`` if never complete)."""
-        return [int(t) if t >= 0 else None for t in self._completion_time]
-
-    @property
-    def duplicate_deliveries(self) -> int:
-        """Count of deliveries of already-held messages."""
-        return self._duplicates
-
-    def snapshot(self) -> List[int]:
-        """All hold sets as Python-int bitsets (:class:`HoldState` form)."""
-        return [self.row_int(v) for v in range(self.n)]
-
-    def assert_parity(self, reference: "HoldState") -> None:
-        """Assert bit-for-bit agreement with an object-path hold state.
-
-        Checks ``int.bit_count()`` per processor first (the cheap
-        invariant: both paths delivered the same *number* of messages)
-        and then exact bitset equality, so a failure message names the
-        processor where the two paths diverged.
-        """
-        theirs = reference.snapshot()
-        assert len(theirs) == self.n, (
-            f"packed state has {self.n} processors, reference {len(theirs)}"
-        )
-        for v, ref in enumerate(theirs):
-            mine = self.row_int(v)
-            assert mine.bit_count() == ref.bit_count(), (
-                f"processor {v}: packed path holds {mine.bit_count()} messages, "
-                f"object path {ref.bit_count()}"
-            )
-            assert mine == ref, (
-                f"processor {v}: packed hold set diverged from the object path"
-            )
 
 
 def bits_of(bitset: int) -> List[int]:

@@ -13,9 +13,11 @@ array form; both layers below normalise it through the facade):
   rules (:data:`repro.lint.STATIC_MODEL_RULES`) so the static and
   dynamic layers cannot drift: both judge a schedule through the same
   rule registry;
-* :func:`validate_schedule` — the full dynamic check: run the
-  round-based engine and verify possession, adjacency and (optionally)
-  completeness;
+* :func:`validate_schedule` — the full check: run the engine and verify
+  possession, adjacency and (optionally) completeness.  The engine reads
+  its verdict off the same lint arrival pass as :func:`check_static`
+  (:func:`repro.lint.arrival_pass`, with the execution rules active), so
+  the static and dynamic checks share one model semantics;
 * :func:`assert_gossip_schedule` — one call asserting everything the
   paper requires of a gossip schedule, returning the execution result.
 

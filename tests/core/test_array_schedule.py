@@ -10,9 +10,8 @@ end to end:
 * bit-identity of the array-built ConcurrentUpDown against the seed
   per-vertex builder across every topology family and random trees;
 * identical diagnostics from every ``repro.lint`` rule on both forms;
-* the packed possession bitset (:class:`PackedHoldState`) agreeing with
-  the object-path :class:`HoldState` — ``int.bit_count()`` parity — and
-  the simulator's array fast path agreeing with the object engine;
+* the engine judging an array-backed plan with and without a delivery
+  log identically (results and error text);
 * the deprecation fence on the legacy builder mutation path.
 """
 
@@ -38,7 +37,7 @@ from repro.lint import lint_schedule
 from repro.networks.builders import tree_to_graph
 from repro.networks.spanning_tree import minimum_depth_spanning_tree
 from repro.simulator.engine import execute_schedule
-from repro.simulator.state import HoldState, PackedHoldState, labeled_holdings
+from repro.simulator.state import labeled_holdings
 from repro.tree.labeling import LabeledTree
 from tests.conftest import labeled_trees
 
@@ -264,35 +263,12 @@ class TestPackedStateParity:
         )
         slow = execute_schedule(
             plan.graph, plan.schedule, initial_holds=holds,
-            require_complete=True, record_arrivals=True,  # forces object path
+            require_complete=True, record_arrivals=True,
         )
         assert fast.completion_times == slow.completion_times
         assert fast.duplicate_deliveries == slow.duplicate_deliveries
         assert fast.final_holds == slow.final_holds
         assert fast.makespan == slow.makespan
-
-    def test_bit_count_parity_per_round(self):
-        """Step both representations round by round; popcounts agree."""
-        plan = gossip("grid:16")
-        labels = plan.labeled.labels()
-        packed = PackedHoldState(plan.graph.n, initial=labeled_holdings(labels))
-        obj = HoldState(plan.graph.n, initial=labeled_holdings(labels))
-        for t, rnd in enumerate(plan.rounds(), start=1):
-            recv, msg = [], []
-            for tx in rnd:
-                for d in tx.destinations:
-                    recv.append(d)
-                    msg.append(tx.message)
-                    obj.deliver(d, tx.message, t)
-            packed.deliver_round(
-                np.asarray(recv, dtype=np.int64),
-                np.asarray(msg, dtype=np.int64),
-                t,
-            )
-            packed.assert_parity(obj)
-        assert packed.all_complete() and obj.all_complete()
-        assert packed.completion_times() == obj.completion_times()
-        assert packed.duplicate_deliveries == obj.duplicate_deliveries
 
     def test_fast_path_reports_possession_violation(self):
         """Same error text as the object engine, receive-before-send."""

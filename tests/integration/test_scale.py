@@ -1,7 +1,8 @@
 """Large-scale integration: the pipeline at n in the hundreds.
 
-Uses the fast tree-construction backend; full validation through the
-simulator (bitset hold sets keep this fast even at n = 512).
+Builds the canonical tree with the pruned center sweep; full validation
+through the simulator (one arrival-matrix pass keeps this fast even at
+n = 512).
 """
 
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from repro.core.concurrent_updown import concurrent_updown
 from repro.core.gossip import gossip
 from repro.networks.builders import graph_to_tree, tree_to_graph
-from repro.networks.fast_paths import fast_radius, minimum_depth_spanning_tree_fast
+from repro.networks.properties import radius
 from repro.networks.random_graphs import random_connected_gnp, random_tree
+from repro.networks.spanning_tree import minimum_depth_spanning_tree
 from repro.simulator.engine import execute_schedule
 from repro.simulator.state import labeled_holdings
 from repro.tree.labeling import LabeledTree
@@ -19,10 +21,10 @@ from repro.tree.labeling import LabeledTree
 @pytest.mark.parametrize("n", [256, 512])
 def test_theorem1_at_scale_random_graph(n):
     g = random_connected_gnp(n, 3.0 / n, seed=0)
-    tree = minimum_depth_spanning_tree_fast(g)
+    tree = minimum_depth_spanning_tree(g)
     plan = gossip(g, tree=tree)
     assert plan.total_time == n + tree.height
-    assert tree.height == fast_radius(g)
+    assert tree.height == radius(g)
     result = plan.execute(on_tree_only=True)
     assert result.complete
     assert result.duplicate_deliveries == 0

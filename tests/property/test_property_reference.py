@@ -1,85 +1,14 @@
-"""Cross-validation: the bitset engine vs the naive reference executor.
+"""Unit tests of the naive reference executor (``tests/simulator/reference.py``).
 
-Two independently-written implementations of the Section 1 model must
-agree on every schedule the library produces — and on broken schedules
-they must both object.
+Its agreement with the engine, the null-model lossy executor and the
+lint oracle is checked in ``tests/property/test_property_executors.py``.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.gossip import gossip
 from repro.exceptions import ModelViolationError
 from repro.networks import topologies
-from repro.simulator.engine import execute_schedule
-from repro.simulator.reference import reference_execute
-from repro.simulator.state import bits_of, labeled_holdings
-from tests.conftest import connected_graphs
-
-
-ALGOS = ["concurrent-updown", "simple", "updown", "greedy", "telephone"]
-
-
-@given(graph=connected_graphs(max_n=16), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_backends_agree_on_generated_schedules(graph, data):
-    algorithm = data.draw(st.sampled_from(ALGOS))
-    plan = gossip(graph, algorithm=algorithm)
-    holds_bits = labeled_holdings(plan.labeled.labels())
-    engine = execute_schedule(plan.graph, plan.schedule, initial_holds=holds_bits)
-    reference = reference_execute(
-        plan.graph,
-        plan.schedule,
-        initial_holds=[set(bits_of(h)) for h in holds_bits],
-    )
-    assert engine.complete == reference.complete
-    assert tuple(engine.completion_times) == reference.completion_times
-    assert tuple(frozenset(bits_of(h)) for h in engine.final_holds) == (
-        reference.final_holds
-    )
-
-
-@given(graph=connected_graphs(max_n=12), data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_backends_agree_on_broken_schedules(graph, data):
-    """Corrupt one message id; both backends must reach the same verdict."""
-    if graph.n < 3:
-        return
-    plan = gossip(graph)
-    schedule = plan.schedule
-    round_index = data.draw(
-        st.integers(min_value=0, max_value=schedule.total_time - 1)
-    )
-    rnd = schedule.round_at(round_index)
-    if not len(rnd):
-        return
-    from repro.simulator.faults import corrupt_message
-
-    tx_index = data.draw(st.integers(min_value=0, max_value=len(rnd) - 1))
-    new_message = data.draw(st.integers(min_value=0, max_value=graph.n - 1))
-    broken = corrupt_message(schedule, round_index, tx_index, new_message)
-    holds_bits = labeled_holdings(plan.labeled.labels())
-
-    def engine_verdict():
-        try:
-            return execute_schedule(
-                plan.graph, broken, initial_holds=holds_bits
-            ).complete
-        except ModelViolationError:
-            return "violation"
-
-    def reference_verdict():
-        try:
-            return reference_execute(
-                plan.graph,
-                broken,
-                initial_holds=[set(bits_of(h)) for h in holds_bits],
-            ).complete
-        except ModelViolationError:
-            return "violation"
-
-    assert engine_verdict() == reference_verdict()
+from tests.simulator.reference import reference_execute
 
 
 class TestReferenceUnit:

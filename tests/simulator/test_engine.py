@@ -129,3 +129,38 @@ class TestBookkeeping:
         s = sched([tx(1, 1, {0, 2})])
         result = execute_schedule(g, s)
         assert result.final_holds == [0b011, 0b010, 0b110]
+
+
+class TestMalformedIds:
+    """Out-of-range ids are typed model violations that name the id."""
+
+    @pytest.mark.parametrize(
+        "sender, message, named",
+        [(5, 0, "sender 5"), (-1, 3, "sender -1"), (0, -1, "message -1"),
+         (0, 4, "message 4")],
+    )
+    def test_out_of_range_id_raises_model_violation(self, sender, message, named):
+        g = topologies.path_graph(4)
+        with pytest.raises(ModelViolationError, match=named):
+            execute_schedule(g, sched([tx(sender, message, {1})]))
+
+    def test_negative_sender_does_not_read_another_processor(self):
+        """Sender -1 used to be read as processor 3 (``holds [3]``)."""
+        g = topologies.path_graph(4)
+        with pytest.raises(ModelViolationError) as err:
+            execute_schedule(g, sched([tx(-1, 3, {2})]))
+        assert "holds" not in str(err.value)
+
+    def test_first_violation_in_round_then_row_order(self):
+        g = topologies.path_graph(4)
+        s = sched([tx(0, 0, {1})], [tx(1, 2, {0}), tx(3, 3, {2}), tx(2, 9, {1})])
+        with pytest.raises(ModelViolationError, match="at time 1 processor 1 sends message 2"):
+            execute_schedule(g, s)
+
+
+class TestArrivalOrder:
+    def test_destinations_ascending_within_a_multicast(self):
+        """frozenset({1, 8}) iterates 8 first; the log is ascending."""
+        g = topologies.star_graph(9)
+        result = execute_schedule(g, sched([tx(0, 0, {1, 8})]), record_arrivals=True)
+        assert [ev.receiver for ev in result.arrivals] == [1, 8]

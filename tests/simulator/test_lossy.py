@@ -173,13 +173,13 @@ class TestDrawMemoisation:
         from repro.simulator import lossy
 
         counts = {}
-        real = lossy._uniform
+        real = lossy.keyed_uniform
 
         def counting(seed, tag, *coords):
             counts[tag] = counts.get(tag, 0) + 1
             return real(seed, tag, *coords)
 
-        monkeypatch.setattr(lossy, "_uniform", counting)
+        monkeypatch.setattr(lossy, "keyed_uniform", counting)
         return counts
 
     def test_crash_window_starts_drawn_once(self, monkeypatch):
@@ -274,3 +274,70 @@ class TestNullModelParity:
         assert faulty.lost == () and faulty.suppressed == ()
         assert faulty.to_execution_result() == reference
         assert faulty.missing_sets() == {}
+
+
+class TestMalformedIds:
+    """The lossy loop rejects the ids the engine rejects, before it runs."""
+
+    @pytest.mark.parametrize(
+        "sender, message, named",
+        [(5, 0, "sender 5"), (-1, 3, "sender -1"), (0, -1, "message -1"),
+         (0, 4, "message 4")],
+    )
+    def test_out_of_range_id_raises_model_violation(self, sender, message, named):
+        g = topologies.path_graph(4)
+        s = sched([tx(0, 0, {1})], [tx(sender, message, {1})])
+        with pytest.raises(ModelViolationError, match=named):
+            execute_with_faults(g, s, FaultModel(seed=1, drop_rate=1.0))
+
+    def test_same_text_as_the_engine(self):
+        g = topologies.path_graph(4)
+        s = sched([tx(0, -1, {1})])
+        with pytest.raises(ModelViolationError) as lossy_err:
+            execute_with_faults(g, s, FaultModel())
+        with pytest.raises(ModelViolationError) as engine_err:
+            execute_schedule(g, s)
+        assert str(lossy_err.value) == str(engine_err.value)
+
+
+class TestDestinationOrder:
+    def test_losses_and_arrivals_walk_destinations_ascending(self):
+        g = topologies.star_graph(9)
+        s = sched([tx(0, 0, {1, 8})])
+        lost = execute_with_faults(g, s, FaultModel(seed=3, drop_rate=1.0))
+        assert [d.receiver for d in lost.lost] == [1, 8]
+        kept = execute_with_faults(g, s, FaultModel(), record_arrivals=True)
+        assert [ev.receiver for ev in kept.arrivals] == [1, 8]
+
+
+class TestHazardOrder:
+    """FaultModel.send_fault / delivery_fault are the one hazard order."""
+
+    def test_reasons_match_the_single_hazards(self):
+        m = FaultModel(seed=5, drop_rate=0.3, link_outage_rate=0.2,
+                       crash_rate=0.1, crash_length=2,
+                       fail_stop_rate=0.02, link_fail_rate=0.02)
+        for t in range(12):
+            for s in range(4):
+                expect = ("sender-fail-stop" if m.fail_stopped(t, s)
+                          else "sender-crash" if m.crashed(t, s) else None)
+                assert m.send_fault(t, s) == expect
+                for d in range(4):
+                    if d == s:
+                        continue
+                    expect = next(
+                        (reason for reason, hit in (
+                            ("receiver-fail-stop", m.fail_stopped(t, d)),
+                            ("link-fail", m.link_failed(t, s, d)),
+                            ("link-outage", m.link_out(t, s, d)),
+                            ("receiver-crash", m.crashed(t, d)),
+                            ("drop", m.drops_delivery(t, s, d)),
+                        ) if hit),
+                        None,
+                    )
+                    assert m.delivery_fault(t, s, d) == expect
+
+    def test_null_model_has_no_faults(self):
+        m = FaultModel(seed=9)
+        assert m.send_fault(3, 0) is None
+        assert m.delivery_fault(3, 0, 1) is None

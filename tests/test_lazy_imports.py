@@ -1,7 +1,8 @@
 """``import repro`` stays light: networkx and scipy load only on demand.
 
 Both are needed by a handful of interop and analysis helpers
-(``from_networkx``/``to_networkx``, ``all_pairs_distances``), and
+(``from_networkx``/``to_networkx``; scipy only in the test
+oracles), and
 together they about double the package's import time and resident
 memory.  The subprocess gives a clean ``sys.modules``; the helpers
 themselves are tested in ``tests/networks``.
