@@ -1,19 +1,18 @@
 """AST conventions + concurrency lint for ``src/repro`` (stdlib only).
 
-The repository's conventions gate, promoted from
-``scripts/check_conventions.py`` (which remains as a thin shim).  The
-original seven rules are unchanged:
+The repository's conventions gate (``python -m repro.cli lint --code``
+runs :func:`main`).  The original seven rules:
 
 1. **Typed exceptions** — every ``raise SomeException(...)`` must use an
    exception defined by the library (all of which derive from
-   ``ReproError``), never a bare builtin.  ``TypeError`` is allowlisted:
-   the deprecated-positional-call shims in ``repro.core.gossip``
-   deliberately mirror Python's own signature errors.  Bare ``raise``
-   re-raises are always fine.
+   ``ReproError``), never a bare builtin.  Bare ``raise`` re-raises are
+   always fine.
 2. **No ``bin(x).count("1")``** — popcounts use ``int.bit_count()``.
 3. **Keyword-only public API calls** — calls to ``gossip`` /
    ``gossip_on_tree`` pass at most one positional argument and
-   ``.execute()`` method calls pass none.
+   ``.execute()`` method calls pass none.  The signatures enforce this
+   at run time (``TypeError``); the rule catches it without running or
+   type-checking the code.
 4. **No Python loops in core hot paths** — the schedule-construction
    modules build schedules as flat numpy arrays; loops are only allowed
    in ``*_builder`` reference functions or under a justified
@@ -61,9 +60,10 @@ And one import-cost rule:
     function bodies and ``if TYPE_CHECKING:`` blocks are fine.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per
-violation on stdout.  Run from the repository root::
+violation on stdout::
 
-    python -m repro.check.codelint
+    python -m repro.cli lint --code                   # the whole package
+    python -m repro.check.codelint                    # the same
     python -m repro.check.codelint src/repro/service  # narrower scope
 """
 
@@ -83,9 +83,6 @@ __all__ = [
     "main",
     "tracked_artifact_violations",
 ]
-
-#: Builtin exception raises that stay legal in library code.
-ALLOWED_BUILTIN_RAISES = {"TypeError"}
 
 #: Public API callables whose calls must be keyword-only past the first
 #: positional argument (functions) or past zero (methods).
@@ -144,7 +141,7 @@ MUTATING_METHODS = frozenset({
 PIPE_PROTOCOL_ORDER = {"HELLO": 0, "ADDRS": 1, "START": 2}
 
 #: Callable names that put a tuple on a control pipe (rule 10).
-PIPE_SEND_NAMES = {"send", "_send", "_broadcast", "_safe_send"}
+PIPE_SEND_NAMES = {"send", "_send", "_broadcast", "_safe_send", "report"}
 
 #: Top-level packages that may not be imported at module level (rule 13).
 LAZY_IMPORTS = ("networkx", "scipy")
@@ -679,7 +676,7 @@ def check_file(path: pathlib.Path) -> Iterator[Violation]:
             yield from _process_violations(path, node)
         if isinstance(node, ast.Raise):
             name = _raised_name(node)
-            if name in BUILTIN_EXCEPTIONS and name not in ALLOWED_BUILTIN_RAISES:
+            if name in BUILTIN_EXCEPTIONS:
                 yield (
                     path,
                     node.lineno,
@@ -702,10 +699,16 @@ def collect_violations(roots: List[pathlib.Path]) -> List[Violation]:
     return violations
 
 
+#: The installed package directory (``src/repro`` in a checkout).
+PACKAGE_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
 def main(argv: List[str]) -> int:
-    roots = [pathlib.Path(a) for a in argv] or [pathlib.Path("src/repro")]
+    """Lint ``argv`` (files or directories; default: the whole package)
+    plus the tracked-artifact audit of the checkout holding it."""
+    roots = [pathlib.Path(a) for a in argv] or [PACKAGE_ROOT]
     violations = collect_violations(roots)
-    violations.extend(tracked_artifact_violations())
+    violations.extend(tracked_artifact_violations(PACKAGE_ROOT.parents[1]))
     for path, line, message in violations:
         print(f"{path}:{line}: {message}")
     if violations:

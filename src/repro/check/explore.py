@@ -369,7 +369,7 @@ def self_check_quiescent(
         for victim, peer in enumerate(state.peers):
             if peer.died_at is None:
                 continue
-            expected = model.victim_holds_truncated(victim, peer.died_at)
+            expected = model.plan.holds_at(victim, peer.died_at)
             if peer.holds != expected:
                 return (
                     f"victim {victim} died at round {peer.died_at} holding "

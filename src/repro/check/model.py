@@ -223,11 +223,9 @@ class ProtocolModel:
         rounds = arrays.round.tolist()
         messages = arrays.message.tolist()
         dest_lists: List[List[int]] = [[] for _ in rounds]
-        self._arrivals: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
         rows, dests = arrays.destination_pairs()
         for row, d in zip(rows.tolist(), dests.tolist()):
             dest_lists[row].append(d)
-            self._arrivals[d].append((rounds[row], messages[row]))
         self._offline = frozenset(
             SentRecord(round=rnd, sender=sender, message=message,
                        destinations=tuple(ds))
@@ -661,20 +659,6 @@ class ProtocolModel:
         return "wavefront", tuple(violations)
 
     # -- reference predictions (real-code cross-checks) -----------------
-    def victim_holds_truncated(self, vertex: int, death_round: int) -> int:
-        """Holds of a peer dead at ``death_round``, from the offline schedule.
-
-        The same truncation :meth:`Supervisor._victim_holds` uses to
-        reconstruct a SIGKILLed child's state — the wavefront-determinism
-        check pins the model's abort states to it.
-        """
-        holds = 1 << self.labels[vertex]
-        for rnd, message in self._arrivals[vertex]:
-            if rnd + 1 > death_round:
-                break
-            holds |= 1 << message
-        return holds
-
     def offline_records(self) -> FrozenSet[SentRecord]:
         """The offline schedule as :class:`SentRecord` rows (fault-free ref)."""
         return self._offline

@@ -2,12 +2,13 @@
 
 The model checker's guarantees are only as good as the model's fidelity,
 so this module closes the loop the other way: it *runs the real thing*
-— :func:`repro.runtime.runner.run_gossip_network` over localhost UDP
-under a seeded :class:`~repro.runtime.transport.NetChaos` profile (and
-:func:`repro.runtime.supervisor.run_gossip_processes` for the rejoin
-path) — then replays the same scenario through
-:class:`~repro.check.model.ProtocolModel` and demands *exact* state
-agreement:
+over localhost UDP under a seeded
+:class:`~repro.runtime.transport.NetChaos` profile — on either runtime
+host: :func:`repro.runtime.runner.run_gossip_network` (peers as asyncio
+tasks) or :func:`repro.runtime.supervisor.run_gossip_processes` (peers
+as OS processes, also the rejoin path) — then replays the same scenario
+through :class:`~repro.check.model.ProtocolModel` and demands *exact*
+state agreement:
 
 * the recorded phase-1 transcript must equal the model's emitted
   multicast set, record for record;
@@ -25,10 +26,14 @@ abstraction — a lossy seeded run must still conform exactly, which is
 precisely the claim that the reliability layer implements exactly-once
 ordered-per-round delivery.  Any divergence is rendered as a mismatch
 string; an empty report means the recording and the model agree.
+
+``python -m repro.check.replay`` replays the whole corpus on the process
+host, one fleet at a time, and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +42,12 @@ from ..core.recovery import _tree_adjacency
 from ..exceptions import ProtocolCheckError
 from ..runtime.clock import ScaledClock
 from ..runtime.peer import RuntimeConfig, TranscriptEntry
-from ..runtime.runner import RuntimeResult, run_gossip_network
+from ..runtime.runner import run_gossip_network
+from ..runtime.supervisor import (
+    RestartPolicy,
+    RuntimeResult,
+    run_gossip_processes,
+)
 from ..runtime.transport import NetChaos
 from .model import ModelState, ProtocolModel, check_rejoin
 
@@ -63,8 +73,10 @@ CONFORMANCE_CONFIG = dict(
     run_timeout=240.0,
 )
 
-#: Virtual-clock scale: every wait above shrinks 10x in wall time.
-CONFORMANCE_SCALE = 0.1
+#: Virtual-clock scale per runtime host: every wait above shrinks 10x
+#: in wall time for in-process peers, 4x for peer processes (whose
+#: event loops share the host's cores with every other peer's).
+HOST_SCALES = {"network": 0.1, "processes": 0.25}
 
 
 @dataclass(frozen=True)
@@ -247,16 +259,25 @@ def replay_result(
 
 
 def replay_case(
-    case: ConformanceCase, *, time_scale: float = CONFORMANCE_SCALE
+    case: ConformanceCase, *, host: str = "network"
 ) -> ConformanceReport:
-    """Record one seeded runtime run and replay it through the model."""
+    """Record one seeded run on ``host`` and replay it through the model.
+
+    ``host`` is ``"network"`` (:func:`run_gossip_network`) or
+    ``"processes"`` (:func:`run_gossip_processes`).
+    """
     plan = gossip(case.spec)
-    result = run_gossip_network(
-        plan,
-        chaos=case.chaos(),
-        config=RuntimeConfig(seed=case.seed, **CONFORMANCE_CONFIG),
-        clock=ScaledClock(time_scale),
-    )
+    chaos = case.chaos()
+    config = RuntimeConfig(seed=case.seed, **CONFORMANCE_CONFIG)
+    scale = HOST_SCALES[host]
+    if host == "processes":
+        result: RuntimeResult = run_gossip_processes(
+            plan, chaos=chaos, config=config, time_scale=scale
+        )
+    else:
+        result = run_gossip_network(
+            plan, chaos=chaos, config=config, clock=ScaledClock(scale)
+        )
     return ConformanceReport(
         case=case, mismatches=replay_result(plan, result, kill=case.kill)
     )
@@ -282,8 +303,6 @@ def replay_rejoin(
     the ``4n + 16`` budget — while :func:`check_rejoin` certifies that
     the contract would have held for *any* source choice.
     """
-    from ..runtime.supervisor import RestartPolicy, run_gossip_processes
-
     case = ConformanceCase(
         f"{spec}/rejoin@{round_}", spec, seed,
         kill=((victim, round_),),
@@ -403,8 +422,24 @@ def default_cases() -> List[ConformanceCase]:
 def run_conformance(
     cases: Optional[Sequence[ConformanceCase]] = None,
     *,
-    time_scale: float = CONFORMANCE_SCALE,
+    host: str = "network",
 ) -> List[ConformanceReport]:
-    """Replay every case; reports in corpus order."""
+    """Replay every case on ``host``; reports in corpus order."""
     chosen = default_cases() if cases is None else list(cases)
-    return [replay_case(case, time_scale=time_scale) for case in chosen]
+    return [replay_case(case, host=host) for case in chosen]
+
+
+def main() -> int:
+    """Replay the whole corpus on the process host; 1 on any mismatch."""
+    reports = run_conformance(host="processes")
+    for r in reports:
+        verdict = "ok" if r.ok else "; ".join(r.mismatches)
+        print(f"{r.case.name} (seed {r.case.seed}): {verdict}")
+    failed = sum(not r.ok for r in reports)
+    print(f"{len(reports) - failed}/{len(reports)} cases replay exactly "
+          f"on the process host")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,7 +43,7 @@ Two engines, mirroring :mod:`repro.core.epidemic`:
   innovative beyond its label).
 
 All randomness flows through :mod:`repro.core.rng`
-(``scripts/check_conventions.py`` rule 6), with tags disjoint from both
+(codelint rule 6, ``repro.check.codelint``), with tags disjoint from both
 the epidemic and the lossy-model streams.
 """
 

@@ -24,7 +24,7 @@ Determinism is the load-bearing property, exactly as in
 :mod:`repro.simulator.lossy`: every coin flip flows through the
 splitmix64 streams of :mod:`repro.core.rng`, keyed by
 ``(seed, tag, round, vertex)``, so a run is a pure function of its seed
-(``scripts/check_conventions.py`` rule 6 bans any other randomness
+(codelint rule 6, ``repro.check.codelint``, bans any other randomness
 source here).
 
 Two execution styles:

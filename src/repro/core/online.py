@@ -240,38 +240,34 @@ class OnlineProcessor:
         return len(self._held) == self.n
 
 
-def build_processors(labeled: LabeledTree) -> List[OnlineProcessor]:
-    """Instantiate one :class:`OnlineProcessor` per vertex.
+def build_processor(labeled: LabeledTree, v: int) -> OnlineProcessor:
+    """Instantiate vertex ``v``'s :class:`OnlineProcessor`.
 
-    This models the dissemination phase: each processor is told its own
+    This models the dissemination phase: the processor is told its own
     ``(i, j, k)``, its parent, whether it is a first child, and its
     children's intervals — nothing else.
     """
     tree = labeled.tree
-    procs: List[OnlineProcessor] = []
-    for v in range(labeled.n):
-        block = labeled.block(v)
-        children = [
-            _ChildInfo(
-                vertex=c,
-                i=labeled.block(c).i,
-                j=labeled.block(c).j,
-            )
-            for c in tree.children(v)
-        ]
-        procs.append(
-            OnlineProcessor(
-                vertex=v,
-                n=labeled.n,
-                i=block.i,
-                j=block.j,
-                k=block.k,
-                parent=None if tree.is_root(v) else tree.parent(v),
-                is_first_child=block.is_first_child,
-                children=children,
-            )
-        )
-    return procs
+    block = labeled.block(v)
+    children = [
+        _ChildInfo(vertex=c, i=labeled.block(c).i, j=labeled.block(c).j)
+        for c in tree.children(v)
+    ]
+    return OnlineProcessor(
+        vertex=v,
+        n=labeled.n,
+        i=block.i,
+        j=block.j,
+        k=block.k,
+        parent=None if tree.is_root(v) else tree.parent(v),
+        is_first_child=block.is_first_child,
+        children=children,
+    )
+
+
+def build_processors(labeled: LabeledTree) -> List[OnlineProcessor]:
+    """One :class:`OnlineProcessor` per vertex (see :func:`build_processor`)."""
+    return [build_processor(labeled, v) for v in range(labeled.n)]
 
 
 def run_online_gossip(labeled: LabeledTree, max_rounds: Optional[int] = None) -> Schedule:

@@ -5,7 +5,7 @@ The epidemic (:mod:`repro.core.epidemic`) and network-coded
 repository's reproducibility contract is absolute: every run must be a
 pure function of its seed.  This module provides the only randomness
 source those protocols are allowed to use (enforced by
-``scripts/check_conventions.py`` rule 6 — ``random.*`` and
+codelint rule 6 (``repro.check.codelint``) — ``random.*`` and
 ``numpy.random`` are banned there), and the one keyed draw every layer
 uses: the fault model in :mod:`repro.simulator.lossy` and the runtime's
 chaos transport and retransmit jitter draw from :func:`keyed_uniform`

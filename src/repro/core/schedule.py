@@ -38,7 +38,6 @@ and :mod:`repro.lint`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -1036,28 +1035,8 @@ class ScheduleBuilder:
         return Schedule(rounds, name=name)
 
     @staticmethod
-    def from_schedule(schedule: Schedule) -> "ScheduleBuilder":
-        """Builder pre-loaded with every event of an existing schedule.
-
-        .. deprecated::
-            Round-tripping an *array-backed* schedule through the builder
-            to modify it is the legacy mutation path; operate on
-            :meth:`Schedule.arrays` (or rebuild through the array
-            pipeline) instead.
-        """
-        if schedule.is_array_backed:
-            warnings.warn(
-                "mutating an array-backed schedule via "
-                "ScheduleBuilder.from_schedule() is deprecated; use "
-                "Schedule.arrays() and the array pipeline instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return ScheduleBuilder._load(schedule)
-
-    @staticmethod
     def _load(schedule: Schedule) -> "ScheduleBuilder":
-        """Internal non-deprecated loader (object-path algorithms)."""
+        """Builder pre-loaded with every event of ``schedule`` (object path)."""
         builder = ScheduleBuilder()
         for t, rnd in enumerate(schedule):
             for tx in rnd:

@@ -302,7 +302,7 @@ class RuntimeDeadlineError(GossipRuntimeError):
     Mirrors the simulator's partial-completion convention
     (:attr:`repro.simulator.engine.ExecutionResult.makespan` being
     ``None``): the run degrades to a typed error carrying the partial
-    :class:`repro.runtime.runner.RuntimeResult` instead of hanging.
+    :class:`repro.runtime.supervisor.RuntimeResult` instead of hanging.
 
     Attributes
     ----------

@@ -11,12 +11,18 @@ round/run deadlines, and a survival replan driven by
 model into something that completes on a lossy asynchronous medium and
 degrades to *gossip among survivors* when peers die.
 
-Front doors: :func:`run_gossip_network` (one asyncio task per vertex in
-this interpreter) and :func:`run_gossip_processes` (one supervised OS
-process per vertex — see :mod:`repro.runtime.supervisor`).  Fault
-injection: :class:`NetChaos` (deterministic per seed, byte-for-byte
-reproducible — see :mod:`repro.runtime.transport`), including *real*
-process crashes (``sigkill``) under the supervisor.
+One orchestrator, two hosts: :class:`Supervisor`
+(:mod:`repro.runtime.supervisor`) owns rendezvous, death detection,
+the freeze, the survival replan or restart-with-rejoin, deadlines and
+result assembly, and drives every peer — the one peer driver of
+:mod:`repro.runtime.proc` — through a :class:`PeerHost`.  Front doors:
+:func:`run_gossip_network` (the in-process host, :mod:`repro.runtime.runner`:
+one asyncio task per vertex in this interpreter) and
+:func:`run_gossip_processes` (the process host: one supervised OS
+process per vertex).  Fault injection: :class:`NetChaos` (deterministic
+per seed, byte-for-byte reproducible — see
+:mod:`repro.runtime.transport`), including *real* process crashes
+(``sigkill``) on the process host.
 """
 
 from .clock import Clock, RealClock, ScaledClock
@@ -28,10 +34,13 @@ from .peer import (
     RuntimeConfig,
     TranscriptEntry,
 )
-from .runner import ObservedDeaths, RuntimeResult, run_gossip_network
+from .runner import run_gossip_network
 from .supervisor import (
+    ObservedDeaths,
+    PeerHost,
     ProcResult,
     RestartPolicy,
+    RuntimeResult,
     Supervisor,
     run_gossip_processes,
 )
@@ -65,6 +74,7 @@ __all__ = [
     "RuntimeResult",
     "run_gossip_network",
     "Supervisor",
+    "PeerHost",
     "RestartPolicy",
     "ProcResult",
     "run_gossip_processes",

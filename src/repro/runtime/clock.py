@@ -4,7 +4,7 @@ Every time-dependent decision in :mod:`repro.runtime` — retransmit
 backoff, heartbeat cadence, failure-detector staleness, round and
 whole-run deadlines — goes through a :class:`Clock` instance instead of
 calling :func:`time.monotonic` / :func:`asyncio.sleep` directly.  The
-conventions gate (``scripts/check_conventions.py``) enforces this: bare
+conventions gate (``repro.check.codelint`` rule 5) enforces this: bare
 ``asyncio.sleep`` / ``time.time`` / ``time.monotonic`` /
 ``asyncio.wait_for`` calls are forbidden in ``src/repro/runtime``
 outside this module.

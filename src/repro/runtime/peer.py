@@ -57,7 +57,7 @@ A heartbeat task beacons to every tree neighbour each
 ``heartbeat_interval`` and watches last-heard timestamps (any datagram
 counts as liveness).  A neighbour silent for longer than ``fail_after``
 is *suspected*: the peer marks it dead locally, abandons reliable sends
-to it, and reports the suspicion upward — the runner aborts the online
+to it, and reports the suspicion upward — the orchestrator aborts the online
 phase and routes the residue through the survival replanner.  The
 retransmit loop itself is a second detector: a destination that has
 swallowed ``max_attempts`` copies without one ack is reported through
@@ -74,7 +74,7 @@ estimated-RTO backoff as every other reliable send.  Chunks are
 idempotent, so the responder simply re-answers every request copy.
 
 Phase 2 (survival) replays a :func:`repro.core.survival.survive`
-schedule: the runner hands each surviving peer its own slice (what it
+schedule: the orchestrator hands each surviving peer its own slice (what it
 sends, what it will receive, round by round) and the same ack/fence
 machinery drives it to completion among the survivors.
 """
@@ -161,7 +161,7 @@ class RuntimeConfig:
         Keep it above ``fail_after`` so real deaths are *detected and
         survived* rather than surfacing as bare deadline errors.
     run_timeout:
-        Whole-run deadline enforced by the runner.
+        Whole-run deadline enforced by the orchestrator.
     max_attempts:
         Retransmission budget of one reliable record.  A destination
         that swallows this many copies without acking one is reported
@@ -354,7 +354,7 @@ class GossipPeer:
         self._suspect_cb = suspect
         self.kill_round = kill_round
         #: How the peer dies at ``kill_round``: ``None`` silences the
-        #: transport in-process (the runner's simulated fail-stop); the
+        #: transport in-process (the simulated fail-stop of ``kill``); the
         #: supervisor's children install ``os.kill(self, SIGKILL)`` here
         #: so the whole interpreter dies for real.
         self.kill_via = kill_via
@@ -506,7 +506,7 @@ class GossipPeer:
         dead: the lockstep protocol cannot proceed without a neighbour's
         input (skipping would trade a missing delivery for a possession
         violation).  A peer starved by a death simply stays blocked until
-        the runner aborts the phase and replans — that is the wavefront
+        the orchestrator aborts the phase and replans — that is the wavefront
         that makes holds-at-abort deterministic.
         """
         deadline = self.clock.time() + self.config.round_timeout
@@ -592,7 +592,7 @@ class GossipPeer:
     async def run_script(self, script: PeerScript) -> None:
         """Execute this peer's slice of a survival schedule.
 
-        Expectations are exact (the runner derived them from the
+        Expectations are exact (the orchestrator derived them from the
         replanned schedule), so no fences are needed: the peer waits for
         precisely the deliveries it is owed, then performs its own
         sends.  Retransmission still rides underneath, so transient
@@ -724,4 +724,4 @@ class GossipPeer:
 
 
 class _Aborted(Exception):
-    """Internal control flow: the runner aborted the online phase."""
+    """Internal control flow: the orchestrator aborted the online phase."""

@@ -1,18 +1,19 @@
-"""Child-process side of the supervised multi-process runtime.
+"""The peer driver both runtime hosts run, behind a control channel.
 
-One OS process per peer: the :class:`~repro.runtime.supervisor.Supervisor`
-spawns :func:`_child_entry` (spawn start method — a fresh interpreter,
-nothing shared) with a picklable :class:`PeerSpec` and one end of a
-duplex :class:`multiprocessing.connection.Connection`.  The child runs
-the *existing* :class:`~repro.runtime.peer.GossipPeer` machinery over a
-real UDP socket it binds itself; the pipe is a pure **control plane** —
-rendezvous, start, abort, revive, scripts, shutdown — and never carries
-gossip payload.  Every message a peer learns still arrives as a
-datagram from another process.
+:func:`run_peer` drives one :class:`~repro.runtime.peer.GossipPeer` from
+boot to shutdown over a UDP socket it binds itself.  The orchestrator
+(:class:`~repro.runtime.supervisor.Supervisor`) talks to it over a pure
+**control plane** — rendezvous, start, abort, revive, scripts, shutdown
+— that never carries gossip payload.  In-process
+(:mod:`repro.runtime.runner`) commands arrive on an
+:class:`asyncio.Queue` and reports are function calls; on the process
+host, :func:`_child_entry` runs in a spawned interpreter (picklable
+:class:`PeerSpec`, one end of a duplex pipe) and a reader thread feeds
+the pipe into the same queue.
 
 Control protocol (tag-first tuples, both directions)
 ----------------------------------------------------
-Child → supervisor::
+Peer → orchestrator::
 
     (HELLO, vertex, udp_port)            bound and listening
     (SUSPECT, reporter, victim)          failure detector fired
@@ -23,7 +24,7 @@ Child → supervisor::
     (ERROR, vertex, repr)                a typed error (not a crash)
     (BYE, vertex)                        clean exit imminent
 
-Supervisor → child::
+Orchestrator → peer::
 
     (ADDRS, {vertex: (host, port)})      address book (re-broadcast on rejoin)
     (START,)                             begin phase 1 (or rejoin idle loop)
@@ -33,39 +34,45 @@ Supervisor → child::
     (SCRIPT, peer_script, dead)          run one scripted phase slice
     (SHUTDOWN,)                          stop loops, close socket, exit
 
-Crash injection is *real* here: a ``NetChaos.sigkill`` round makes the
-child send **itself** ``SIGKILL`` (via the peer's ``kill_via`` hook), so
-the interpreter vanishes mid-protocol with no cleanup — the supervisor
-must notice via the process sentinel and the survivors' heartbeat
-detectors, exactly like an OOM kill in production.  ``rejoin_crashes``
+Crash injection is *real* on the process host: a ``NetChaos.sigkill``
+round makes the child send **itself** ``SIGKILL`` (via the peer's
+``kill_via`` hook), so the interpreter vanishes mid-protocol with no
+cleanup — the supervisor must notice via the process sentinel and the
+survivors' heartbeat detectors, exactly like an OOM kill in production.
+The in-process host ignores ``sigkill`` rounds (``kill_via=None``);
+``kill`` rounds silence a peer's transport on both hosts.  ``rejoin_crashes``
 additionally kills the first N restart attempts at boot, exercising the
 capped restart ladder.
 
-A watchdog (``2 * run_timeout`` on the child's own clock) bounds every
-child's lifetime, so an orphaned process exits by itself even if the
+A watchdog (``2 * run_timeout`` on the peer's clock) bounds every
+peer's lifetime, so an orphaned process exits by itself even if the
 supervisor died without saying shutdown.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from ..core.online import build_processors
+from ..core.online import build_processor
 from ..exceptions import GossipRuntimeError, RuntimeDeadlineError
 from ..tree.labeling import LabeledTree
 from .clock import Clock, RealClock, ScaledClock
 from .peer import GossipPeer, PeerProtocol, PeerScript, RuntimeConfig
-from .transport import LossyDatagramTransport, NetChaos
+from .transport import LossyDatagramTransport, NetChaos, TransportStats
 
-__all__ = ["PeerSpec", "_child_entry"]
+__all__ = ["PeerSpec", "run_peer", "_child_entry"]
 
-# Child → supervisor tags.
+#: How a peer reports one tuple to the orchestrator (best effort).
+Report = Callable[[Tuple[object, ...]], None]
+
+# Peer → orchestrator tags.
 HELLO = "hello"
 SUSPECT = "suspect"
 PHASE1 = "phase1"
@@ -75,7 +82,7 @@ DEADLINE = "deadline"
 ERROR = "error"
 BYE = "bye"
 
-# Supervisor → child tags.
+# Orchestrator → peer tags.
 ADDRS = "addrs"
 START = "start"
 ABORT = "abort"
@@ -87,7 +94,7 @@ SHUTDOWN = "shutdown"
 
 @dataclass(frozen=True)
 class PeerSpec:
-    """Everything one spawned peer needs (picklable by construction).
+    """Everything one peer needs (picklable by construction).
 
     Carries the :class:`~repro.tree.labeling.LabeledTree` rather than a
     :class:`~repro.core.gossip.GossipPlan` — the child rebuilds its own
@@ -101,7 +108,6 @@ class PeerSpec:
     labeled: LabeledTree
     config: RuntimeConfig
     chaos: NetChaos
-    time_scale: float = 1.0
     rejoin: bool = False
     rejoin_attempt: int = 0
 
@@ -198,29 +204,19 @@ async def _control_loop(
 
 
 def _snapshot(peer: GossipPeer) -> Dict[str, object]:
-    """One peer's reportable state, as plain picklable types."""
-    full = (1 << peer.proc.n) - 1
-    stats = peer.transport.stats if peer.transport is not None else None
+    """One peer's reportable state: picklable copies, never live views."""
     return {
         "holds": peer.holds,
         "rounds_completed": peer.rounds_completed,
-        "complete": peer.holds == full,
+        "complete": peer.holds == (1 << peer.proc.n) - 1,
         "died_at": peer.died_at,
-        "transcript": [
-            (e.round, e.sender, e.message, e.destinations)
-            for e in peer.transcript
-        ],
-        "survival_transcript": [
-            (e.round, e.sender, e.message, e.destinations)
-            for e in peer.survival_transcript
-        ],
+        "transcript": list(peer.transcript),
+        "survival_transcript": list(peer.survival_transcript),
         "retransmissions": peer.retransmissions,
         "duplicates_suppressed": peer.duplicates_suppressed,
         "stats": (
-            (stats.sent, stats.dropped, stats.delayed,
-             stats.suppressed_after_kill)
-            if stats is not None
-            else (0, 0, 0, 0)
+            replace(peer.transport.stats)
+            if peer.transport is not None else TransportStats()
         ),
     }
 
@@ -234,9 +230,9 @@ async def _run_phases(
     spec: PeerSpec,
     peer: GossipPeer,
     state: _ControlState,
-    ctrl: Connection,
+    report: Report,
 ) -> None:
-    """Drive the peer through its phases until the supervisor says stop."""
+    """Drive the peer through its phases until the orchestrator says stop."""
     if spec.rejoin:
         await state.resync_event.wait()
         if state.shutdown:
@@ -248,15 +244,15 @@ async def _run_phases(
         try:
             await peer.fetch_resync(state.resync_source)
         except RuntimeDeadlineError as err:
-            _safe_send(ctrl, (DEADLINE, spec.vertex, err.phase, str(err)))
+            report((DEADLINE, spec.vertex, err.phase, str(err)))
             return
-        _safe_send(ctrl, (RESYNCED, spec.vertex, peer.holds))
+        report((RESYNCED, spec.vertex, peer.holds))
     else:
         try:
             await peer.run_online(spec.horizon)
         except RuntimeDeadlineError as err:
-            _safe_send(ctrl, (DEADLINE, spec.vertex, err.phase, str(err)))
-        _safe_send(ctrl, (PHASE1, spec.vertex, _snapshot(peer)))
+            report((DEADLINE, spec.vertex, err.phase, str(err)))
+        report((PHASE1, spec.vertex, _snapshot(peer)))
 
     while True:
         if state.shutdown:
@@ -269,36 +265,62 @@ async def _run_phases(
             try:
                 await peer.run_script(script)
             except RuntimeDeadlineError as err:
-                _safe_send(ctrl, (DEADLINE, spec.vertex, err.phase, str(err)))
+                report((DEADLINE, spec.vertex, err.phase, str(err)))
             except GossipRuntimeError as err:
-                _safe_send(ctrl, (ERROR, spec.vertex, repr(err)))
-            _safe_send(ctrl, (PHASE2, spec.vertex, _snapshot(peer)))
+                report((ERROR, spec.vertex, repr(err)))
+            report((PHASE2, spec.vertex, _snapshot(peer)))
         state.wake.clear()
         if state.pending_script is None and not state.shutdown:
             await state.wake.wait()
 
 
-async def _child_main(spec: PeerSpec, ctrl: Connection) -> None:
+async def run_peer(
+    spec: PeerSpec,
+    clock: Clock,
+    report: Report,
+    inbox: "asyncio.Queue[Tuple[object, ...]]",
+    *,
+    kill_via: Optional[Callable[[], None]] = None,
+) -> None:
+    """Drive one peer from boot to shutdown: the body both hosts run.
+
+    ``report`` hands one tuple to the orchestrator and never raises;
+    ``inbox`` yields the orchestrator's commands in order.  ``kill_via``
+    is how the peer dies at its ``NetChaos.sigkill`` round: the process
+    host passes a real ``SIGKILL``, the in-process host ``None``, which
+    ignores ``sigkill`` rounds.  An exception inside the peer is reported
+    as ERROR, and BYE always ends the conversation.
+    """
+    try:
+        await _drive(spec, clock, report, inbox, kill_via)
+    except Exception as exc:  # noqa: BLE001 — report it, the orchestrator decides
+        report((ERROR, spec.vertex, repr(exc)))
+    finally:
+        report((BYE, spec.vertex))
+
+
+async def _drive(
+    spec: PeerSpec,
+    clock: Clock,
+    report: Report,
+    inbox: "asyncio.Queue[Tuple[object, ...]]",
+    kill_via: Optional[Callable[[], None]],
+) -> None:
     loop = asyncio.get_running_loop()
-    clock: Clock = (
-        RealClock() if spec.time_scale >= 1.0 else ScaledClock(spec.time_scale)
-    )
-    procs = build_processors(spec.labeled)
-    me = procs[spec.vertex]
 
     def report_suspect(reporter: int, victim: int) -> None:
-        _safe_send(ctrl, (SUSPECT, reporter, victim))
+        report((SUSPECT, reporter, victim))
 
-    kill_round = spec.chaos.sigkill_round_of(spec.vertex)
-    kill_via: Optional[Callable[[], None]] = None
-    if kill_round is not None:
-        kill_via = _sigkill_self
-    else:
+    kill_round = (
+        spec.chaos.sigkill_round_of(spec.vertex) if kill_via is not None else None
+    )
+    if kill_round is None:
+        kill_via = None
         kill_round = spec.chaos.kill_round_of(spec.vertex)
 
     peer = GossipPeer(
         spec.vertex,
-        me,
+        build_processor(spec.labeled, spec.vertex),
         config=spec.config,
         clock=clock,
         suspect=report_suspect,
@@ -306,14 +328,7 @@ async def _child_main(spec: PeerSpec, ctrl: Connection) -> None:
         kill_via=kill_via,
     )
 
-    inbox: "asyncio.Queue[Tuple[object, ...]]" = asyncio.Queue()
     state = _ControlState()
-    stop_pump = threading.Event()
-    pump = threading.Thread(
-        target=_pump_ctrl, args=(ctrl, loop, inbox, stop_pump),
-        name=f"ctrl-pump-{spec.vertex}", daemon=True,
-    )
-    pump.start()
     control = asyncio.ensure_future(_control_loop(peer, state, inbox))
 
     raw_transport, _ = await loop.create_datagram_endpoint(
@@ -323,13 +338,13 @@ async def _child_main(spec: PeerSpec, ctrl: Connection) -> None:
     heartbeat: Optional["asyncio.Task[None]"] = None
     try:
         port = raw_transport.get_extra_info("sockname")[1]
-        _safe_send(ctrl, (HELLO, spec.vertex, int(port)))
+        report((HELLO, spec.vertex, int(port)))
         budget = 2.0 * spec.config.run_timeout
         try:
             await clock.wait_for(state.addr_event.wait(), budget)
         except asyncio.TimeoutError:
-            _safe_send(ctrl, (DEADLINE, spec.vertex, "rendezvous",
-                              "no address book within the child watchdog"))
+            report((DEADLINE, spec.vertex, "rendezvous",
+                    "no address book within the peer watchdog"))
             return
         if state.shutdown:
             return
@@ -345,21 +360,20 @@ async def _child_main(spec: PeerSpec, ctrl: Connection) -> None:
         try:
             await clock.wait_for(state.start_event.wait(), budget)
         except asyncio.TimeoutError:
-            _safe_send(ctrl, (DEADLINE, spec.vertex, "rendezvous",
-                              "no start signal within the child watchdog"))
+            report((DEADLINE, spec.vertex, "rendezvous",
+                    "no start signal within the peer watchdog"))
             return
         if state.shutdown:
             return
         heartbeat = asyncio.ensure_future(peer.heartbeat_loop())
         try:
             await clock.wait_for(
-                _run_phases(spec, peer, state, ctrl), budget
+                _run_phases(spec, peer, state, report), budget
             )
         except asyncio.TimeoutError:
-            _safe_send(ctrl, (DEADLINE, spec.vertex, "child",
-                              "child watchdog expired; exiting as an orphan"))
+            report((DEADLINE, spec.vertex, "child",
+                    "peer watchdog expired; exiting as an orphan"))
     finally:
-        stop_pump.set()
         peer.stop()
         control.cancel()
         if heartbeat is not None:
@@ -372,17 +386,39 @@ async def _child_main(spec: PeerSpec, ctrl: Connection) -> None:
             raw_transport.close()
 
 
-def _child_entry(spec: PeerSpec, ctrl: Connection) -> None:
-    """Process entry point (target of the spawn context)."""
+async def _child_main(
+    spec: PeerSpec, time_scale: float, ctrl: Connection
+) -> None:
+    """The process host's side of :func:`run_peer`: pipe in, pipe out."""
+    loop = asyncio.get_running_loop()
+    inbox: "asyncio.Queue[Tuple[object, ...]]" = asyncio.Queue()
+    stop_pump = threading.Event()
+    threading.Thread(
+        target=_pump_ctrl, args=(ctrl, loop, inbox, stop_pump),
+        name=f"ctrl-pump-{spec.vertex}", daemon=True,
+    ).start()
+    clock: Clock = RealClock() if time_scale >= 1.0 else ScaledClock(time_scale)
+    try:
+        await run_peer(
+            spec, clock, functools.partial(_safe_send, ctrl), inbox,
+            kill_via=_sigkill_self,
+        )
+    finally:
+        stop_pump.set()
+
+
+def _child_entry(spec: PeerSpec, time_scale: float, ctrl: Connection) -> None:
+    """Process entry point (target of the spawn context).
+
+    Children cannot share a Python object, so the clock scale — not a
+    clock — is what travels.
+    """
     if spec.rejoin and spec.rejoin_attempt <= spec.chaos.rejoin_crashes:
         # Seeded rejoin-chaos: this restart attempt dies on boot.
         os.kill(os.getpid(), signal.SIGKILL)
     try:
-        asyncio.run(_child_main(spec, ctrl))
-    except BaseException as exc:  # noqa: BLE001 — report, then die quietly
-        _safe_send(ctrl, (ERROR, spec.vertex, repr(exc)))
+        asyncio.run(_child_main(spec, time_scale, ctrl))
     finally:
-        _safe_send(ctrl, (BYE, spec.vertex))
         try:
             ctrl.close()
         except OSError:

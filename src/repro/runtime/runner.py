@@ -1,480 +1,60 @@
-"""Orchestration of a real-network gossip run.
+"""The in-process host: one asyncio task per peer, in this interpreter.
 
-:func:`run_gossip_network` is the runtime's front door.  It plans
-gossip with the library's offline pipeline (:func:`repro.core.gossip`),
-boots one :class:`~repro.runtime.peer.GossipPeer` per vertex on its own
-localhost UDP socket, and lets the peers execute the online protocol
-among themselves.  The runner is the *experiment harness*, not part of
-the distributed algorithm: peers exchange knowledge only via datagrams,
-while the runner merely starts tasks, watches for suspicion reports, and
-collects final state for accounting.
+:func:`run_gossip_network` is the runtime's in-process front door.  It
+plans gossip with the offline pipeline (:func:`repro.core.gossip`) and
+hands the run to the one orchestrator,
+:class:`~repro.runtime.supervisor.Supervisor`, over :class:`_TaskHost`:
+every peer runs :func:`~repro.runtime.proc.run_peer` as an asyncio task
+in the orchestrator's event loop, on its own localhost UDP socket.  Its
+control channel is an :class:`asyncio.Queue` of the command tuples the
+process host pickles onto a pipe; its reports are plain calls into the
+orchestrator.  Peers learn everything only from datagrams.
 
-Failure path (the robustness contract)
---------------------------------------
-When a peer's failure detector suspects a neighbour, the runner:
-
-1. aborts the online phase (phase 1) on every peer;
-2. snapshots each peer's hold bitset, fabricates a
-   :class:`~repro.simulator.lossy.FaultyExecutionResult` plus an
-   :class:`ObservedDeaths` fault model from the observed deaths, and
-   hands both to the *existing* :func:`repro.core.survival.survive`
-   machinery — the runtime replans with exactly the code the simulator
-   stack uses;
-3. slices the replanned survival schedule into per-peer scripts
-   (:class:`~repro.runtime.peer.PeerScript`) and drives phase 2 on the
-   same sockets among the survivors;
-4. strictly checks the degraded completion semantics with
-   :func:`repro.core.survival.validate_survival` ("gossip among
-   survivors", nothing delivered to the dead).
-
-Deadlines degrade gracefully rather than hang: a peer that cannot close
-a round inside ``round_timeout`` raises the typed
-:class:`~repro.exceptions.RuntimeDeadlineError` (``phase="round"``), and
-the whole run is bounded by ``run_timeout`` (``phase="run"``); both
-carry the partial :class:`RuntimeResult` collected at the deadline,
-mirroring the simulator's ``makespan is None`` convention.
-
-Determinism contract
---------------------
-Everything in :meth:`RuntimeResult.deterministic_summary` is a pure
-function of ``(network, algorithm, chaos profile, seed)``: the phase-1
-transcript, holds at abort, the death set, the survival replan, and the
-final coverage.  Wall-clock fields (``wall_seconds``, retransmission
-counts, transport stats) are explicitly excluded — they measure the
-machine, not the protocol.
+What differs from :func:`~repro.runtime.supervisor.run_gossip_processes`
+is the host alone: ``NetChaos.sigkill`` is ignored (an in-process peer
+cannot be SIGKILLed on its own), deaths always resolve by the replan
+(no restart policy), and the result is a plain
+:class:`~repro.runtime.supervisor.RuntimeResult`.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..core.gossip import GossipPlan, NetworkSpec, gossip
-from ..core.online import build_processors
-from ..core.survival import (
-    SurvivalResult,
-    survive,
-    survivor_coverage,
-    validate_survival,
-)
-from ..exceptions import (
-    GossipRuntimeError,
-    PeerDeadError,
-    RuntimeDeadlineError,
-)
-from ..simulator.lossy import FaultModel, FaultyExecutionResult
-from ..simulator.state import labeled_holdings
 from .clock import Clock, RealClock
-from .peer import GossipPeer, PeerProtocol, PeerScript, RuntimeConfig, TranscriptEntry
-from .transport import LossyDatagramTransport, NetChaos, TransportStats
+from .peer import RuntimeConfig
+from .proc import PeerSpec, Report, run_peer
+from .supervisor import RuntimeResult, Send, Supervisor
+from .transport import NetChaos
 
-__all__ = [
-    "ObservedDeaths",
-    "RuntimeResult",
-    "run_gossip_network",
-    "slice_peer_scripts",
-]
+__all__ = ["run_gossip_network"]
 
 
-@dataclass(frozen=True)
-class ObservedDeaths(FaultModel):
-    """A scripted fault model replaying deaths the runtime observed.
+class _TaskHost:
+    """Each peer is an asyncio task; its control channel a queue."""
 
-    Bridges the runtime's failure detector into the simulator-stack
-    survival machinery: :func:`repro.core.survival.diagnose_survival`
-    only ever asks :meth:`fail_stopped` / :meth:`link_failed`, so a
-    model that answers from an explicit death list makes ``survive()``
-    replan for exactly the peers the detector buried.
-    """
-
-    dead_from: Tuple[Tuple[int, int], ...] = ()
-
-    def fail_stopped(self, time: int, v: int) -> bool:
-        for victim, rnd in self.dead_from:
-            if victim == v and time >= rnd:
-                return True
-        return False
-
-
-@dataclass(frozen=True)
-class RuntimeResult:
-    """Everything observable about one real-network gossip run.
-
-    Attributes
-    ----------
-    n / horizon:
-        Network size and the offline schedule's total time (the phase-1
-        round budget).
-    complete:
-        Whether *full* gossip finished — every processor holds every
-        message.  False whenever anyone died, even if the survivors
-        reached full degraded coverage.
-    coverage:
-        Fraction of guaranteed (live processor, message) pairs held at
-        the end — 1.0 for a fault-free run, and 1.0 again when the
-        survival replan delivered everything the degraded semantics owe.
-    wall_seconds:
-        Real-network makespan (injectable-clock seconds); measures the
-        machine, excluded from :meth:`deterministic_summary`.
-    rounds_completed:
-        Highest phase-1 round any live peer fully executed.
-    transcript / survival_transcript:
-        Every phase-1 / phase-2 multicast actually performed, in
-        ``(round, sender)`` order — phase 1 is byte-for-byte the offline
-        schedule on a fault-free run.
-    final_holds:
-        Per-vertex hold bitsets at the end (dead peers keep their
-        at-death snapshot).
-    dead / components:
-        The failure diagnosis (empty / one full component when nothing
-        died).
-    survival_rounds:
-        Rounds of the phase-2 replan (0 when phase 2 never ran).
-    retransmissions / duplicates_suppressed / stats:
-        Reliability-layer work: datagrams retransmitted, duplicate
-        deliveries absorbed by dedup, transport chaos counters.
-    """
-
-    n: int
-    horizon: int
-    complete: bool
-    coverage: float
-    wall_seconds: float
-    rounds_completed: int
-    transcript: Tuple[TranscriptEntry, ...]
-    survival_transcript: Tuple[TranscriptEntry, ...]
-    final_holds: Tuple[int, ...]
-    dead: Tuple[int, ...]
-    components: Tuple[Tuple[int, ...], ...]
-    survival_rounds: int
-    retransmissions: int
-    duplicates_suppressed: int
-    stats: TransportStats = field(default_factory=TransportStats)
-
-    @property
-    def makespan(self) -> Optional[float]:
-        """Wall-clock completion time, ``None`` when gossip degraded.
-
-        The runtime mirror of
-        :attr:`repro.simulator.engine.ExecutionResult.makespan`.
-        """
-        return self.wall_seconds if self.complete else None
-
-    def deterministic_summary(self) -> Dict[str, object]:
-        """The per-seed-reproducible view of this run.
-
-        Byte-for-byte identical across repeated runs with the same
-        ``(network, algorithm, chaos, seed)``; excludes every field that
-        depends on scheduling latency or the host machine.
-        """
-        return {
-            "n": self.n,
-            "horizon": self.horizon,
-            "complete": self.complete,
-            "coverage": round(self.coverage, 12),
-            "rounds_completed": self.rounds_completed,
-            "transcript": [
-                (e.round, e.sender, e.message, e.destinations)
-                for e in self.transcript
-            ],
-            "survival_transcript": [
-                (e.round, e.sender, e.message, e.destinations)
-                for e in self.survival_transcript
-            ],
-            "final_holds": list(self.final_holds),
-            "dead": list(self.dead),
-            "components": [list(c) for c in self.components],
-            "survival_rounds": self.survival_rounds,
-        }
-
-
-class _Network:
-    """The booted fleet: peers, sockets, chaos wrappers, background tasks."""
-
-    def __init__(self, plan: GossipPlan, *, chaos: NetChaos,
-                 config: RuntimeConfig, clock: Clock) -> None:
-        self.plan = plan
-        self.chaos = chaos
-        self.config = config
+    def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        self.n = plan.labeled.n
-        self.horizon = plan.schedule.total_time
-        self.suspected: Set[int] = set()
-        self.suspicion_event = asyncio.Event()
-        self.peers: List[GossipPeer] = []
-        self.lossy: List[LossyDatagramTransport] = []
-        self.heartbeat_tasks: List["asyncio.Task[None]"] = []
-        self.started = 0.0
+        self._tasks: List["asyncio.Task[None]"] = []
 
-        procs = build_processors(plan.labeled)
-        for v in range(self.n):
-            self.peers.append(
-                GossipPeer(
-                    v,
-                    procs[v],
-                    config=config,
-                    clock=clock,
-                    suspect=self._on_suspicion,
-                    kill_round=chaos.kill_round_of(v),
-                )
-            )
-
-    def _on_suspicion(self, reporter: int, victim: int) -> None:
-        self.suspected.add(victim)
-        self.suspicion_event.set()
-
-    async def start(self) -> None:
-        """Bind every peer to its own localhost UDP socket and wire chaos."""
-        loop = asyncio.get_running_loop()
-        transports: List[asyncio.DatagramTransport] = []
-        addr_of: Dict[int, Tuple[str, int]] = {}
-        for peer in self.peers:
-            transport, _ = await loop.create_datagram_endpoint(
-                lambda bound=peer: PeerProtocol(bound),
-                local_addr=("127.0.0.1", 0),
-            )
-            transports.append(transport)
-            addr_of[peer.vertex] = transport.get_extra_info("sockname")
-        vertex_of_addr = {addr: v for v, addr in addr_of.items()}
-        for peer, transport in zip(self.peers, transports):
-            wrapped = LossyDatagramTransport(
-                transport,
-                chaos=self.chaos,
-                src=peer.vertex,
-                vertex_of_addr=vertex_of_addr,
-                clock=self.clock,
-            )
-            peer.attach(wrapped, addr_of)
-            self.lossy.append(wrapped)
-        self.started = self.clock.time()
-        self.heartbeat_tasks = [
-            asyncio.ensure_future(p.heartbeat_loop()) for p in self.peers
-        ]
-
-    async def shutdown(self) -> None:
-        """Stop heartbeats, cancel delayed sends, close every socket."""
-        for peer in self.peers:
-            peer.stop()
-        for task in self.heartbeat_tasks:
-            task.cancel()
-        if self.heartbeat_tasks:
-            await asyncio.gather(*self.heartbeat_tasks, return_exceptions=True)
-        for wrapped in self.lossy:
-            wrapped.close()
-
-    # -- accounting ----------------------------------------------------
-    def snapshot_result(
+    def start(
         self,
-        *,
-        complete: bool,
-        coverage: float,
-        dead: Tuple[int, ...] = (),
-        components: Tuple[Tuple[int, ...], ...] = (),
-        survival_rounds: int = 0,
-    ) -> RuntimeResult:
-        stats = TransportStats()
-        for wrapped in self.lossy:
-            stats = stats.merged(wrapped.stats)
-        if not components and not dead:
-            components = (tuple(range(self.n)),)
-        live = [p for p in self.peers if p.vertex not in set(dead)]
-        return RuntimeResult(
-            n=self.n,
-            horizon=self.horizon,
-            complete=complete,
-            coverage=coverage,
-            wall_seconds=self.clock.time() - self.started,
-            rounds_completed=max((p.rounds_completed for p in live), default=0),
-            transcript=tuple(
-                sorted(
-                    (e for p in self.peers for e in p.transcript),
-                    key=lambda e: (e.round, e.sender),
-                )
-            ),
-            survival_transcript=tuple(
-                sorted(
-                    (e for p in self.peers for e in p.survival_transcript),
-                    key=lambda e: (e.round, e.sender),
-                )
-            ),
-            final_holds=tuple(p.holds for p in self.peers),
-            dead=dead,
-            components=components,
-            survival_rounds=survival_rounds,
-            retransmissions=sum(p.retransmissions for p in self.peers),
-            duplicates_suppressed=sum(p.duplicates_suppressed for p in self.peers),
-            stats=stats,
-        )
+        spec: PeerSpec,
+        report: Report,
+        exited: Callable[[Optional[int]], None],
+    ) -> Send:
+        inbox: "asyncio.Queue[Tuple[object, ...]]" = asyncio.Queue()
+        task = asyncio.ensure_future(run_peer(spec, self.clock, report, inbox))
+        task.add_done_callback(lambda t: exited(None if t.cancelled() else 0))
+        self._tasks.append(task)
+        return inbox.put_nowait
 
-    def _fill_coverage(self) -> float:
-        """Plain fill ratio of the hold matrix (for partial results)."""
-        held = sum(p.holds.bit_count() for p in self.peers)
-        return held / (self.n * self.n) if self.n else 1.0
-
-    # -- phase drivers -------------------------------------------------
-    async def run(self) -> RuntimeResult:
-        """Phase 1, and on observed deaths the survival replan (phase 2)."""
-        online = asyncio.gather(
-            *(asyncio.ensure_future(p.run_online(self.horizon)) for p in self.peers),
-            return_exceptions=True,
-        )
-        watch = asyncio.ensure_future(self.suspicion_event.wait())
-        await asyncio.wait({online, watch}, return_when=asyncio.FIRST_COMPLETED)
-
-        if not self.suspicion_event.is_set():
-            watch.cancel()
-            outcomes = await online
-            self._reraise(outcomes, allow_deadline=False)
-            complete = all(p.proc.is_complete() for p in self.peers)
-            return self.snapshot_result(complete=complete, coverage=1.0)
-
-        # A death was detected: abort phase 1 and replan for survivors.
-        for peer in self.peers:
-            peer.abort()
-        outcomes = await online
-        watch.cancel()
-        self._reraise(outcomes, allow_deadline=True)
-        return await self._run_survival()
-
-    def _reraise(self, outcomes: Sequence[object], *, allow_deadline: bool) -> None:
-        """Propagate peer-task failures, attaching the partial result."""
-        for item in outcomes:
-            if isinstance(item, RuntimeDeadlineError):
-                if allow_deadline:
-                    continue  # superseded by the survival replan
-                raise RuntimeDeadlineError(
-                    str(item),
-                    partial=self.snapshot_result(
-                        complete=False, coverage=self._fill_coverage()
-                    ),
-                    phase=item.phase,
-                ) from item
-            if isinstance(item, BaseException):
-                raise item
-
-    async def _run_survival(self) -> RuntimeResult:
-        """Replan with :func:`survive` and drive phase 2 on the sockets."""
-        dead_rounds: Dict[int, int] = {}
-        for peer in self.peers:
-            if peer.died_at is not None:
-                dead_rounds[peer.vertex] = peer.died_at
-        for victim in self.suspected:
-            dead_rounds.setdefault(victim, self.peers[victim].rounds_completed)
-        holds_at_abort = [p.holds for p in self.peers]
-
-        diag_horizon = max([self.horizon, *(r for r in dead_rounds.values())])
-        model = ObservedDeaths(
-            dead_from=tuple(sorted(dead_rounds.items()))
-        )
-        faulty = FaultyExecutionResult(
-            complete=False,
-            total_time=diag_horizon,
-            completion_times=[None] * self.n,
-            duplicate_deliveries=0,
-            final_holds=list(holds_at_abort),
-            model=model,
-            initial_holds=tuple(labeled_holdings(self.plan.labeled.labels())),
-            n_messages=self.n,
-        )
-        outcome = survive(self.plan.graph, self.plan, faulty)
-
-        scripts = _peer_scripts(outcome, self.n)
-        dead = set(outcome.diagnosis.dead)
-        for peer in self.peers:
-            if peer.vertex in dead:
-                continue
-            peer.resume()
-            peer.dead.update(dead)
-        for victim in dead & set(scripts):
-            raise PeerDeadError(
-                f"survival schedule assigns work to dead peer {victim}",
-                peer=victim,
-            )
-
-        tasks = [
-            asyncio.ensure_future(self.peers[v].run_script(script))
-            for v, script in scripts.items()
-        ]
-        if tasks:
-            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-            self._reraise(outcomes, allow_deadline=False)
-
-        final_holds = [p.holds for p in self.peers]
-        validate_survival(
-            outcome.diagnosis, outcome.labels, final_holds, before=holds_at_abort
-        )
-        for v in outcome.diagnosis.live:
-            if final_holds[v] != outcome.final_holds[v]:
-                raise GossipRuntimeError(
-                    f"determinism breach: peer {v} ended holding "
-                    f"{final_holds[v]:#x}, the replan predicted "
-                    f"{outcome.final_holds[v]:#x}"
-                )
-        coverage = survivor_coverage(
-            outcome.diagnosis, outcome.labels, final_holds
-        )
-        return self.snapshot_result(
-            complete=False,
-            coverage=coverage,
-            dead=outcome.diagnosis.dead,
-            components=outcome.diagnosis.components,
-            survival_rounds=outcome.schedule.total_time,
-        )
-
-
-def slice_peer_scripts(
-    rounds: Sequence[Sequence[object]], horizon: int
-) -> Dict[int, PeerScript]:
-    """Slice a merged round schedule into per-peer send/expect scripts.
-
-    Every peer receives *only its own rows*: what it sends each round
-    and what will land on it each time step — the same locality
-    discipline phase 1 gets from
-    :class:`~repro.core.online.OnlineProcessor`.  Works for any list of
-    :class:`~repro.simulator.engine.Round`-shaped rounds: the runner
-    slices :func:`survive` replans, the supervisor additionally slices
-    :func:`repro.core.recovery.plan_repair_rounds` rejoin-completion
-    schedules.
-    """
-    scripts: Dict[int, PeerScript] = {}
-
-    def script_of(v: int) -> PeerScript:
-        if v not in scripts:
-            scripts[v] = PeerScript(horizon=horizon)
-        return scripts[v]
-
-    for t, rnd in enumerate(rounds):
-        for tx in rnd:  # type: ignore[attr-defined]
-            dests = tuple(sorted(tx.destinations))
-            script_of(tx.sender).sends[t] = (tx.message, dests)
-            for d in dests:
-                script_of(d).expects[t + 1] = (tx.sender, tx.message)
-    return scripts
-
-
-def _peer_scripts(outcome: SurvivalResult, n: int) -> Dict[int, PeerScript]:
-    """The runner's view of :func:`slice_peer_scripts` (survival replans)."""
-    return slice_peer_scripts(outcome.schedule.rounds, outcome.schedule.total_time)
-
-
-async def _run_async(plan: GossipPlan, *, chaos: NetChaos,
-                     config: RuntimeConfig, clock: Clock) -> RuntimeResult:
-    network = _Network(plan, chaos=chaos, config=config, clock=clock)
-    await network.start()
-    try:
-        try:
-            return await clock.wait_for(network.run(), config.run_timeout)
-        except asyncio.TimeoutError:
-            raise RuntimeDeadlineError(
-                f"gossip run exceeded run_timeout={config.run_timeout:.2f}s",
-                partial=network.snapshot_result(
-                    complete=False, coverage=network._fill_coverage()
-                ),
-                phase="run",
-            ) from None
-    finally:
-        await network.shutdown()
+    async def close(self) -> None:
+        for task in self._tasks:
+            task.cancel()
+        await asyncio.gather(*self._tasks, return_exceptions=True)
 
 
 def run_gossip_network(
@@ -512,11 +92,15 @@ def run_gossip_network(
     plan = network if isinstance(network, GossipPlan) else gossip(
         network, algorithm=algorithm
     )
-    return asyncio.run(
-        _run_async(
+    run_clock = clock if clock is not None else RealClock()
+
+    async def orchestrate() -> RuntimeResult:
+        return await Supervisor(
             plan,
+            _TaskHost(run_clock),
             chaos=chaos if chaos is not None else NetChaos(),
             config=config if config is not None else RuntimeConfig(),
-            clock=clock if clock is not None else RealClock(),
-        )
-    )
+            clock=run_clock,
+        ).run()
+
+    return asyncio.run(orchestrate())

@@ -1,54 +1,73 @@
-"""Supervisor of the multi-process gossip runtime.
+"""The one runtime orchestrator, its result types, and the process host.
 
-:class:`Supervisor` is the parent of a one-OS-process-per-peer fleet
-(children described in :mod:`repro.runtime.proc`): it spawns the
-processes (spawn start method), runs the rendezvous (children bind
-their own UDP sockets and report ports; the supervisor broadcasts the
-address book), and then *watches* — a ``multiprocessing.connection.wait``
-loop over every child's control pipe **and** process sentinel.  Peer
-death is detected on two channels that cross-check each other:
+:class:`Supervisor` orchestrates every real-network gossip run.  It
+drives peers — each running :func:`repro.runtime.proc.run_peer` behind
+a control channel — through a :class:`PeerHost`:
 
-* the **process sentinel** fires the instant a child exits (a real
-  ``SIGKILL`` is visible in milliseconds, exit code ``-9``);
-* the **heartbeat detector** inside every surviving peer reports the
-  victim over the control plane (``fail_after`` staleness — the same
-  detector the single-process runner trusts).
+* the **in-process host** (:mod:`repro.runtime.runner`, front door
+  ``run_gossip_network``): every peer is an asyncio task in the
+  orchestrator's own event loop;
+* the **process host** (here, front door :func:`run_gossip_processes`):
+  every peer is a spawned OS process; the orchestrator watches each
+  control pipe **and** process sentinel with ``loop.add_reader``.
 
-The supervisor logs both to a structured
-:class:`~repro.runtime.incidents.IncidentJournal`, but only acts once
-the *peers'* detector has fired (or a grace period lapsed): phase-1
-state at the freeze is produced by the deterministic stall wavefront of
-the fence barriers, not by how fast the host scheduler delivered a
-sentinel, which is what keeps
-:meth:`ProcResult.deterministic_summary` reproducible per seed.
+After the rendezvous (peers bind their own UDP sockets and report
+ports; the orchestrator broadcasts the address book) it watches phase
+1.  Death shows on two channels: the **process sentinel** (a real
+``SIGKILL`` exits with code ``-9``; process host only) and the
+**heartbeat detector** of the victim's live neighbours.  Both go to an
+:class:`~repro.runtime.incidents.IncidentJournal`, but the orchestrator
+freezes phase 1 only once the *peers'* detector has fired (or a grace
+lapsed): holds at the freeze are the deterministic stall wavefront of
+the fence barriers, not a race with the host scheduler.  A SIGKILLed
+victim's holds are reconstructed from the offline schedule truncated at
+its death round (:meth:`GossipPlan.holds_at`).  The death is then
+resolved by policy (:class:`RestartPolicy`):
 
-Resolution is policy-driven (:class:`RestartPolicy`):
+* ``"replan"`` — an :class:`ObservedDeaths` fault model and a fabricated
+  :class:`~repro.simulator.lossy.FaultyExecutionResult` go to the
+  existing :func:`repro.core.survival.survive`; the replan is sliced
+  into per-peer scripts (:func:`script_slices`) and run among the
+  survivors, then checked by
+  :func:`~repro.core.survival.validate_survival`;
+* ``"restart"`` (process host only) — restart the victim with capped
+  exponential backoff, re-rendezvous it on a fresh port, resync its
+  holds from a live neighbour over UDP, and run a
+  :func:`repro.core.recovery.plan_repair_rounds` completion schedule:
+  **full gossip re-completes**.  A victim that keeps dying is declared
+  fail-stop after ``max_restarts`` attempts and the run replans.
 
-* ``mode="restart"`` — restart the victim with capped exponential
-  backoff, re-rendezvous it on a fresh port, resync its hold bitset
-  from a live neighbour (``RESYNC_REQ``/``RESYNC`` over UDP), then
-  drive a :func:`repro.core.recovery.plan_repair_rounds` completion
-  schedule across the whole fleet: **full gossip re-completes**.  A
-  victim that keeps dying is declared fail-stop after ``max_restarts``
-  attempts and the run degrades to the replan path.
-* ``mode="replan"`` — coordinate the existing
-  :func:`repro.core.survival.survive` replan across the surviving
-  processes: *gossip among survivors*, validated by
-  :func:`~repro.core.survival.validate_survival`.
+Every deadline is kept in the virtual seconds of one
+:class:`~repro.runtime.clock.Clock`.  A round that misses
+``round_timeout`` (``phase="round"``) or a run that misses
+``run_timeout`` (``phase="run"``) raises
+:class:`~repro.exceptions.RuntimeDeadlineError` carrying the partial
+result — the orchestrator never hangs on a lost fleet.
 
-Whole-run deadlines degrade to a typed
-:class:`~repro.exceptions.RuntimeDeadlineError` carrying a partial
-:class:`ProcResult` — the supervisor never hangs on a lost fleet.
-
-Front door: :func:`run_gossip_processes`.
+Everything in :meth:`RuntimeResult.deterministic_summary` is a pure
+function of ``(network, algorithm, chaos profile, seed)``; wall-clock
+fields (``wall_seconds``, retransmissions, transport stats, incidents)
+are excluded — they measure the machine, not the protocol.
 """
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    cast,
+)
 
 from ..core.gossip import GossipPlan, NetworkSpec, gossip
 from ..core.recovery import _tree_adjacency, plan_repair_rounds
@@ -59,11 +78,11 @@ from ..exceptions import (
     RuntimeDeadlineError,
     SupervisorError,
 )
-from ..simulator.lossy import FaultyExecutionResult
+from ..simulator.lossy import FaultModel, FaultyExecutionResult
 from ..simulator.state import labeled_holdings
-from .clock import RealClock
+from .clock import Clock, RealClock, ScaledClock
 from .incidents import Incident, IncidentJournal
-from .peer import RuntimeConfig, TranscriptEntry
+from .peer import PeerScript, RuntimeConfig, TranscriptEntry
 from .proc import (
     ABORT,
     ADDRS,
@@ -81,19 +100,170 @@ from .proc import (
     START,
     SUSPECT,
     PeerSpec,
+    Report,
     _child_entry,
 )
-from .runner import ObservedDeaths, RuntimeResult, slice_peer_scripts
 from .transport import NetChaos, TransportStats
 
-__all__ = ["RestartPolicy", "ProcResult", "Supervisor", "run_gossip_processes"]
+__all__ = [
+    "ObservedDeaths",
+    "PeerHost",
+    "ProcResult",
+    "RestartPolicy",
+    "RuntimeResult",
+    "Supervisor",
+    "run_gossip_processes",
+    "script_slices",
+]
 
-#: Real-seconds quantum of one control-plane pump.
-_PUMP_QUANTUM = 0.05
-
-#: Real-seconds budget for the cooperative part of shutdown before the
-#: supervisor starts killing stragglers.
+#: Virtual-seconds budget for the cooperative part of shutdown before
+#: the host force-stops stragglers.
 _SHUTDOWN_GRACE = 5.0
+
+
+@dataclass(frozen=True)
+class ObservedDeaths(FaultModel):
+    """A scripted fault model replaying deaths the runtime observed.
+
+    Bridges the runtime's failure detector into the simulator-stack
+    survival machinery: :func:`repro.core.survival.diagnose_survival`
+    only ever asks :meth:`fail_stopped` / :meth:`link_failed`, so a
+    model that answers from an explicit death list makes
+    :func:`~repro.core.survival.survive` replan for exactly the peers the
+    detector buried.
+    """
+
+    dead_from: Tuple[Tuple[int, int], ...] = ()
+
+    def fail_stopped(self, time: int, v: int) -> bool:
+        for victim, rnd in self.dead_from:
+            if victim == v and time >= rnd:
+                return True
+        return False
+
+
+@dataclass(frozen=True)
+class RuntimeResult:
+    """Everything observable about one real-network gossip run.
+
+    Attributes
+    ----------
+    n / horizon:
+        Network size and the offline schedule's total time (the phase-1
+        round budget).
+    complete:
+        Whether *full* gossip finished — every processor holds every
+        message.  False whenever anyone died, even if the survivors
+        reached full degraded coverage.
+    coverage:
+        Fraction of guaranteed (live processor, message) pairs held at
+        the end — 1.0 for a complete run, the plain fill ratio of the
+        hold matrix for an incomplete fault-free one, and the survivors'
+        coverage when the survival replan ran.
+    wall_seconds:
+        Real-network makespan (injectable-clock seconds); measures the
+        machine, excluded from :meth:`deterministic_summary`.
+    rounds_completed:
+        Highest phase-1 round any live peer fully executed.
+    transcript / survival_transcript:
+        Every phase-1 / phase-2 multicast actually performed, in
+        ``(round, sender)`` order — phase 1 is byte-for-byte the offline
+        schedule on a fault-free run.
+    final_holds:
+        Per-vertex hold bitsets at the end (dead peers keep their
+        at-death snapshot).
+    dead / components:
+        The failure diagnosis (empty / one full component when nothing
+        died).
+    survival_rounds:
+        Rounds of the phase-2 replan (0 when phase 2 never ran).
+    retransmissions / duplicates_suppressed / stats:
+        Reliability-layer work: datagrams retransmitted, duplicate
+        deliveries absorbed by dedup, transport chaos counters.
+    """
+
+    n: int
+    horizon: int
+    complete: bool
+    coverage: float
+    wall_seconds: float
+    rounds_completed: int
+    transcript: Tuple[TranscriptEntry, ...]
+    survival_transcript: Tuple[TranscriptEntry, ...]
+    final_holds: Tuple[int, ...]
+    dead: Tuple[int, ...]
+    components: Tuple[Tuple[int, ...], ...]
+    survival_rounds: int
+    retransmissions: int
+    duplicates_suppressed: int
+    stats: TransportStats = field(default_factory=TransportStats)
+
+    @property
+    def makespan(self) -> Optional[float]:
+        """Wall-clock completion time, ``None`` when gossip degraded.
+
+        The runtime mirror of
+        :attr:`repro.simulator.engine.ExecutionResult.makespan`.
+        """
+        return self.wall_seconds if self.complete else None
+
+    def deterministic_summary(self) -> Dict[str, object]:
+        """The per-seed-reproducible view of this run.
+
+        Byte-for-byte identical across repeated runs with the same
+        ``(network, algorithm, chaos, seed)``; excludes every field that
+        depends on scheduling latency or the host machine.
+        """
+        return {
+            "n": self.n,
+            "horizon": self.horizon,
+            "complete": self.complete,
+            "coverage": round(self.coverage, 12),
+            "rounds_completed": self.rounds_completed,
+            "transcript": [
+                (e.round, e.sender, e.message, e.destinations)
+                for e in self.transcript
+            ],
+            "survival_transcript": [
+                (e.round, e.sender, e.message, e.destinations)
+                for e in self.survival_transcript
+            ],
+            "final_holds": list(self.final_holds),
+            "dead": list(self.dead),
+            "components": [list(c) for c in self.components],
+            "survival_rounds": self.survival_rounds,
+        }
+
+
+@dataclass(frozen=True)
+class ProcResult(RuntimeResult):
+    """A :class:`RuntimeResult` plus the supervision story.
+
+    Attributes
+    ----------
+    mode:
+        How the run resolved: ``"fault-free"``, ``"rejoin"`` (victims
+        restarted and full gossip re-completed), ``"replan"`` (gossip
+        among survivors), or ``"partial"`` (deadline expired; carried
+        by the :class:`~repro.exceptions.RuntimeDeadlineError`).
+    restarts:
+        Total restart attempts performed across all victims.
+    incidents:
+        The structured incident journal, in detection order.  Incidents
+        carry wall-clock offsets, so they are *excluded* from
+        :meth:`deterministic_summary`; ``mode`` and ``restarts`` are
+        pure functions of the seed and are included.
+    """
+
+    mode: str = "fault-free"
+    restarts: int = 0
+    incidents: Tuple[Incident, ...] = ()
+
+    def deterministic_summary(self) -> Dict[str, object]:
+        summary = super().deterministic_summary()
+        summary["mode"] = self.mode
+        summary["restarts"] = self.restarts
+        return summary
 
 
 @dataclass(frozen=True)
@@ -139,53 +309,170 @@ class RestartPolicy:
         return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
 
-@dataclass(frozen=True)
-class ProcResult(RuntimeResult):
-    """A :class:`RuntimeResult` plus the supervision story.
+def script_slices(
+    rounds: Sequence[Sequence[object]], horizon: int
+) -> Dict[int, PeerScript]:
+    """Slice a merged round schedule into per-peer send/expect scripts.
 
-    Attributes
-    ----------
-    mode:
-        How the run resolved: ``"fault-free"``, ``"rejoin"`` (victims
-        restarted and full gossip re-completed), ``"replan"`` (gossip
-        among survivors), or ``"partial"`` (deadline expired; carried
-        by the :class:`~repro.exceptions.RuntimeDeadlineError`).
-    restarts:
-        Total restart attempts performed across all victims.
-    incidents:
-        The structured incident journal, in detection order.  Incidents
-        carry wall-clock offsets, so they are *excluded* from
-        :meth:`deterministic_summary`; ``mode`` and ``restarts`` are
-        pure functions of the seed and are included.
+    Every peer receives *only its own rows*: what it sends each round
+    and what will land on it each time step — the same locality
+    discipline phase 1 gets from
+    :class:`~repro.core.online.OnlineProcessor`.  Works for any list of
+    :class:`~repro.simulator.engine.Round`-shaped rounds: the
+    orchestrator slices :func:`survive` replans and
+    :func:`repro.core.recovery.plan_repair_rounds` rejoin-completion
+    schedules.
     """
+    scripts: Dict[int, PeerScript] = {}
 
-    mode: str = "fault-free"
-    restarts: int = 0
-    incidents: Tuple[Incident, ...] = ()
+    def script_of(v: int) -> PeerScript:
+        if v not in scripts:
+            scripts[v] = PeerScript(horizon=horizon)
+        return scripts[v]
 
-    def deterministic_summary(self) -> Dict[str, object]:
-        summary = super().deterministic_summary()
-        summary["mode"] = self.mode
-        summary["restarts"] = self.restarts
-        return summary
+    for t, rnd in enumerate(rounds):
+        for tx in rnd:  # type: ignore[attr-defined]
+            dests = tuple(sorted(tx.destinations))
+            script_of(tx.sender).sends[t] = (tx.message, dests)
+            for d in dests:
+                script_of(d).expects[t + 1] = (tx.sender, tx.message)
+    return scripts
 
 
-class _ChildHandle:
-    """The supervisor's ledger entry for one spawned peer process."""
+# ---------------------------------------------------------------------------
+# Hosts: where peers run
+# ---------------------------------------------------------------------------
+
+#: Sends one control command to a peer (best effort, never raises).
+Send = Report
+
+
+class PeerHost(Protocol):
+    """Where the peers run; the orchestrator's only view of them."""
+
+    def start(
+        self,
+        spec: PeerSpec,
+        report: Report,
+        exited: Callable[[Optional[int]], None],
+    ) -> Send:
+        """Run one peer and return its command channel; ``report`` gets
+        its messages in order, then ``exited`` its exit code."""
+        ...
+
+    async def close(self) -> None:
+        """Force-stop every peer still running and release resources."""
+        ...
+
+
+class _ProcessLink:
+    """One spawned peer process: its pipe end and its sentinel."""
 
     def __init__(
         self,
-        vertex: int,
         process: "multiprocessing.process.BaseProcess",
         conn: "mp_connection.Connection",
-        *,
-        rejoin: bool = False,
+        report: Report,
+        exited: Callable[[Optional[int]], None],
     ) -> None:
-        self.vertex = vertex
         self.process = process
-        self.conn = conn
+        self.conn: Optional["mp_connection.Connection"] = conn
+        self.report = report
+        self.exited = exited
+        self.loop = asyncio.get_running_loop()
+        self.loop.add_reader(conn.fileno(), self.drain)
+        self.loop.add_reader(process.sentinel, self.on_sentinel)
+
+    def send(self, message: Tuple[object, ...]) -> None:
+        if self.conn is None:
+            return
+        try:
+            self.conn.send(message)
+        except (BrokenPipeError, OSError, ValueError):
+            self.close_conn()
+
+    def drain(self) -> None:
+        """Dispatch everything the child has said so far."""
+        conn = self.conn
+        try:
+            while conn is not None and conn.poll(0):
+                self.report(conn.recv())
+        except (EOFError, OSError):
+            self.close_conn()
+
+    def on_sentinel(self) -> None:
+        """The child exited: collect its last words, then report the exit."""
+        self.loop.remove_reader(self.process.sentinel)
+        self.process.join(timeout=1.0)
+        self.drain()
+        self.exited(self.process.exitcode)
+
+    def close_conn(self) -> None:
+        if self.conn is not None:
+            self.loop.remove_reader(self.conn.fileno())
+            try:
+                self.conn.close()
+            except OSError:
+                pass
+            self.conn = None
+
+    def release(self) -> None:
+        """Kill the child if it still runs; free its fds."""
+        self.loop.remove_reader(self.process.sentinel)
+        if self.process.is_alive():
+            self.process.kill()
+            self.process.join(timeout=1.0)
+        self.close_conn()
+        try:
+            self.process.close()
+        except ValueError:
+            pass  # still not reaped; the daemon flag covers us
+
+
+class _ProcessHost:
+    """Each peer is a spawned OS process; its control channel a pipe."""
+
+    def __init__(self, time_scale: float) -> None:
+        self.time_scale = time_scale
+        self._ctx = multiprocessing.get_context("spawn")
+        self._links: List[_ProcessLink] = []
+
+    def start(
+        self,
+        spec: PeerSpec,
+        report: Report,
+        exited: Callable[[Optional[int]], None],
+    ) -> Send:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        process = self._ctx.Process(
+            target=_child_entry,
+            args=(spec, self.time_scale, child_conn),
+            name=f"gossip-peer-{spec.vertex}",
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        link = _ProcessLink(process, parent_conn, report, exited)
+        self._links.append(link)
+        return link.send
+
+    async def close(self) -> None:
+        for link in self._links:
+            link.release()
+
+
+# ---------------------------------------------------------------------------
+# The orchestrator
+# ---------------------------------------------------------------------------
+
+class _PeerHandle:
+    """The orchestrator's ledger entry for one peer incarnation."""
+
+    send: Send  # the host's command channel, set when the peer starts
+
+    def __init__(self, vertex: int, *, rejoin: bool = False) -> None:
+        self.vertex = vertex
         self.rejoin = rejoin
-        self.conn_open = True
         self.alive = True
         self.exitcode: Optional[int] = None
         self.port: Optional[int] = None
@@ -198,31 +485,35 @@ class _ChildHandle:
 
 
 class Supervisor:
-    """Parent of a one-process-per-peer fleet (see module docstring)."""
+    """The one orchestrator of a gossip run (see module docstring).
+
+    ``policy=None`` marks an unsupervised run: deaths are always
+    resolved by the replan, and the result is a plain
+    :class:`RuntimeResult`.  With a :class:`RestartPolicy` the result is
+    a :class:`ProcResult` carrying the supervision story.
+    """
 
     def __init__(
         self,
         plan: GossipPlan,
+        host: PeerHost,
         *,
-        chaos: Optional[NetChaos] = None,
-        config: Optional[RuntimeConfig] = None,
+        chaos: NetChaos,
+        config: RuntimeConfig,
+        clock: Clock,
         policy: Optional[RestartPolicy] = None,
-        time_scale: float = 1.0,
     ) -> None:
-        if not 0.0 < time_scale <= 1.0:
-            raise GossipRuntimeError(f"time_scale {time_scale} not in (0, 1]")
         self.plan = plan
-        self.chaos = chaos if chaos is not None else NetChaos()
-        self.config = config if config is not None else RuntimeConfig()
-        self.policy = policy if policy is not None else RestartPolicy()
-        self.time_scale = time_scale
+        self.host = host
+        self.chaos = chaos
+        self.config = config
+        self.clock = clock
+        self.policy = policy
         self.n = plan.labeled.n
         self.horizon = plan.schedule.total_time
         self.journal = IncidentJournal()
 
-        self._ctx = multiprocessing.get_context("spawn")
-        self._clock = RealClock()
-        self._handles: Dict[int, _ChildHandle] = {}
+        self._handles: Dict[int, _PeerHandle] = {}
         self._crashed: Set[int] = set()
         self._suspected: Set[int] = set()
         self._resolved: Set[int] = set()
@@ -230,84 +521,46 @@ class Supervisor:
         self._shutting_down = False
         self._started = 0.0
         self._deadline = 0.0
+        self._changed = asyncio.Event()
 
     # -- journal helpers ------------------------------------------------
     def _elapsed(self) -> float:
         """Virtual seconds since the run started."""
-        return (self._clock.time() - self._started) / self.time_scale
+        return self.clock.time() - self._started
 
     def _record(self, kind: str, **kwargs: object) -> Incident:
         return self.journal.record(
             kind, wall_seconds=self._elapsed(), **kwargs  # type: ignore[arg-type]
         )
 
-    # -- process plumbing ------------------------------------------------
+    # -- peer plumbing -----------------------------------------------------
     def _spawn(self, vertex: int, *, rejoin: bool = False,
-               attempt: int = 0) -> _ChildHandle:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+               attempt: int = 0) -> _PeerHandle:
         spec = PeerSpec(
             vertex=vertex,
             horizon=self.horizon,
             labeled=self.plan.labeled,
             config=self.config,
             chaos=self.chaos,
-            time_scale=self.time_scale,
             rejoin=rejoin,
             rejoin_attempt=attempt,
         )
-        process = self._ctx.Process(
-            target=_child_entry,
-            args=(spec, child_conn),
-            name=f"gossip-peer-{vertex}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        handle = _ChildHandle(vertex, process, parent_conn, rejoin=rejoin)
+        handle = _PeerHandle(vertex, rejoin=rejoin)
         self._handles[vertex] = handle
+        handle.send = self.host.start(
+            spec,
+            functools.partial(self._dispatch, handle),
+            functools.partial(self._on_exit, handle),
+        )
         return handle
-
-    def _send(self, handle: _ChildHandle, message: Tuple[object, ...]) -> None:
-        if not handle.conn_open:
-            return
-        try:
-            handle.conn.send(message)
-        except (BrokenPipeError, OSError, ValueError):
-            handle.conn_open = False
 
     def _broadcast(self, message: Tuple[object, ...]) -> None:
         for handle in self._handles.values():
             if handle.alive:
-                self._send(handle, message)
+                handle.send(message)
 
-    # -- the event pump ---------------------------------------------------
-    def _pump(self, timeout: float) -> None:
-        """One control-plane turn: wait, then drain everything ready."""
-        by_conn: Dict[object, _ChildHandle] = {}
-        by_sentinel: Dict[object, _ChildHandle] = {}
-        for handle in self._handles.values():
-            if handle.conn_open:
-                by_conn[handle.conn] = handle
-            if handle.alive:
-                by_sentinel[handle.process.sentinel] = handle
-        waitables: List[object] = list(by_conn) + list(by_sentinel)
-        if not waitables:
-            return
-        for obj in mp_connection.wait(waitables, timeout=max(timeout, 0.0)):
-            handle = by_conn.get(obj)
-            if handle is not None:
-                self._drain(handle)
-            else:
-                self._on_exit(by_sentinel[obj])
-
-    def _drain(self, handle: _ChildHandle) -> None:
-        try:
-            while handle.conn.poll(0):
-                self._dispatch(handle, handle.conn.recv())
-        except (EOFError, OSError):
-            handle.conn_open = False
-
-    def _dispatch(self, handle: _ChildHandle, message: object) -> None:
+    def _dispatch(self, handle: _PeerHandle, message: object) -> None:
+        self._changed.set()
         if not isinstance(message, tuple) or not message:
             return
         tag = message[0]
@@ -341,11 +594,10 @@ class Supervisor:
         elif tag == BYE:
             handle.bye = True
 
-    def _on_exit(self, handle: _ChildHandle) -> None:
-        handle.process.join(timeout=1.0)
+    def _on_exit(self, handle: _PeerHandle, exitcode: Optional[int]) -> None:
+        self._changed.set()
         handle.alive = False
-        handle.exitcode = handle.process.exitcode
-        self._drain(handle)  # collect anything it said on the way out
+        handle.exitcode = exitcode
         unexpected = (
             not handle.bye
             and not self._shutting_down
@@ -362,50 +614,70 @@ class Supervisor:
             )
 
     # -- bounded waits -----------------------------------------------------
-    def _remaining(self) -> float:
-        return self._deadline - self._clock.time()
-
-    def _await(self, predicate: Callable[[], bool], what: str) -> None:
+    async def _settle(self, predicate: Callable[[], bool], until: float) -> bool:
+        """Wait until ``predicate()`` holds or the clock reaches ``until``."""
         while not predicate():
-            remaining = self._remaining()
+            remaining = until - self.clock.time()
             if remaining <= 0.0:
-                raise self._run_deadline(what)
-            self._pump(min(_PUMP_QUANTUM, remaining))
+                return False
+            self._changed.clear()
+            try:
+                await self.clock.wait_for(self._changed.wait(), remaining)
+            except asyncio.TimeoutError:
+                pass
+        return True
+
+    async def _await(self, predicate: Callable[[], bool], what: str,
+                     *, until: Optional[float] = None) -> None:
+        """Wait for ``predicate()`` (or ``until``); the run deadline raises."""
+        end = self._deadline if until is None else min(until, self._deadline)
+        if not await self._settle(predicate, end) and (
+            self.clock.time() >= self._deadline
+        ):
+            raise self._run_deadline(what)
 
     def _run_deadline(self, what: str) -> RuntimeDeadlineError:
         """Journal and build the whole-run deadline error (with partial)."""
         self._record("deadline", details=f"run: {what}")
         return RuntimeDeadlineError(
-            f"supervised run exceeded "
+            f"gossip run exceeded "
             f"run_timeout={self.config.run_timeout:.2f}s during {what}",
             partial=self._partial_result(),
             phase="run",
         )
 
-    def _pump_for(self, real_seconds: float, what: str) -> None:
-        """Keep pumping for a fixed wall interval (restart backoff)."""
-        until = self._clock.time() + real_seconds
-        while self._clock.time() < until:
-            remaining = self._remaining()
-            if remaining <= 0.0:
-                raise self._run_deadline(what)
-            self._pump(min(_PUMP_QUANTUM, until - self._clock.time(), remaining))
+    def _raise_reported(self, handles: Sequence[_PeerHandle], *,
+                        deadlines: bool = True) -> None:
+        """Raise the first deadline or error a peer reported."""
+        for handle in handles:
+            if deadlines and handle.deadline is not None:
+                raise RuntimeDeadlineError(
+                    f"peer {handle.vertex} missed a deadline: "
+                    f"{handle.deadline[1]}",
+                    partial=self._partial_result(),
+                    phase=handle.deadline[0],
+                )
+            if handle.error is not None:
+                raise SupervisorError(
+                    f"peer {handle.vertex} reported an error: {handle.error}",
+                    incidents=self.journal.incidents,
+                )
 
     # -- the run -------------------------------------------------------------
-    def run(self) -> ProcResult:
-        """Spawn, rendezvous, execute, and resolve one supervised run."""
-        self._started = self._clock.time()
-        self._deadline = self._started + self.config.run_timeout * self.time_scale
+    async def run(self) -> RuntimeResult:
+        """Start, rendezvous, execute, and resolve one run."""
+        self._started = self.clock.time()
+        self._deadline = self._started + self.config.run_timeout
         try:
             for vertex in range(self.n):
                 self._spawn(vertex)
-            self._rendezvous()
-            return self._run_phases()
+            await self._rendezvous()
+            return await self._run_phases()
         finally:
-            self._shutdown_all()
+            await self._shutdown_all()
 
-    def _rendezvous(self) -> None:
-        self._await(
+    async def _rendezvous(self) -> None:
+        await self._await(
             lambda: all(h.port is not None for h in self._handles.values())
             or bool(self._crashed),
             "rendezvous",
@@ -422,7 +694,7 @@ class Supervisor:
         self._broadcast((ADDRS, book))
         self._broadcast((START,))
 
-    def _run_phases(self) -> ProcResult:
+    async def _run_phases(self) -> RuntimeResult:
         handles = self._handles
 
         def phase1_settled() -> bool:
@@ -430,7 +702,7 @@ class Supervisor:
                 h.phase1 is not None or not h.alive for h in handles.values()
             )
 
-        self._await(
+        await self._await(
             lambda: phase1_settled() or bool(self._crashed or self._suspected),
             "phase 1",
         )
@@ -442,15 +714,11 @@ class Supervisor:
         # detector fires on the deterministic fail_after staleness, and
         # the freeze only happens after it (or a bounded grace), so
         # holds-at-abort stay a pure function of the seed.
-        grace = self._clock.time() + 2 * self.config.fail_after * self.time_scale
-
-        def detection_settled() -> bool:
-            return (
-                not (self._crashed - self._suspected)
-                or self._clock.time() >= grace
-            )
-
-        self._await(detection_settled, "failure detection")
+        await self._await(
+            lambda: not (self._crashed - self._suspected),
+            "failure detection",
+            until=self.clock.time() + 2 * self.config.fail_after,
+        )
         victims = set(self._crashed) | set(self._suspected)
         self._resolved |= victims
         self._record(
@@ -458,35 +726,27 @@ class Supervisor:
             details=f"freezing phase 1 around dead={sorted(victims)}",
         )
         self._broadcast((ABORT,))
-        self._await(
+        await self._await(
             lambda: all(
                 h.phase1 is not None or v in victims or not h.alive
                 for v, h in handles.items()
             ),
             "phase-1 freeze",
         )
+        # Phase-1 deadlines are superseded by the resolution; errors are not.
+        self._raise_reported(list(handles.values()), deadlines=False)
 
         holds_at_abort, dead_rounds = self._holds_at_abort(victims)
-        if self.policy.mode == "restart":
-            result = self._resolve_restart(victims, holds_at_abort)
+        if self.policy is not None and self.policy.mode == "restart":
+            result = await self._resolve_restart(
+                self.policy, victims, holds_at_abort
+            )
             if result is not None:
                 return result
-        return self._resolve_replan(victims, dead_rounds, holds_at_abort)
+        return await self._resolve_replan(victims, dead_rounds, holds_at_abort)
 
-    def _finish_fault_free(self) -> ProcResult:
-        for handle in self._handles.values():
-            if handle.deadline is not None:
-                raise RuntimeDeadlineError(
-                    f"peer {handle.vertex} missed a deadline: "
-                    f"{handle.deadline[1]}",
-                    partial=self._partial_result(),
-                    phase=handle.deadline[0],
-                )
-            if handle.error is not None:
-                raise SupervisorError(
-                    f"peer {handle.vertex} reported an error: {handle.error}",
-                    incidents=self.journal.incidents,
-                )
+    def _finish_fault_free(self) -> RuntimeResult:
+        self._raise_reported(list(self._handles.values()))
         complete = all(
             bool(h.phase1 and h.phase1["complete"])
             for h in self._handles.values()
@@ -513,25 +773,21 @@ class Supervisor:
 
         A SIGKILLed process takes its memory with it; its holds are
         reconstructed from the offline schedule truncated at the seeded
-        death round — sound because phase 1 is in lockstep with the
-        offline schedule (the fence barriers deliver exactly the
-        offline rounds, in order, until the death).
+        death round (:meth:`GossipPlan.holds_at`) — sound because phase
+        1 is in lockstep with the offline schedule (the fence barriers
+        deliver exactly the offline rounds, in order, until the death).
         """
-        labels = self.plan.labeled.labels()
         holds: List[int] = []
         dead_rounds: Dict[int, int] = {}
         for v in range(self.n):
-            handle = self._handles[v]
-            snap = handle.phase1
+            snap = self._handles[v].phase1
             if snap is not None:
                 holds.append(int(snap["holds"]))
                 if snap["died_at"] is not None:
                     dead_rounds[v] = int(snap["died_at"])  # type: ignore[arg-type]
             else:
-                death_round = self.chaos.sigkill_round_of(v)
-                if death_round is None:
-                    death_round = 0
-                holds.append(self._victim_holds(v, death_round, labels))
+                death_round = self.chaos.sigkill_round_of(v) or 0
+                holds.append(self.plan.holds_at(v, death_round))
                 dead_rounds[v] = death_round
         for v in victims:
             snap = self._handles[v].phase1
@@ -540,40 +796,63 @@ class Supervisor:
             )
         return holds, dead_rounds
 
-    def _victim_holds(self, vertex: int, death_round: int,
-                      labels: Sequence[int]) -> int:
-        holds = 1 << labels[vertex]
-        for t, rnd in enumerate(self.plan.schedule.rounds):
-            if t + 1 > death_round:
-                break
-            for tx in rnd:
-                if vertex in tx.destinations:
-                    holds |= 1 << tx.message
-        return holds
+    async def _run_scripts(
+        self,
+        scripts: Dict[int, PeerScript],
+        dead: Tuple[int, ...],
+        holds: Sequence[int],
+        what: str,
+    ) -> List[int]:
+        """Drive one scripted phase 2; return the holds it ends with."""
+        for v, script in scripts.items():
+            self._handles[v].deadline = None
+            self._handles[v].send((SCRIPT, script, dead))
+        await self._await(
+            lambda: all(
+                self._handles[v].phase2 is not None
+                or not self._handles[v].alive
+                for v in scripts
+            ),
+            what,
+        )
+        final_holds = list(holds)
+        for v in scripts:
+            snap = self._handles[v].phase2
+            if snap is None:
+                raise SupervisorError(
+                    f"peer {v} died during the {what}",
+                    incidents=self.journal.incidents,
+                )
+            final_holds[v] = int(snap["holds"])
+        self._raise_reported([self._handles[v] for v in scripts])
+        return final_holds
 
     # -- resolution: restart-with-rejoin -------------------------------------
-    def _resolve_restart(
-        self, victims: Set[int], holds_at_abort: List[int]
-    ) -> Optional[ProcResult]:
+    async def _resolve_restart(
+        self, policy: RestartPolicy, victims: Set[int], holds_at_abort: List[int]
+    ) -> Optional[RuntimeResult]:
         """Restart victims, resync state, re-complete full gossip.
 
         Returns ``None`` when any victim exhausted its restart budget
         (declared fail-stop) — the caller then degrades to the replan
         path around *all* victims.
         """
-        rejoined: Dict[int, _ChildHandle] = {}
+        rejoined: Dict[int, _PeerHandle] = {}
         for victim in sorted(victims):
-            handle: Optional[_ChildHandle] = None
-            for attempt in range(1, self.policy.max_restarts + 1):
+            handle: Optional[_PeerHandle] = None
+            for attempt in range(1, policy.max_restarts + 1):
                 self._restarts += 1
-                backoff = self.policy.backoff(attempt)
+                backoff = policy.backoff(attempt)
                 self._record(
                     "restart", vertex=victim, attempt=attempt,
                     details=f"backoff {backoff:.3f}s",
                 )
-                self._pump_for(backoff * self.time_scale, "restart backoff")
+                await self._await(
+                    lambda: False, "restart backoff",
+                    until=self.clock.time() + backoff,
+                )
                 candidate = self._spawn(victim, rejoin=True, attempt=attempt)
-                if self._await_hello(candidate):
+                if await self._await_hello(candidate):
                     handle = candidate
                     break
                 self._record(
@@ -584,7 +863,7 @@ class Supervisor:
             if handle is None:
                 self._record(
                     "fail-stop-declared", vertex=victim,
-                    attempt=self.policy.max_restarts,
+                    attempt=policy.max_restarts,
                     details="restart budget exhausted",
                 )
                 return None
@@ -608,8 +887,8 @@ class Supervisor:
             source = neighbours[0] if neighbours else min(live)
             self._record("resync", vertex=victim,
                          details=f"state transfer from peer {source}")
-            self._send(handle, (RESYNC, source))
-        self._await(
+            handle.send((RESYNC, source))
+        await self._await(
             lambda: all(
                 h.resynced is not None or not h.alive
                 for h in rejoined.values()
@@ -634,27 +913,10 @@ class Supervisor:
         rounds = plan_repair_rounds(
             adjacency, holds, self.n, max_rounds=4 * self.n + 16
         )
-        scripts = slice_peer_scripts(rounds, len(rounds))
-        for v, script in scripts.items():
-            self._send(self._handles[v], (SCRIPT, script, ()))
-        self._await(
-            lambda: all(
-                self._handles[v].phase2 is not None
-                or not self._handles[v].alive
-                for v in scripts
-            ),
+        final_holds = await self._run_scripts(
+            script_slices(rounds, len(rounds)), (), holds,
             "rejoin completion schedule",
         )
-
-        final_holds = list(holds)
-        for v in scripts:
-            snap = self._handles[v].phase2
-            if snap is None:
-                raise SupervisorError(
-                    f"peer {v} died during the rejoin completion schedule",
-                    incidents=self.journal.incidents,
-                )
-            final_holds[v] = int(snap["holds"])
         full = (1 << self.n) - 1
         complete = all(h == full for h in final_holds)
         if complete:
@@ -672,21 +934,21 @@ class Supervisor:
             survival_rounds=len(rounds),
         )
 
-    def _await_hello(self, handle: _ChildHandle) -> bool:
-        self._await(
+    async def _await_hello(self, handle: _PeerHandle) -> bool:
+        await self._await(
             lambda: handle.port is not None or not handle.alive,
             "rejoin rendezvous",
         )
         return handle.port is not None
 
-    # -- resolution: survive() replan ----------------------------------------
-    def _resolve_replan(
+    # -- resolution: the survival replan ------------------------------------
+    async def _resolve_replan(
         self,
         victims: Set[int],
         dead_rounds: Dict[int, int],
         holds_at_abort: List[int],
-    ) -> ProcResult:
-        """Gossip among survivors: the runner's failover, across processes."""
+    ) -> RuntimeResult:
+        """Gossip among survivors: :func:`survive`, driven on the sockets."""
         diag_horizon = max([self.horizon, *dead_rounds.values()])
         model = ObservedDeaths(dead_from=tuple(sorted(dead_rounds.items())))
         faulty = FaultyExecutionResult(
@@ -700,7 +962,7 @@ class Supervisor:
             n_messages=self.n,
         )
         outcome = survive(self.plan.graph, self.plan, faulty)
-        scripts = slice_peer_scripts(
+        scripts = script_slices(
             outcome.schedule.rounds, outcome.schedule.total_time
         )
         dead = set(outcome.diagnosis.dead)
@@ -716,27 +978,9 @@ class Supervisor:
                 f"dead={sorted(dead)}"
             ),
         )
-        dead_list = tuple(sorted(dead))
-        for v, script in scripts.items():
-            self._send(self._handles[v], (SCRIPT, script, dead_list))
-        self._await(
-            lambda: all(
-                self._handles[v].phase2 is not None
-                or not self._handles[v].alive
-                for v in scripts
-            ),
-            "survival replay",
+        final_holds = await self._run_scripts(
+            scripts, tuple(sorted(dead)), holds_at_abort, "survival replay"
         )
-
-        final_holds = list(holds_at_abort)
-        for v in scripts:
-            snap = self._handles[v].phase2
-            if snap is None:
-                raise SupervisorError(
-                    f"survivor {v} died during the survival replay",
-                    incidents=self.journal.incidents,
-                )
-            final_holds[v] = int(snap["holds"])
         validate_survival(
             outcome.diagnosis, outcome.labels, final_holds,
             before=holds_at_abort,
@@ -748,13 +992,12 @@ class Supervisor:
                     f"{final_holds[v]:#x}, the replan predicted "
                     f"{outcome.final_holds[v]:#x}"
                 )
-        coverage = survivor_coverage(
-            outcome.diagnosis, outcome.labels, final_holds
-        )
         return self._result(
             mode="replan",
             complete=False,
-            coverage=coverage,
+            coverage=survivor_coverage(
+                outcome.diagnosis, outcome.labels, final_holds
+            ),
             final_holds=final_holds,
             dead=outcome.diagnosis.dead,
             components=outcome.diagnosis.components,
@@ -776,7 +1019,7 @@ class Supervisor:
         dead: Tuple[int, ...],
         components: Tuple[Tuple[int, ...], ...],
         survival_rounds: int,
-    ) -> ProcResult:
+    ) -> RuntimeResult:
         if not components and not dead:
             components = (tuple(range(self.n)),)
         transcript: List[TranscriptEntry] = []
@@ -790,30 +1033,16 @@ class Supervisor:
             snap = handle.phase2 or handle.phase1
             if snap is None:
                 continue
-            for entry in snap["transcript"]:  # type: ignore[union-attr]
-                rnd, sender, message, dests = entry
-                transcript.append(TranscriptEntry(
-                    round=rnd, sender=sender, message=message,
-                    destinations=tuple(dests),
-                ))
-            for entry in snap["survival_transcript"]:  # type: ignore[union-attr]
-                rnd, sender, message, dests = entry
-                survival.append(TranscriptEntry(
-                    round=rnd, sender=sender, message=message,
-                    destinations=tuple(dests),
-                ))
+            transcript.extend(snap["transcript"])  # type: ignore[arg-type]
+            survival.extend(snap["survival_transcript"])  # type: ignore[arg-type]
             retransmissions += int(snap["retransmissions"])  # type: ignore[arg-type]
             duplicates += int(snap["duplicates_suppressed"])  # type: ignore[arg-type]
-            sent, dropped, delayed, suppressed = snap["stats"]  # type: ignore[misc]
-            stats = stats.merged(TransportStats(
-                sent=sent, dropped=dropped, delayed=delayed,
-                suppressed_after_kill=suppressed,
-            ))
+            stats = stats.merged(snap["stats"])  # type: ignore[arg-type]
             if v not in dead_set:
                 rounds_completed = max(
                     rounds_completed, int(snap["rounds_completed"])  # type: ignore[arg-type]
                 )
-        return ProcResult(
+        result = RuntimeResult(
             n=self.n,
             horizon=self.horizon,
             complete=complete,
@@ -831,12 +1060,17 @@ class Supervisor:
             retransmissions=retransmissions,
             duplicates_suppressed=duplicates,
             stats=stats,
+        )
+        if self.policy is None:
+            return result
+        return ProcResult(
+            **vars(result),
             mode=mode,
             restarts=self._restarts,
             incidents=self.journal.incidents,
         )
 
-    def _partial_result(self) -> ProcResult:
+    def _partial_result(self) -> RuntimeResult:
         labels = self.plan.labeled.labels()
         holds: List[int] = []
         for v in range(self.n):
@@ -854,31 +1088,15 @@ class Supervisor:
         )
 
     # -- teardown ------------------------------------------------------------
-    def _shutdown_all(self) -> None:
+    async def _shutdown_all(self) -> None:
         self._shutting_down = True
         for handle in self._handles.values():
-            self._send(handle, (SHUTDOWN,))
-        grace = self._clock.time() + _SHUTDOWN_GRACE
-        while (
-            any(h.alive for h in self._handles.values())
-            and self._clock.time() < grace
-        ):
-            self._pump(_PUMP_QUANTUM)
-        for handle in self._handles.values():
-            if handle.alive and handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=1.0)
-                handle.alive = False
-            if handle.conn_open:
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-                handle.conn_open = False
-            try:
-                handle.process.close()
-            except ValueError:
-                pass  # still not reaped; the daemon flag covers us
+            handle.send((SHUTDOWN,))
+        await self._settle(
+            lambda: not any(h.alive for h in self._handles.values()),
+            self.clock.time() + _SHUTDOWN_GRACE,
+        )
+        await self.host.close()
 
 
 def run_gossip_processes(
@@ -912,26 +1130,33 @@ def run_gossip_processes(
         Death-resolution policy (:class:`RestartPolicy`); default
         ``mode="replan"``.
     time_scale:
-        Child clock scale in ``(0, 1]`` (1.0 = real time).  Children
-        cannot share a Python object, so the scale — not a clock — is
-        what travels.
+        Clock scale in ``(0, 1]`` (1.0 = real time).  Children cannot
+        share a Python object, so the scale — not a clock — is what
+        travels; the orchestrator keeps a clock of the same scale.
 
     Raises
     ------
     RuntimeDeadlineError
-        The whole-run deadline expired; carries the partial
+        A round or the whole-run deadline expired; carries the partial
         :class:`ProcResult`.
     SupervisorError
         A control-plane failure that is not an ordinary peer death.
     """
+    if not 0.0 < time_scale <= 1.0:
+        raise GossipRuntimeError(f"time_scale {time_scale} not in (0, 1]")
     plan = network if isinstance(network, GossipPlan) else gossip(
         network, algorithm=algorithm
     )
-    supervisor = Supervisor(
-        plan,
-        chaos=chaos,
-        config=config,
-        policy=policy,
-        time_scale=time_scale,
-    )
-    return supervisor.run()
+    clock: Clock = RealClock() if time_scale >= 1.0 else ScaledClock(time_scale)
+
+    async def supervise() -> RuntimeResult:
+        return await Supervisor(
+            plan,
+            _ProcessHost(time_scale),
+            chaos=chaos if chaos is not None else NetChaos(),
+            config=config if config is not None else RuntimeConfig(),
+            clock=clock,
+            policy=policy if policy is not None else RestartPolicy(),
+        ).run()
+
+    return cast(ProcResult, asyncio.run(supervise()))

@@ -88,7 +88,7 @@ class NetChaos:
         ``(victim, round)`` pairs for the multi-process runtime:
         ``victim``'s OS process sends itself ``SIGKILL`` upon reaching
         round ``round`` — an abrupt, real process death the supervisor
-        must detect.  Ignored by the single-process runner.
+        must detect.  Ignored by the in-process host.
     rejoin_crashes:
         How many restart attempts of a sigkilled victim die again on
         boot (before saying hello).  Exercises the supervisor's capped
@@ -201,7 +201,7 @@ class LossyDatagramTransport:
     kill switch.  Draw keys are read straight off the wire header, so
     the wrapper needs no cooperation from the caller beyond well-formed
     protocol datagrams; the destination vertex id comes from the address
-    table built by the runner (and refreshed via :meth:`update_route`
+    table built from the address book (and refreshed via :meth:`update_route`
     when a supervised peer rejoins on a new port).
     """
 

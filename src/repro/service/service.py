@@ -45,8 +45,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tupl
 
 if TYPE_CHECKING:
     from ..runtime.peer import RuntimeConfig
-    from ..runtime.runner import RuntimeResult
-    from ..runtime.supervisor import RestartPolicy
+    from ..runtime.supervisor import RestartPolicy, RuntimeResult
     from ..runtime.transport import NetChaos
     from ..simulator.engine import ExecutionResult
     from .maintenance import MaintainedNetwork
@@ -118,13 +117,13 @@ class ExecutionOutcome:
         runtime to the offline simulator replay.
     degraded:
         Whether the service had to degrade: the result is either a
-        partial :class:`~repro.runtime.runner.RuntimeResult` carried by
+        partial :class:`~repro.runtime.supervisor.RuntimeResult` carried by
         a missed deadline, or the simulator standing in for a runtime
         the execution breaker has given up on.
     result:
         The execution record: an
         :class:`~repro.simulator.engine.ExecutionResult` (simulator), a
-        :class:`~repro.runtime.runner.RuntimeResult` (network), or a
+        :class:`~repro.runtime.supervisor.RuntimeResult` (network), or a
         :class:`~repro.runtime.supervisor.ProcResult` (processes).
     """
 

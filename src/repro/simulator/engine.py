@@ -48,7 +48,7 @@ from .state import initial_holdings
 __all__ = ["ExecutionResult", "execute_schedule", "ArrivalEvent"]
 
 #: The lint rules that decide whether a schedule executes.
-_EXECUTION_RULES = (
+EXECUTION_RULES = (
     R.VERTEX_RANGE.id,
     R.MESSAGE_RANGE.id,
     R.SEND_WITHOUT_HOLD.id,
@@ -154,8 +154,25 @@ def execute_schedule(
     """
     n_msgs = graph.n if n_messages is None else n_messages
     holds = initial_holdings(graph.n, initial_holds, n_msgs)
-    run = arrival_pass(graph, schedule, _EXECUTION_RULES, holds=holds, n_messages=n_msgs)
-    found = run.diagnostics()
+    run = arrival_pass(graph, schedule, EXECUTION_RULES, holds=holds, n_messages=n_msgs)
+    return execution_result(
+        run, require_complete=require_complete, record_arrivals=record_arrivals
+    )
+
+
+def execution_result(
+    run: ArrivalPass,
+    *,
+    require_complete: bool = False,
+    record_arrivals: bool = False,
+) -> ExecutionResult:
+    """Read an execution off an arrival pass that ran :data:`EXECUTION_RULES`.
+
+    The pass may run more rules (the validator adds the static ones);
+    only the execution findings decide.  Raises exactly as
+    :func:`execute_schedule` does.
+    """
+    found = [d for d in run.diagnostics() if d.rule in EXECUTION_RULES]
     if found:
         raise _violation(run, found[0])
 

@@ -13,11 +13,13 @@ array form; both layers below normalise it through the facade):
   rules (:data:`repro.lint.STATIC_MODEL_RULES`) so the static and
   dynamic layers cannot drift: both judge a schedule through the same
   rule registry;
-* :func:`validate_schedule` — the full check: run the engine and verify
-  possession, adjacency and (optionally) completeness.  The engine reads
-  its verdict off the same lint arrival pass as :func:`check_static`
-  (:func:`repro.lint.arrival_pass`, with the execution rules active), so
-  the static and dynamic checks share one model semantics;
+* :func:`validate_schedule` — the full check: the static rules, then
+  possession, adjacency and (optionally) completeness.  It builds one
+  lint arrival pass (:func:`repro.lint.arrival_pass`) with the static
+  and the execution rules active, raises the first static error if there
+  is one, and otherwise reads the engine's verdict off the same pass
+  (:func:`repro.simulator.engine.execution_result`), so the static and
+  dynamic checks share one model semantics and one arrival matrix;
 * :func:`assert_gossip_schedule` — one call asserting everything the
   paper requires of a gossip schedule, returning the execution result.
 
@@ -31,10 +33,16 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from ..core.schedule import ArraySchedule, Schedule
-from ..exceptions import ScheduleError
-from ..lint import STATIC_MODEL_RULES, diagnostic_exception, lint_schedule
+from ..exceptions import ScheduleError, SimulationError
+from ..lint import (
+    STATIC_MODEL_RULES,
+    arrival_pass,
+    diagnostic_exception,
+    lint_schedule,
+)
 from ..networks.graph import Graph
-from .engine import ExecutionResult, execute_schedule
+from .engine import EXECUTION_RULES, ExecutionResult, execution_result
+from .state import initial_holdings
 
 __all__ = ["check_static", "validate_schedule", "assert_gossip_schedule"]
 
@@ -76,15 +84,22 @@ def validate_schedule(
 
     Returns the engine's :class:`~repro.simulator.engine.ExecutionResult`
     on success; raises a :class:`~repro.exceptions.ScheduleError` subclass
-    describing the first violation otherwise.
+    describing the first violation otherwise — a static error (as
+    :func:`check_static` raises it) before any engine error.
     """
-    check_static(graph, schedule)
-    return execute_schedule(
-        graph,
-        schedule,
-        initial_holds=initial_holds,
-        require_complete=require_complete,
+    try:
+        holds = initial_holdings(graph.n, initial_holds, graph.n)
+    except SimulationError:
+        check_static(graph, schedule)  # a static error still comes first
+        raise
+    run = arrival_pass(
+        graph, schedule, (*STATIC_MODEL_RULES, *EXECUTION_RULES),
+        holds=holds, n_messages=graph.n,
     )
+    static = [d for d in run.diagnostics() if d.rule in STATIC_MODEL_RULES]
+    if static:
+        raise diagnostic_exception(static[0])
+    return execution_result(run, require_complete=require_complete)
 
 
 def assert_gossip_schedule(

@@ -1,7 +1,8 @@
 """Tier-1 hook for the static gate: the CI checks also run locally.
 
 Runs the ``cli lint`` gate over the paper families (text and JSON), the
-repository conventions script, and — when the tools are installed —
+repository conventions lint (``python -m repro.check.codelint``, the
+entry point ``cli lint --code`` calls), and — when the tools are installed —
 ``ruff check`` and ``mypy --strict``, exactly as ``.github/workflows/ci.yml``
 does.
 """
@@ -59,27 +60,27 @@ class TestCliLintGate:
 
 class TestConventionsScript:
     def test_src_repro_is_clean(self):
-        proc = run("scripts/check_conventions.py")
+        proc = run("-m", "repro.check.codelint")
         assert proc.returncode == 0, proc.stdout
 
     def test_detects_builtin_raise(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("def f():\n    raise ValueError('nope')\n")
-        proc = run("scripts/check_conventions.py", str(bad))
+        proc = run("-m", "repro.check.codelint", str(bad))
         assert proc.returncode == 1
         assert "builtin ValueError" in proc.stdout
 
     def test_detects_bin_count(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("x = bin(7).count('1')\n")
-        proc = run("scripts/check_conventions.py", str(bad))
+        proc = run("-m", "repro.check.codelint", str(bad))
         assert proc.returncode == 1
         assert "bit_count" in proc.stdout
 
     def test_detects_positional_api_call(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("gossip(g, 'simple')\nplan.execute(True)\n")
-        proc = run("scripts/check_conventions.py", str(bad))
+        proc = run("-m", "repro.check.codelint", str(bad))
         assert proc.returncode == 1
         assert "keyword-only" in proc.stdout
 
@@ -88,7 +89,7 @@ class TestConventionsScript:
         core.mkdir()
         bad = core / "concurrent_updown.py"
         bad.write_text("def f(events):\n    for e in events:\n        pass\n")
-        proc = run("scripts/check_conventions.py", str(bad))
+        proc = run("-m", "repro.check.codelint", str(bad))
         assert proc.returncode == 1
         assert "hot path" in proc.stdout
 
@@ -103,7 +104,7 @@ class TestConventionsScript:
             "def f(pid):\n"
             "    os.kill(pid, SIGKILL)\n"
         )
-        proc = run("scripts/check_conventions.py", str(bad))
+        proc = run("-m", "repro.check.codelint", str(bad))
         assert proc.returncode == 1
         assert proc.stdout.count("supervision tree") == 3
 
@@ -112,7 +113,7 @@ class TestConventionsScript:
         runtime.mkdir()
         ok = runtime / "supervisor.py"
         ok.write_text("import multiprocessing\nimport signal\n")
-        proc = run("scripts/check_conventions.py", str(ok))
+        proc = run("-m", "repro.check.codelint", str(ok))
         assert proc.returncode == 0, proc.stdout
 
     def test_hot_path_loop_exemptions(self, tmp_path):
@@ -128,7 +129,7 @@ class TestConventionsScript:
             "    for lvl in tree:\n"
             "        pass\n"
         )
-        proc = run("scripts/check_conventions.py", str(ok))
+        proc = run("-m", "repro.check.codelint", str(ok))
         assert proc.returncode == 0, proc.stdout
 
 
@@ -136,7 +137,7 @@ class TestConventionsScript:
 class TestRuff:
     def test_ruff_clean(self):
         proc = subprocess.run(
-            ["ruff", "check", "src/repro", "scripts"],
+            ["ruff", "check", "src/repro"],
             cwd=REPO, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,6 +1,6 @@
 """Conformance replay: the abstract model agrees with the real runtime.
 
-Tier-1 gate for the model checker's soundness premise (ISSUE 10): every
+Tier-1 gate for the model checker's soundness premise: every
 recorded seeded runtime transcript — clean, lossy, reordering, and
 crash-at-round runs across the committed corpus, plus supervised
 SIGKILL + rejoin runs — must replay through the model with exact
@@ -12,9 +12,15 @@ import pytest
 
 from repro.check.replay import (
     default_cases,
+    replay_case,
     replay_rejoin,
     run_conformance,
 )
+
+#: Process-host sample of the corpus (the whole corpus replays on that
+#: host in CI: ``python -m repro.check.replay``).
+PROCESS_SAMPLE = ("path:4/clean", "star:5/drop", "cycle:5/delay",
+                  "cycle:6/kill", "complete:5/kill@3")
 
 
 class TestRecordedCorpus:
@@ -34,6 +40,12 @@ class TestRecordedCorpus:
             if not r.ok
         ]
         assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("name", PROCESS_SAMPLE)
+    def test_process_host_replays_exactly(self, name):
+        case = next(c for c in default_cases() if c.name == name)
+        report = replay_case(case, host="processes")
+        assert report.ok, "; ".join(report.mismatches)
 
 
 class TestSupervisedRejoinReplay:

@@ -1,10 +1,12 @@
 """The model's offline reference reads the schedule's columns only.
 
-:meth:`ProtocolModel.offline_records` and
-:meth:`ProtocolModel.victim_holds_truncated` are computed once per model
-from ``plan.arrays()``; exploring never builds the ``Transmission``
-object view (:meth:`ArraySchedule.build_rounds` is monkeypatched to
-raise).  Both must still agree with a walk over that object view.
+:meth:`ProtocolModel.offline_records` (computed once per model) and
+:meth:`GossipPlan.holds_at` (the truncated-schedule holds the supervisor
+reconstructs SIGKILLed peers with, and the explorer checks abort states
+against) read ``plan.arrays()``; exploring never builds the
+``Transmission`` object view (:meth:`ArraySchedule.build_rounds` is
+monkeypatched to raise).  Both must still agree with a walk over that
+object view.
 """
 
 import pytest
@@ -48,4 +50,4 @@ def test_columns_agree_with_the_object_view(spec):
                 for tx in rnd:
                     if v in tx.destinations:
                         holds |= 1 << tx.message
-            assert model.victim_holds_truncated(v, death) == holds
+            assert plan.holds_at(v, death) == holds

@@ -286,12 +286,10 @@ class TestPackedStateParity:
 
 
 class TestDeprecations:
-    def test_from_schedule_on_array_backed_warns(self):
+    def test_from_schedule_shim_is_gone(self):
         plan = _plan("path:6")
-        with pytest.warns(DeprecationWarning, match="array-backed"):
-            builder = ScheduleBuilder.from_schedule(plan.schedule)
-        # ...but still round-trips faithfully
-        assert builder.build(name=plan.schedule.name) == plan.schedule
+        with pytest.raises(AttributeError, match="from_schedule"):
+            ScheduleBuilder.from_schedule(plan.schedule)
 
     def test_builder_builds_arrays_underneath(self):
         builder = ScheduleBuilder()
@@ -306,4 +304,5 @@ class TestDeprecations:
         objects = Schedule(plan.rounds(), name="objects")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ScheduleBuilder.from_schedule(objects)
+            builder = ScheduleBuilder._load(objects)
+        assert builder.build(name="objects") == objects

@@ -166,7 +166,7 @@ class TestScheduleBuilder:
 
     def test_from_schedule_roundtrip(self):
         s = Schedule([Round([tx(0, 0, {1, 2})]), Round([tx(2, 0, {3})])], name="x")
-        assert ScheduleBuilder.from_schedule(s).build(name="x") == s
+        assert ScheduleBuilder._load(s).build(name="x") == s
 
 
 class TestMergeSchedules:

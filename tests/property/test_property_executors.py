@@ -17,7 +17,10 @@ mutator or one out-of-range id.  The judges must agree on whether there
 is a violation and on its send round; on legal runs, also on
 completeness, per-processor completion times, the duplicate count and
 the final holds.  The engine's and the lossy executor's delivery logs
-must be identical, event for event.
+must be identical, event for event.  ``validate_schedule`` (the static
+rules and the engine's in one arrival pass) must raise or return exactly
+what running :func:`~repro.simulator.validator.check_static` and then the
+engine does.
 """
 
 import re
@@ -29,10 +32,11 @@ from hypothesis import strategies as st
 
 from repro.core.gossip import ALGORITHMS, gossip
 from repro.core.schedule import Round, Schedule, Transmission
-from repro.exceptions import ModelViolationError, ScheduleError
+from repro.exceptions import ModelViolationError, ReproError, ScheduleError
 from repro.lint import rules as R
 from repro.simulator import faults
 from repro.simulator.engine import execute_schedule
+from repro.simulator.validator import check_static, validate_schedule
 from repro.simulator.lossy import FaultModel, execute_with_faults
 from repro.simulator.state import bits_of, labeled_holdings
 from tests.conftest import connected_graphs
@@ -175,8 +179,33 @@ def _mutate(kind: str, schedule: Schedule, graph, data) -> Optional[Schedule]:
         return None
 
 
+def _verdict(run):
+    """A validator call's result fields, or its exception type and text."""
+    try:
+        res = run()
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return (res.completion_times, res.final_holds, res.duplicate_deliveries)
+
+
+def validator_agrees(graph, schedule, holds) -> None:
+    """``validate_schedule``'s single arrival pass raises (type and
+    text) or returns exactly what its two-pass definition does: the
+    static check, then the engine."""
+
+    def two_pass():
+        check_static(graph, schedule)
+        return execute_schedule(graph, schedule, initial_holds=holds,
+                                require_complete=True)
+
+    assert _verdict(
+        lambda: validate_schedule(graph, schedule, initial_holds=holds)
+    ) == _verdict(two_pass)
+
+
 def _judge(graph, schedule, holds) -> Outcome:
     """Run every judge; assert agreement; return the common outcome."""
+    validator_agrees(graph, schedule, holds)
     outcome, arrivals = engine(graph, schedule, holds)
     lossy_outcome, lossy_arrivals = lossy(graph, schedule, holds)
     assert lossy_outcome == outcome

@@ -18,31 +18,29 @@ from repro.networks.builders import tree_to_graph
 
 
 class TestKeywordOnlyShims:
-    def test_positional_algorithm_warns_but_works(self):
-        g = topologies.path_graph(5)
-        with pytest.warns(DeprecationWarning):
-            plan = gossip(g, "simple")
-        assert plan.algorithm == "simple"
-        assert plan.schedule == gossip(g, algorithm="simple").schedule
+    """The positional shims are gone: the signatures are keyword-only,
+    so a positional call is Python's own ``TypeError``."""
 
-    def test_positional_tree_warns_but_works(self):
+    def test_positional_algorithm_raises_type_error(self):
+        g = topologies.path_graph(5)
+        with pytest.raises(TypeError, match="positional argument"):
+            gossip(g, "simple")
+
+    def test_positional_tree_raises_type_error(self):
         g = topologies.path_graph(5)
         tree = gossip(g).tree
-        with pytest.warns(DeprecationWarning):
-            plan = gossip(g, "concurrent-updown", tree)
-        assert plan.tree == tree
+        with pytest.raises(TypeError, match="positional argument"):
+            gossip(g, "concurrent-updown", tree)
 
-    def test_gossip_on_tree_positional_warns(self):
+    def test_gossip_on_tree_positional_raises_type_error(self):
         tree = gossip(topologies.star_graph(5)).tree
-        with pytest.warns(DeprecationWarning):
-            plan = gossip_on_tree(tree, "simple")
-        assert plan.algorithm == "simple"
+        with pytest.raises(TypeError, match="positional argument"):
+            gossip_on_tree(tree, "simple")
 
-    def test_execute_positional_warns(self):
+    def test_execute_positional_raises_type_error(self):
         plan = gossip(topologies.path_graph(4))
-        with pytest.warns(DeprecationWarning):
-            result = plan.execute(True)
-        assert result.arrivals  # record_arrivals was mapped through
+        with pytest.raises(TypeError, match="positional argument"):
+            plan.execute(True)
 
     def test_keyword_calls_do_not_warn(self):
         with warnings.catch_warnings():
@@ -53,29 +51,24 @@ class TestKeywordOnlyShims:
 
     def test_too_many_positionals_rejected(self):
         g = topologies.path_graph(4)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                gossip(g, "simple", None, "extra")
+        with pytest.raises(TypeError):
+            gossip(g, "simple", None, "extra")
 
     def test_gossip_typeerror_reports_exact_argument_count(self):
-        """Regression: the shim double-counted the graph, reporting
-        '5 given' for a 4-positional call."""
         g = topologies.path_graph(4)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(
-                TypeError,
-                match=r"takes at most 3 positional arguments \(4 given\)",
-            ):
-                gossip(g, "simple", None, "extra")
+        with pytest.raises(
+            TypeError,
+            match=r"gossip\(\) takes 1 positional argument but 4 were given",
+        ):
+            gossip(g, "simple", None, "extra")
 
     def test_gossip_on_tree_typeerror_reports_exact_argument_count(self):
         tree = gossip(topologies.star_graph(4)).tree
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(
-                TypeError,
-                match=r"takes at most 2 positional arguments \(3 given\)",
-            ):
-                gossip_on_tree(tree, "simple", "extra")
+        with pytest.raises(
+            TypeError,
+            match=r"gossip_on_tree\(\) takes 1 positional argument but 3 were given",
+        ):
+            gossip_on_tree(tree, "simple", "extra")
 
 
 class TestNetworkDispatch:
@@ -172,11 +165,10 @@ class TestEagerRegistry:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_populate_registry_shim_warns(self):
-        from repro.core.gossip import _populate_registry
+    def test_populate_registry_shim_is_gone(self):
+        import repro.core.gossip as gossip_module
 
-        with pytest.warns(DeprecationWarning):
-            _populate_registry()
+        assert not hasattr(gossip_module, "_populate_registry")
 
 
 class TestMemoisedExecution:

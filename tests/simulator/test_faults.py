@@ -25,7 +25,8 @@ from repro.simulator.faults import (
     swap_rounds,
 )
 from repro.simulator.state import labeled_holdings
-from repro.simulator.validator import validate_schedule
+from repro.simulator.engine import execute_schedule
+from repro.simulator.validator import check_static, validate_schedule
 from repro.tree.labeling import LabeledTree
 
 
@@ -172,3 +173,38 @@ class TestDuplicateReceiver:
         )
         with pytest.raises(ScheduleError, match="fewer than two"):
             duplicate_receiver(tiny, 0)
+
+
+class TestSinglePassValidator:
+    """``validate_schedule`` builds one arrival pass for the static and
+    the execution rules; every perturbation must still raise what the
+    static check followed by the engine raises, type and text."""
+
+    @staticmethod
+    def _two_pass(network, schedule, holds):
+        check_static(network, schedule)
+        return execute_schedule(network, schedule, initial_holds=holds,
+                                require_complete=True)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda net, s: drop_round(s, 2),
+        lambda net, s: drop_transmission(s, 1, 0),
+        lambda net, s: corrupt_message(s, 0, 0, 5),
+        lambda net, s: redirect_to_nonneighbor(s, net, 1, 0),
+        lambda net, s: swap_rounds(s, 1, 2),
+    ])
+    def test_raises_like_static_then_engine(self, setup, mutate):
+        network, schedule, holds = setup
+        broken = mutate(network, schedule)
+        with pytest.raises(ScheduleError) as single:
+            check(network, broken, holds)
+        with pytest.raises(ScheduleError) as two:
+            self._two_pass(network, broken, holds)
+        assert type(single.value) is type(two.value)
+        assert str(single.value) == str(two.value)
+
+    def test_static_error_precedes_bad_initial_holds(self, setup):
+        network, schedule, holds = setup
+        broken = redirect_to_nonneighbor(schedule, network, 1, 0)
+        with pytest.raises(ModelViolationError, match="does not follow an edge"):
+            check(network, broken, holds[:-1])
