@@ -8,9 +8,11 @@ package is that serving layer:
 
 * :class:`~repro.service.service.GossipService` — the front end:
   content-addressed plan cache, request coalescing, batch fan-out,
-  topology maintenance hooks;
+  plan execution, topology maintenance hooks;
 * :class:`~repro.service.cache.PlanCache` — the bounded thread-safe LRU
   underneath;
+* :class:`~repro.service.guard.Guard` — the one retry → breaker →
+  fallback policy that plan building and execution share;
 * :class:`~repro.service.breaker.CircuitBreaker` — the per-key circuit
   breaker behind the service's ``breaker_threshold`` option;
 * :class:`~repro.service.maintenance.MaintainedNetwork` — churn-aware

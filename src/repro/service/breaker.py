@@ -1,21 +1,23 @@
-"""A per-key circuit breaker for plan building.
+"""A per-key circuit breaker for the service's guarded operations.
 
-Classic three-state breaker (closed → open → half-open), tuned for the
-:class:`~repro.service.GossipService` build path:
+Classic three-state breaker (closed → open → half-open), one per
+``(operation, key)`` of plan building and execution, held by
+:class:`~repro.service.guard.Guard`:
 
-* **closed** — requests run the planner normally; ``threshold``
-  *consecutive* failures (timeouts or transient errors that survived
-  the retry budget) trip the breaker;
+* **closed** — requests run the planner or runtime normally;
+  ``threshold`` *consecutive* availability failures (timeouts, missed
+  deadlines, or transient errors that survived the retry budget) trip
+  the breaker;
 * **open** — requests are short-circuited without touching the planner
-  (served from the degraded fallback, or fast-failed with a typed
+  or runtime (served degraded, or fast-failed with a typed
   :class:`~repro.exceptions.CircuitOpenError`) until ``cooldown``
   seconds have passed;
 * **half-open** — after the cooldown, exactly *one* request is let
   through as a probe; success closes the breaker, failure re-opens it
   for another cooldown.  Concurrent requests during the probe are still
-  short-circuited, so a struggling planner never sees a thundering herd.
+  short-circuited, so a struggling service never sees a thundering herd.
 
-The breaker itself is clock-agnostic and unlocked: the service passes
+The breaker itself is clock-agnostic and unlocked: the guard passes
 ``now`` in (injectable clock for tests) and serialises calls under its
 own lock.
 """
@@ -89,7 +91,7 @@ class CircuitBreaker:
         return "reject"
 
     def record_success(self) -> bool:
-        """Note a successful build; returns True on a half-open → closed
+        """Note a successful attempt; returns True on a half-open → closed
         transition (the breaker healed)."""
         healed = self._state == HALF_OPEN
         self._state = CLOSED
@@ -97,7 +99,7 @@ class CircuitBreaker:
         return healed
 
     def record_failure(self, now: float) -> bool:
-        """Note a failed build; returns True when this failure *opens*
+        """Note a failed attempt; returns True when this failure *opens*
         the breaker (threshold reached, or a probe failed)."""
         self._failures += 1
         if self._state == HALF_OPEN or (
@@ -109,9 +111,10 @@ class CircuitBreaker:
         return False
 
     def cancel_probe(self) -> None:
-        """Abort a probe that never exercised the planner (e.g. the
-        build raised a deterministic input error): back to open with the
-        original timestamp, so the next request may probe again."""
+        """Abort a probe that never exercised the planner or runtime
+        (the attempt raised a deterministic input error, or was
+        interrupted): back to open with the original timestamp, so the
+        next request may probe again."""
         if self._state == HALF_OPEN:
             self._state = OPEN
 

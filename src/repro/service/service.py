@@ -18,12 +18,16 @@ is wasted work.  ``GossipService`` amortises it:
   to the cache so topology churn *patches or invalidates* affected
   entries instead of flushing everything
   (:class:`~repro.service.maintenance.MaintainedNetwork`);
-* an optional per-key circuit breaker
-  (:class:`~repro.service.breaker.CircuitBreaker`) stops hammering a
-  planner that keeps failing: after ``breaker_threshold`` consecutive
-  failures the key is served degraded (or fast-failed with a typed
-  :class:`~repro.exceptions.CircuitOpenError`) until a half-open probe
-  succeeds;
+* :meth:`~GossipService.execute` plans *and runs* a request on the
+  simulator or a real runtime;
+* both operations share one resilience policy, the
+  :class:`~repro.service.guard.Guard`: transient failures are retried
+  with backoff, and an optional per-``(operation, key)`` circuit
+  breaker (:class:`~repro.service.breaker.CircuitBreaker`) stops
+  hammering a planner or runtime that keeps failing — after
+  ``breaker_threshold`` consecutive failures the key is served
+  degraded (a cheaper plan, a partial result or the simulator replay)
+  until a half-open probe succeeds;
 * every request is instrumented
   (:class:`~repro.service.stats.ServiceStats`).
 
@@ -35,6 +39,7 @@ custom pipelines while keeping the serving machinery.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import threading
 import time
@@ -57,13 +62,12 @@ from ..exceptions import (
     ReproError,
     RuntimeDeadlineError,
     ScheduleLintError,
-    SupervisorError,
 )
 from ..lint import MODEL, PAPER, lint_schedule
 from ..networks.graph import Graph
 from ..tree.tree import Tree
-from .breaker import CircuitBreaker
 from .cache import PlanCache, PlanKey, tree_fingerprint
+from .guard import Guard
 from .stats import ServiceStats, StatsRecorder
 
 __all__ = ["ExecutionOutcome", "GossipService", "Planner"]
@@ -155,19 +159,20 @@ class GossipService:
     planner_timeout:
         Per-request wall-clock budget (seconds) for one planner run.
         ``None`` (the default) disables the budget and runs the planner
-        inline on the requesting thread, exactly as before.  With a
-        budget set, builds run on a dedicated planner pool; a build
-        that exceeds it is *abandoned* (Python threads cannot be
-        killed — the stray build finishes in the background and still
-        warms the cache for later requests) and the request falls back
-        to ``fallback_algorithm`` if one is configured, else raises
-        :class:`~repro.exceptions.PlanTimeoutError`.
-    retries:
-        How many times a *transient* planner failure (any exception not
-        derived from :class:`~repro.exceptions.ReproError` — library
-        errors are deterministic and retrying them is pointless) is
-        retried, with exponential backoff starting at ``retry_backoff``
-        seconds.
+        inline on the requesting thread.  With a budget set, each build
+        runs on its own daemon thread; a build that exceeds it is
+        *abandoned* (Python threads cannot be killed — the stray build
+        finishes in the background and, once it passes the ``lint``
+        gate, still warms the cache for later requests) and the request
+        falls back to ``fallback_algorithm`` if one is configured, else
+        raises :class:`~repro.exceptions.PlanTimeoutError`.
+    retries / retry_backoff:
+        Transient-failure retry budget and first backoff (seconds) of
+        the :class:`~repro.service.guard.Guard` that planning and
+        execution share: an :class:`Exception` that is not a
+        :class:`~repro.exceptions.ReproError` is retried with
+        exponential backoff; library errors are deterministic and never
+        retried, and ``KeyboardInterrupt`` / ``SystemExit`` propagate.
     fallback_algorithm:
         The cheaper algorithm whose plan is served — flagged in
         :attr:`ServiceStats.degraded` — when the primary planner times
@@ -175,21 +180,16 @@ class GossipService:
         under the *fallback* key only, so the primary is re-attempted
         on the next request and the service heals itself once the
         planner recovers.
-    breaker_threshold:
-        Enable a per-key circuit breaker
-        (:class:`~repro.service.breaker.CircuitBreaker`): after this
-        many *consecutive* primary-planner failures (timeouts or
-        transient errors that survived the retry budget) the breaker
-        opens and requests for that key stop touching the primary
-        planner — they are served from the degraded fallback when one
-        is configured, or fast-failed with a typed
-        :class:`~repro.exceptions.CircuitOpenError` otherwise.  After
-        ``breaker_cooldown`` seconds a single half-open probe is let
-        through; success closes the breaker, failure re-opens it.
-        ``None`` (the default) disables the breaker entirely.
-    breaker_cooldown:
-        Seconds an open breaker short-circuits requests before allowing
-        the half-open probe (default 30).
+    breaker_threshold / breaker_cooldown:
+        Enable the guard's per-``(operation, key)`` circuit breakers
+        (:class:`~repro.service.breaker.CircuitBreaker`): after this many
+        *consecutive* availability failures a key's breaker opens and
+        short-circuits requests to the degraded answer — the
+        ``fallback_algorithm`` plan (else a typed
+        :class:`~repro.exceptions.CircuitOpenError`), or the simulator
+        replay for :meth:`execute` — until, ``breaker_cooldown`` seconds
+        (default 30) later, one half-open probe succeeds.  ``None`` (the
+        default) disables breakers.
     clock:
         Monotonic time source for breaker cooldowns (injectable for
         tests; defaults to :func:`time.monotonic`).
@@ -243,26 +243,19 @@ class GossipService:
             raise ReproError(
                 f"lint must be 'off', 'warn' or 'error', not {lint!r}"
             )
-        if retries < 0:
-            raise ReproError("retries must be >= 0")
-        if breaker_threshold is not None and breaker_threshold < 1:
-            raise ReproError("breaker_threshold must be >= 1 (or None)")
-        if breaker_cooldown <= 0:
-            raise ReproError("breaker_cooldown must be positive")
         self._algorithm = algorithm
         self._cache = PlanCache(max_entries=max_entries, max_weight=max_weight)
         self._stats = StatsRecorder()
+        self._guard = Guard(
+            self._stats, retries=retries, retry_backoff=retry_backoff,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown, clock=clock,
+        )
         self._planner: Planner = planner if planner is not None else _fast_planner
         self._planner_timeout = planner_timeout
-        self._retries = retries
-        self._retry_backoff = retry_backoff
         self._fallback_algorithm = fallback_algorithm
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
-        self._clock = clock
         self._lint = lint
         self._lock = threading.Lock()
-        self._breakers: Dict[PlanKey, CircuitBreaker] = {}
         self._inflight: Dict[PlanKey, Future] = {}
         self._max_workers = max_workers or min(8, os.cpu_count() or 1)
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -294,7 +287,7 @@ class GossipService:
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
-                self._stats.record_hit(perf_counter() - start)
+                self._stats.record("plan", "hit", seconds=perf_counter() - start)
                 return cached
             future = self._inflight.get(key)
             owner = future is None
@@ -305,11 +298,14 @@ class GossipService:
         if not owner:
             plan = future.result()
             # Coalesced onto another thread's build: served without planning.
-            self._stats.record_hit(perf_counter() - start)
+            self._stats.record("plan", "hit", seconds=perf_counter() - start)
             return plan
 
         try:
-            plan, degraded = self._build_plan(graph, tree, key)
+            plan, degraded = self._guard.run(
+                "plan", key, lambda: (self._build(graph, tree, key), False),
+                functools.partial(self._serve_fallback, graph, tree, key),
+            )
         except BaseException as exc:
             with self._lock:
                 self._inflight.pop(key, None)
@@ -319,11 +315,11 @@ class GossipService:
         with self._lock:
             # A degraded plan is the *fallback* algorithm's plan: caching
             # it under the primary key would serve it silently forever.
-            # _build_plan already cached it under the fallback key.
+            # _serve_fallback already cached it under the fallback key.
             evicted = 0 if degraded else self._cache.put(key, plan)
             self._inflight.pop(key, None)
-        self._stats.record_miss(build_seconds)
-        self._stats.record_evictions(evicted)
+        self._stats.record("plan", "miss", seconds=build_seconds)
+        self._stats.record("cache", "eviction", evicted)
         future.set_result(plan)
         return plan
 
@@ -341,14 +337,14 @@ class GossipService:
         config: Optional["RuntimeConfig"] = None,
         policy: Optional["RestartPolicy"] = None,
         time_scale: float = 1.0,
-        fallback: bool = True,
     ) -> ExecutionOutcome:
         """Serve a plan for ``network`` and *run* it.
 
         Planning goes through :meth:`plan`, so the whole planning
         resilience policy (cache, coalescing, timeout, retries,
-        breaker, degraded fallback) applies unchanged.  Execution then
-        gets the same treatment, against its own per-key breaker:
+        breaker, degraded fallback) applies unchanged.  The run then
+        goes through the same :class:`~repro.service.guard.Guard`,
+        against a per-key, per-runtime breaker:
 
         * ``runtime="simulator"`` replays the schedule on the offline
           simulator (deterministic, no sockets);
@@ -359,23 +355,17 @@ class GossipService:
           :func:`repro.runtime.run_gossip_processes` (one supervised OS
           process per vertex, real crash injection and rejoin).
 
-        Execution failures are classified like planning failures:
-        *transient* errors (not :class:`~repro.exceptions.ReproError`)
-        are retried with the service's backoff; *availability* failures
-        — a missed :class:`~repro.exceptions.RuntimeDeadlineError`
-        deadline, a :class:`~repro.exceptions.SupervisorError`
-        control-plane breakdown, or a transient error that survived the
-        retry budget — count against the key's execution breaker and
-        degrade (``fallback=True``) to the partial result the deadline
-        carried, or to the offline simulator replay; with ``fallback=
-        False`` they re-raise.  An *open* breaker skips the real
-        runtime entirely: degraded simulator replay, or a typed
-        :class:`~repro.exceptions.CircuitOpenError` fast-fail.  Other
-        ``ReproError``\\ s indict the request, not the runtime — they
-        re-raise and never trip the breaker.  Every outcome is counted
-        in :class:`~repro.service.stats.ServiceStats`
-        (``executions`` / ``exec_failures`` / ``exec_retries`` /
-        ``exec_degraded`` / ``exec_fast_fails``).
+        Transient errors are retried; an availability failure (a missed
+        :class:`~repro.exceptions.RuntimeDeadlineError` deadline, a
+        :class:`~repro.exceptions.SupervisorError`, or a transient error
+        past the retry budget) and an open breaker both degrade to the
+        partial result the deadline carried, else to the offline
+        simulator replay.  Other ``ReproError``\\ s indict the request,
+        not the runtime: they re-raise and never trip the breaker.
+        Every outcome is counted in
+        :class:`~repro.service.stats.ServiceStats` (``executions`` /
+        ``exec_failures`` / ``exec_retries`` / ``exec_degraded`` /
+        ``exec_fast_fails``).
         """
         if runtime not in _RUNTIMES:
             raise ReproError(
@@ -394,117 +384,51 @@ class GossipService:
         plan = self.plan(graph, algorithm=algorithm, tree=tree)
         if runtime == "simulator":
             result = plan.execute()
-            self._stats.record_execution()
+            self._stats.record("execute", "ok")
             return ExecutionOutcome(
                 plan=plan, requested=runtime, runtime=runtime,
                 degraded=False, result=result,
             )
 
-        key = self._key(graph, tree, algorithm)
-        exec_key = (key[0], key[1], f"{key[2]}@exec:{runtime}")
-        breaker = self._breaker_for(exec_key)
-        probing = False
-        if breaker is not None:
-            with self._lock:
-                decision = breaker.acquire(self._clock())
-                retry_after = breaker.retry_after(self._clock())
-            if decision == "reject":
-                return self._degrade_execution(
-                    plan, runtime, failure=None, retry_after=retry_after,
-                    fallback=fallback,
-                )
-            if decision == "probe":
-                probing = True
-                self._stats.record_probe()
+        def attempt() -> ExecutionOutcome:
+            result = self._invoke_runtime(
+                plan, runtime, chaos=chaos, config=config,
+                policy=policy, time_scale=time_scale,
+            )
+            return ExecutionOutcome(
+                plan=plan, requested=runtime, runtime=runtime,
+                degraded=False, result=result,
+            )
 
-        failure: BaseException
-        attempt = 0
-        while True:
-            try:
-                result = self._invoke_runtime(
-                    plan, runtime, chaos=chaos, config=config,
-                    policy=policy, time_scale=time_scale,
-                )
-            except (RuntimeDeadlineError, SupervisorError) as exc:
-                failure = exc  # availability: the deadline burnt the budget
-                break
-            except ReproError:
-                if probing:
-                    with self._lock:
-                        breaker.cancel_probe()
-                raise  # deterministic request error: fallback cannot help
-            except BaseException as exc:
-                if attempt >= self._retries:
-                    failure = exc
-                    break
-                self._stats.record_exec_retry()
-                time.sleep(self._retry_backoff * (2**attempt))
-                attempt += 1
-            else:
-                if breaker is not None:
-                    with self._lock:
-                        healed = breaker.record_success()
-                    if healed:
-                        self._stats.record_breaker_close()
-                self._stats.record_execution()
-                return ExecutionOutcome(
-                    plan=plan, requested=runtime, runtime=runtime,
-                    degraded=False, result=result,
-                )
-
-        self._stats.record_exec_failure()
-        if breaker is not None:
-            with self._lock:
-                opened = breaker.record_failure(self._clock())
-            if opened:
-                self._stats.record_breaker_open()
-        return self._degrade_execution(
-            plan, runtime, failure=failure, retry_after=None,
-            fallback=fallback,
+        key = (self._key(graph, tree, algorithm), runtime)
+        return self._guard.run(
+            "execute", key, attempt,
+            functools.partial(self._degrade_execution, plan, runtime),
         )
 
     def _degrade_execution(
         self,
         plan: GossipPlan,
         requested: str,
-        *,
-        failure: Optional[BaseException],
-        retry_after: Optional[float],
-        fallback: bool,
+        failure: Optional[Exception],
+        _retry_after: Optional[float],
     ) -> ExecutionOutcome:
-        """Serve a degraded execution result, or raise the typed error.
+        """Serve a degraded execution result.
 
         ``failure`` is the runtime's availability error, or ``None``
         when an open breaker short-circuited the runtime without
-        running it (``retry_after`` then carries the remaining
-        cooldown).  The degraded answer is the partial result a missed
+        running it.  The degraded answer is the partial result a missed
         deadline carried when there is one, else the offline simulator
         replay of the very plan the runtime would have executed.
         """
-        if not fallback:
-            if failure is not None:
-                raise failure
-            self._stats.record_exec_fast_fail()
-            raise CircuitOpenError(
-                f"execution breaker open for runtime {requested!r} "
-                f"(retry in {retry_after:.3f}s) and degraded serving is "
-                f"disabled",
-                algorithm=plan.algorithm,
-                retry_after=retry_after,
-            )
         if isinstance(failure, RuntimeDeadlineError) and failure.partial is not None:
-            self._stats.record_exec_degraded()
-            self._stats.record_execution()
             return ExecutionOutcome(
                 plan=plan, requested=requested, runtime=requested,
                 degraded=True, result=failure.partial,  # type: ignore[arg-type]
             )
-        result = plan.execute()
-        self._stats.record_exec_degraded()
-        self._stats.record_execution()
         return ExecutionOutcome(
             plan=plan, requested=requested, runtime="simulator",
-            degraded=True, result=result,
+            degraded=True, result=plan.execute(),
         )
 
     def _invoke_runtime(
@@ -534,74 +458,22 @@ class GossipService:
         )
 
     # ------------------------------------------------------------------
-    # Hardened build path: timeout, bounded retry, degraded fallback
+    # Plan path: the attempt and the fallback the Guard runs
     # ------------------------------------------------------------------
-    def _build_plan(
+    def _build(
         self, graph: Graph, tree: Optional[Tree], key: PlanKey
-    ) -> Tuple[GossipPlan, bool]:
-        """Build the plan for ``key`` under the resilience policy.
-
-        Returns ``(plan, degraded)`` where ``degraded`` marks a fallback
-        algorithm's plan served in place of the primary.
-
-        With a circuit breaker configured, the primary planner only runs
-        while the key's breaker admits it: an open breaker skips the
-        primary entirely (degraded fallback, or fast-fail with
-        :class:`~repro.exceptions.CircuitOpenError`), and once per
-        cooldown a single half-open probe re-tests the planner.
-        Deterministic :class:`ReproError`\\ s never count against the
-        breaker — they indict the input, not the planner.
-        """
-        algorithm = key[2]
-        breaker = self._breaker_for(key)
-        probing = False
-        if breaker is not None:
-            with self._lock:
-                decision = breaker.acquire(self._clock())
-                retry_after = breaker.retry_after(self._clock())
-            if decision == "reject":
-                self._stats.record_fast_fail()
-                return self._serve_fallback(
-                    graph, tree, key, failure=None, retry_after=retry_after
-                )
-            if decision == "probe":
-                probing = True
-                self._stats.record_probe()
-        try:
-            plan = self._build_with_retries(graph, tree, algorithm, key)
-        except PlanTimeoutError as exc:
-            primary_failure: BaseException = exc
-        except ReproError:
-            if probing:
-                with self._lock:
-                    breaker.cancel_probe()
-            raise  # deterministic library error: fallback cannot help
-        except BaseException as exc:
-            primary_failure = exc  # transient failures survived retries
-        else:
-            if breaker is not None:
-                with self._lock:
-                    healed = breaker.record_success()
-                if healed:
-                    self._stats.record_breaker_close()
-            return plan, False
-
-        if breaker is not None:
-            with self._lock:
-                opened = breaker.record_failure(self._clock())
-            if opened:
-                self._stats.record_breaker_open()
-        return self._serve_fallback(
-            graph, tree, key, failure=primary_failure, retry_after=None
-        )
+    ) -> GossipPlan:
+        """One planner run for ``key``, admitted by the lint gate."""
+        plan = self._invoke_planner(graph, tree, key)
+        self._lint_admit(plan)
+        return plan
 
     def _serve_fallback(
         self,
         graph: Graph,
         tree: Optional[Tree],
         key: PlanKey,
-        *,
-        failure: Optional[BaseException],
+        failure: Optional[Exception],
         retry_after: Optional[float],
     ) -> Tuple[GossipPlan, bool]:
         """Serve the degraded fallback plan, or raise the typed error.
@@ -609,6 +481,7 @@ class GossipService:
         ``failure`` is the primary planner's exception, or ``None`` when
         an open breaker short-circuited the primary without running it
         (``retry_after`` then carries the breaker's remaining cooldown).
+        The fallback plan is cached under the *fallback* key only.
         """
         algorithm = key[2]
         fallback = self._fallback_algorithm
@@ -627,8 +500,10 @@ class GossipService:
             cached = self._cache.get(fallback_key)
         if cached is None:
             try:
-                cached = self._build_with_retries(graph, tree, fallback, fallback_key)
-            except BaseException as exc:
+                cached = self._guard.retry(
+                    "plan", lambda: self._build(graph, tree, fallback_key)
+                )
+            except Exception as exc:
                 if failure is None:
                     raise CircuitOpenError(
                         f"circuit breaker open for algorithm {algorithm!r} "
@@ -644,22 +519,8 @@ class GossipService:
                 ) from exc
             with self._lock:
                 evicted = self._cache.put(fallback_key, cached)
-            self._stats.record_evictions(evicted)
-        self._stats.record_degraded()
+            self._stats.record("cache", "eviction", evicted)
         return cached, True
-
-    def _breaker_for(self, key: PlanKey) -> Optional[CircuitBreaker]:
-        """The key's breaker, created on first use (None when disabled)."""
-        if self._breaker_threshold is None:
-            return None
-        with self._lock:
-            breaker = self._breakers.get(key)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    self._breaker_threshold, self._breaker_cooldown
-                )
-                self._breakers[key] = breaker
-            return breaker
 
     def breaker_state(
         self,
@@ -668,39 +529,13 @@ class GossipService:
         algorithm: Optional[str] = None,
         tree: Optional[Tree] = None,
     ) -> Optional[str]:
-        """The breaker state for one network/algorithm key.
+        """The plan breaker's state for one network/algorithm key.
 
         Returns ``"closed"``, ``"open"`` or ``"half-open"``; ``None``
         when breakers are disabled or no request touched the key yet.
         """
-        if self._breaker_threshold is None:
-            return None
         graph, tree = resolve_network(network, tree=tree)
-        key = self._key(graph, tree, algorithm)
-        with self._lock:
-            breaker = self._breakers.get(key)
-            return None if breaker is None else breaker.state
-
-    def _build_with_retries(
-        self, graph: Graph, tree: Optional[Tree], algorithm: str, key: PlanKey
-    ) -> GossipPlan:
-        """One planner run, retried on transient (non-:class:`ReproError`)
-        failures with exponential backoff."""
-        attempt = 0
-        while True:
-            try:
-                plan = self._invoke_planner(graph, tree, algorithm, key)
-            except (ReproError, PlanTimeoutError):
-                raise  # deterministic, or already accounted as a timeout
-            except BaseException:
-                if attempt >= self._retries:
-                    raise
-                self._stats.record_retry()
-                time.sleep(self._retry_backoff * (2**attempt))
-                attempt += 1
-            else:
-                self._lint_admit(plan)
-                return plan
+        return self._guard.state("plan", self._key(graph, tree, algorithm))
 
     def _lint_admit(self, plan: GossipPlan) -> None:
         """Statically certify a fresh plan before it may enter the cache.
@@ -712,6 +547,7 @@ class GossipService:
         neither cached nor served.  The exception is a deterministic
         :class:`ReproError`: it indicts the planner's output, not its
         availability, so it bypasses retries, breakers and fallbacks.
+        Late builds that outlived their deadline pass the same gate.
         """
         if self._lint == "off":
             return
@@ -721,7 +557,8 @@ class GossipService:
         report = lint_schedule(
             plan.graph, plan.schedule, plan=plan, select=tiers
         )
-        self._stats.record_lint(errors=len(report.errors))
+        self._stats.record("plan", "lint")
+        self._stats.record("plan", "lint_error", len(report.errors))
         if report.errors and self._lint == "error":
             raise ScheduleLintError(
                 f"static analysis rejected the {plan.algorithm!r} plan: "
@@ -732,7 +569,7 @@ class GossipService:
             )
 
     def _invoke_planner(
-        self, graph: Graph, tree: Optional[Tree], algorithm: str, key: PlanKey
+        self, graph: Graph, tree: Optional[Tree], key: PlanKey
     ) -> GossipPlan:
         """Run the planner, off-thread with a deadline when configured.
 
@@ -741,6 +578,7 @@ class GossipService:
         worker would starve the very fallback build meant to rescue the
         request.
         """
+        algorithm = key[2]
         if self._planner_timeout is None:
             return self._planner(graph, algorithm=algorithm, tree=tree)
         build: Future = Future()
@@ -757,7 +595,7 @@ class GossipService:
         try:
             return build.result(timeout=self._planner_timeout)
         except FutureTimeoutError:
-            self._stats.record_timeout()
+            self._stats.record("plan", "timeout")
             # The thread cannot be interrupted; let the stray build warm
             # the cache when (if) it eventually finishes.
             build.add_done_callback(lambda f: self._adopt_late_build(key, f))
@@ -767,12 +605,18 @@ class GossipService:
             ) from None
 
     def _adopt_late_build(self, key: PlanKey, build: Future) -> None:
-        """Cache a timed-out build that eventually completed anyway."""
+        """Cache a timed-out build that eventually completed anyway —
+        once it passes the same lint admission as an on-time build."""
         if build.cancelled() or build.exception() is not None:
             return
+        plan = build.result()
+        try:
+            self._lint_admit(plan)
+        except ScheduleLintError:
+            return  # counted in lints / lint_errors; never cached
         with self._lock:
-            evicted = self._cache.put(key, build.result())
-        self._stats.record_evictions(evicted)
+            evicted = self._cache.put(key, plan)
+        self._stats.record("cache", "eviction", evicted)
 
     def plan_many(
         self,
@@ -787,7 +631,7 @@ class GossipService:
         parallel on the service's thread pool.
         """
         specs = list(networks)
-        self._stats.record_batch()
+        self._stats.record("plan", "batch")
         if not specs:
             return []
         if len(specs) == 1:
@@ -836,13 +680,13 @@ class GossipService:
             count = self._cache.invalidate_where(
                 lambda k, _p: k[0] == ghash and k[1] == tfp
             )
-        self._stats.record_invalidations(count)
+        self._stats.record("cache", "invalidation", count)
         return count
 
     def cache_clear(self) -> int:
         """Flush the cache entirely (counts as invalidations)."""
         count = self._cache.clear()
-        self._stats.record_invalidations(count)
+        self._stats.record("cache", "invalidation", count)
         return count
 
     @property
@@ -879,19 +723,19 @@ class GossipService:
         for (_, _, alg), plan in donors:
             patched = dataclasses.replace(plan, graph=new_graph)
             evicted += self._cache.put((new_hash, tfp, alg), patched)
-        self._stats.record_patched(len(donors))
-        self._stats.record_evictions(evicted)
+        self._stats.record("cache", "patched", len(donors))
+        self._stats.record("cache", "eviction", evicted)
         return len(donors)
 
     def _drop_graph_entries(self, graph: Graph) -> int:
         """Invalidate every cached plan for ``graph`` (all trees/algorithms)."""
         ghash = graph.canonical_hash()
         count = self._cache.invalidate_where(lambda k, _p: k[0] == ghash)
-        self._stats.record_invalidations(count)
+        self._stats.record("cache", "invalidation", count)
         return count
 
     def _note_rebuilds(self, count: int) -> None:
-        self._stats.record_rebuilds(count)
+        self._stats.record("cache", "rebuild", count)
 
     # ------------------------------------------------------------------
     # Lifecycle

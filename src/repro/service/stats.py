@@ -3,8 +3,8 @@
 Two halves:
 
 * :class:`StatsRecorder` — the mutable, thread-safe collector the
-  service updates on every request (counters plus a bounded reservoir of
-  plan-build latencies);
+  service updates on every request: one count per ``(operation,
+  event)`` key plus bounded reservoirs of hit and build latencies;
 * :class:`ServiceStats` — an immutable snapshot in the style of
   :class:`repro.simulator.metrics.ScheduleMetrics`, with nearest-rank
   latency percentiles, suitable for printing or asserting on.
@@ -13,9 +13,9 @@ Two halves:
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Sequence
+from typing import DefaultDict, Deque, Dict, Optional, Sequence, Tuple
 
 from ..percentile import nearest_rank
 
@@ -67,15 +67,17 @@ class ServiceStats:
     breaker_opens:
         Circuit-breaker trips: transitions into the open state (either
         the consecutive-failure threshold was reached or a half-open
-        probe failed).
+        probe failed).  Summed over the plan and execution breakers,
+        like the two counters below.
     breaker_probes:
         Half-open probes dispatched after a cooldown elapsed.
     breaker_closes:
         Successful probes that healed a breaker (half-open -> closed).
     fast_fails:
-        Requests rejected with
-        :class:`~repro.exceptions.CircuitOpenError` because the breaker
-        was open and no degraded fallback was configured.
+        ``plan()`` requests the open breaker short-circuited without
+        running the primary planner — served from the degraded fallback
+        when one is configured, else rejected with
+        :class:`~repro.exceptions.CircuitOpenError`.
     lints:
         Static-analysis runs performed on freshly-built plans (the
         service's ``lint="warn"`` / ``lint="error"`` admission gate).
@@ -100,9 +102,10 @@ class ServiceStats:
         carried by a missed deadline, or the offline simulator standing
         in for a runtime the breaker has given up on.
     exec_fast_fails:
-        ``execute()`` requests rejected with
-        :class:`~repro.exceptions.CircuitOpenError` because the
-        execution breaker was open and degraded serving was disabled.
+        ``execute()`` requests the open execution breaker
+        short-circuited without running the real runtime (each is
+        served degraded by the simulator replay, so it also counts in
+        ``exec_degraded``).
     """
 
     requests: int
@@ -177,9 +180,41 @@ class ServiceStats:
         )
 
 
-class StatsRecorder:
-    """Thread-safe mutable counters behind :class:`ServiceStats`.
+#: Each :class:`ServiceStats` counter and the ``(operation, event)``
+#: keys it sums.  Operations are ``"plan"``, ``"execute"`` and
+#: ``"cache"`` (bookkeeping shared by both); the breaker counters sum
+#: over the two guarded operations.
+COUNTERS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "requests": (("plan", "hit"), ("plan", "miss")),
+    "hits": (("plan", "hit"),),
+    "misses": (("plan", "miss"),),
+    "patched": (("cache", "patched"),),
+    "invalidations": (("cache", "invalidation"),),
+    "evictions": (("cache", "eviction"),),
+    "rebuilds": (("cache", "rebuild"),),
+    "batches": (("plan", "batch"),),
+    "timeouts": (("plan", "timeout"),),
+    "retries": (("plan", "retry"),),
+    "degraded": (("plan", "degraded"),),
+    "breaker_opens": (("plan", "open"), ("execute", "open")),
+    "breaker_probes": (("plan", "probe"), ("execute", "probe")),
+    "breaker_closes": (("plan", "close"), ("execute", "close")),
+    "fast_fails": (("plan", "fast_fail"),),
+    "lints": (("plan", "lint"),),
+    "lint_errors": (("plan", "lint_error"),),
+    "executions": (("execute", "ok"), ("execute", "degraded")),
+    "exec_failures": (("execute", "failure"),),
+    "exec_retries": (("execute", "retry"),),
+    "exec_degraded": (("execute", "degraded"),),
+    "exec_fast_fails": (("execute", "fast_fail"),),
+}
 
+
+class StatsRecorder:
+    """Thread-safe event counts behind :class:`ServiceStats`.
+
+    Every event is counted under an ``(operation, event)`` key;
+    :data:`COUNTERS` maps those keys onto the snapshot's fields.
     Latencies are kept in bounded deques (newest ``maxlen`` samples) so
     a long-lived service never grows without bound; percentiles are over
     that window.
@@ -187,159 +222,46 @@ class StatsRecorder:
 
     def __init__(self, latency_window: int = 4096) -> None:
         self._lock = threading.Lock()
-        self.requests = 0
-        self.hits = 0
-        self.misses = 0
-        self.patched = 0
-        self.invalidations = 0
-        self.evictions = 0
-        self.rebuilds = 0
-        self.batches = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.degraded = 0
-        self.breaker_opens = 0
-        self.breaker_probes = 0
-        self.breaker_closes = 0
-        self.fast_fails = 0
-        self.lints = 0
-        self.lint_errors = 0
-        self.executions = 0
-        self.exec_failures = 0
-        self.exec_retries = 0
-        self.exec_degraded = 0
-        self.exec_fast_fails = 0
-        self._build_latencies: Deque[float] = deque(maxlen=latency_window)
-        self._hit_latencies: Deque[float] = deque(maxlen=latency_window)
+        self._counts: DefaultDict[Tuple[str, str], int] = defaultdict(int)
+        self._latencies: Dict[Tuple[str, str], Deque[float]] = {
+            ("plan", "hit"): deque(maxlen=latency_window),
+            ("plan", "miss"): deque(maxlen=latency_window),
+        }
 
-    # ------------------------------------------------------------------
-    def record_hit(self, seconds: float) -> None:
+    def record(
+        self, op: str, event: str, count: int = 1, *,
+        seconds: Optional[float] = None,
+    ) -> None:
+        """Count ``count`` occurrences of ``event`` in ``op``; a hit or
+        miss also passes its latency in ``seconds``."""
+        if not count:
+            return
+        key = (op, event)
         with self._lock:
-            self.requests += 1
-            self.hits += 1
-            self._hit_latencies.append(seconds)
+            self._counts[key] += count
+            if seconds is not None:
+                self._latencies[key].append(seconds)
 
-    def record_miss(self, build_seconds: float) -> None:
-        with self._lock:
-            self.requests += 1
-            self.misses += 1
-            self._build_latencies.append(build_seconds)
-
-    def record_batch(self) -> None:
-        with self._lock:
-            self.batches += 1
-
-    def record_evictions(self, count: int) -> None:
-        if count:
-            with self._lock:
-                self.evictions += count
-
-    def record_invalidations(self, count: int) -> None:
-        if count:
-            with self._lock:
-                self.invalidations += count
-
-    def record_patched(self, count: int) -> None:
-        if count:
-            with self._lock:
-                self.patched += count
-
-    def record_rebuilds(self, count: int) -> None:
-        if count:
-            with self._lock:
-                self.rebuilds += count
-
-    def record_timeout(self) -> None:
-        with self._lock:
-            self.timeouts += 1
-
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
-
-    def record_degraded(self) -> None:
-        with self._lock:
-            self.degraded += 1
-
-    def record_breaker_open(self) -> None:
-        with self._lock:
-            self.breaker_opens += 1
-
-    def record_probe(self) -> None:
-        with self._lock:
-            self.breaker_probes += 1
-
-    def record_breaker_close(self) -> None:
-        with self._lock:
-            self.breaker_closes += 1
-
-    def record_fast_fail(self) -> None:
-        with self._lock:
-            self.fast_fails += 1
-
-    def record_lint(self, *, errors: int = 0) -> None:
-        with self._lock:
-            self.lints += 1
-            self.lint_errors += errors
-
-    def record_execution(self) -> None:
-        with self._lock:
-            self.executions += 1
-
-    def record_exec_failure(self) -> None:
-        with self._lock:
-            self.exec_failures += 1
-
-    def record_exec_retry(self) -> None:
-        with self._lock:
-            self.exec_retries += 1
-
-    def record_exec_degraded(self) -> None:
-        with self._lock:
-            self.exec_degraded += 1
-
-    def record_exec_fast_fail(self) -> None:
-        with self._lock:
-            self.exec_fast_fails += 1
-
-    # ------------------------------------------------------------------
     def snapshot(self, *, entries: int, weight: int) -> ServiceStats:
         """Freeze the counters into a :class:`ServiceStats`."""
         with self._lock:
-            builds = sorted(self._build_latencies)
-            hits = sorted(self._hit_latencies)
+            counts = {
+                field: sum(self._counts.get(key, 0) for key in keys)
+                for field, keys in COUNTERS.items()
+            }
+            builds = sorted(self._latencies["plan", "miss"])
+            hits = sorted(self._latencies["plan", "hit"])
 
-            def pct(vals: Sequence[float], q: float) -> Optional[float]:
-                return nearest_rank(vals, q) * 1e3 if vals else None
+        def pct(vals: Sequence[float], q: float) -> Optional[float]:
+            return nearest_rank(vals, q) * 1e3 if vals else None
 
-            return ServiceStats(
-                requests=self.requests,
-                hits=self.hits,
-                misses=self.misses,
-                patched=self.patched,
-                invalidations=self.invalidations,
-                evictions=self.evictions,
-                rebuilds=self.rebuilds,
-                batches=self.batches,
-                entries=entries,
-                weight=weight,
-                plan_p50_ms=pct(builds, 0.50),
-                plan_p90_ms=pct(builds, 0.90),
-                plan_p99_ms=pct(builds, 0.99),
-                plan_max_ms=(builds[-1] * 1e3 if builds else None),
-                hit_p50_ms=pct(hits, 0.50),
-                timeouts=self.timeouts,
-                retries=self.retries,
-                degraded=self.degraded,
-                breaker_opens=self.breaker_opens,
-                breaker_probes=self.breaker_probes,
-                breaker_closes=self.breaker_closes,
-                fast_fails=self.fast_fails,
-                lints=self.lints,
-                lint_errors=self.lint_errors,
-                executions=self.executions,
-                exec_failures=self.exec_failures,
-                exec_retries=self.exec_retries,
-                exec_degraded=self.exec_degraded,
-                exec_fast_fails=self.exec_fast_fails,
-            )
+        return ServiceStats(
+            **counts,
+            entries=entries,
+            weight=weight,
+            plan_p50_ms=pct(builds, 0.50),
+            plan_p90_ms=pct(builds, 0.90),
+            plan_p99_ms=pct(builds, 0.99),
+            plan_max_ms=(builds[-1] * 1e3 if builds else None),
+            hit_p50_ms=pct(hits, 0.50),
+        )
