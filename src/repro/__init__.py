@@ -43,7 +43,7 @@ from .core.optimal_path import optimal_path_gossip
 from .core.recovery import RecoveryResult, execute_plan_with_faults, recover
 from .core.repeated import repeated_gossip
 from .core.ring import hamiltonian_circuit, ring_gossip, ring_gossip_on_graph
-from .core.schedule import Round, Schedule, ScheduleBuilder, Transmission
+from .core.schedule import Round, Schedule, Transmission
 from .core.simple import simple_gossip, simple_total_time
 from .core.survival import (
     SurvivalDiagnosis,
@@ -108,7 +108,6 @@ __all__ = [
     "Transmission",
     "Round",
     "Schedule",
-    "ScheduleBuilder",
     "concurrent_updown",
     "concurrent_updown_on_tree",
     "simple_gossip",

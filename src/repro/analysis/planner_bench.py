@@ -15,8 +15,8 @@ module measures the fast path that replaced it:
   planning path may not regress back towards the seed's per-transmission
   object construction (1.9–3.4 s on ``grid:400``; now ~30 ms);
 * **schedule-identity gate** — the array pipeline must emit
-  round-for-round bit-identical schedules to the seed builder on all
-  21 topology families;
+  round-for-round bit-identical schedules to the per-vertex reference
+  (:mod:`repro.core.reference`) on all 21 topology families;
 * **trajectory** — results serialise to ``BENCH_planner.json`` at the
   repo root so successive PRs can compare cold-plan latency.
 
@@ -146,7 +146,7 @@ class PlannerBenchReport:
           schedule construction can (the ratio drifts up even as absolute
           cold-plan time stays tens of milliseconds);
         * the array pipeline's schedules are round-for-round identical to
-          the seed builder on every swept family.
+          the per-vertex reference on every swept family.
         """
         for cell in self.cells:
             assert cell.identical, (
@@ -253,16 +253,14 @@ def _best_of(fn, repeats: int) -> Tuple[float, object]:
 
 
 def _schedule_identity_sweep(n: int = IDENTITY_SWEEP_N) -> Dict[str, bool]:
-    """Array pipeline vs seed builder, round for round, on every family.
+    """Array pipeline vs the per-vertex reference, round for round, per family.
 
     Returns ``{family: identical}`` for all registered topology families
     at the :data:`IDENTITY_SWEEP_N` size class.  "Identical" means equal
     flat arrays *and* equal materialised round/transmission objects.
     """
-    from ..core.concurrent_updown import (
-        concurrent_updown,
-        concurrent_updown_reference,
-    )
+    from ..core.concurrent_updown import concurrent_updown
+    from ..core.reference import concurrent_updown_reference
     from ..tree.labeling import LabeledTree
     from .sweep import FAMILIES, family_instance
 

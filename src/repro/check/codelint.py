@@ -15,8 +15,9 @@ runs :func:`main`).  The original seven rules:
    type-checking the code.
 4. **No Python loops in core hot paths** — the schedule-construction
    modules build schedules as flat numpy arrays; loops are only allowed
-   in ``*_builder`` reference functions or under a justified
-   ``hot-loop-ok`` docstring marker.
+   under a justified ``hot-loop-ok`` docstring marker (the per-vertex
+   reference emitters live outside these modules, in
+   ``core/reference.py``).
 5. **Clock discipline in the runtime** — every time-dependent call goes
    through the injectable :class:`repro.runtime.clock.Clock`.
 6. **Seeded randomness in the randomized baselines** — all draws flow
@@ -269,27 +270,20 @@ def _hot_loop_violations(
 ) -> Iterator[Violation]:
     """Flag ``for``/``while`` under ``scope`` unless exempted.
 
-    Exemption is per *function* — a ``*_builder`` name or a
-    ``hot-loop-ok`` docstring marker — and extends to functions nested
-    inside an exempt one (helpers of a reference implementation).
+    Exemption is per *function* — a ``hot-loop-ok`` docstring marker —
+    and extends to functions nested inside an exempt one.
     """
     for node in ast.iter_child_nodes(scope):
         child_exempt = exempt
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             doc = ast.get_docstring(node) or ""
-            child_exempt = (
-                exempt
-                or node.name.endswith("_builder")
-                or HOT_LOOP_MARKER in doc
-            )
+            child_exempt = exempt or HOT_LOOP_MARKER in doc
         elif isinstance(node, (ast.For, ast.AsyncFor, ast.While)) and not exempt:
             yield (
                 path,
                 node.lineno,
-                "Python loop in a core hot path; vectorise it, or exempt "
-                "the function (name it *_builder for a reference "
-                f"implementation, or justify a '{HOT_LOOP_MARKER}' marker "
-                "in its docstring)",
+                "Python loop in a core hot path; vectorise it, or justify "
+                f"a '{HOT_LOOP_MARKER}' marker in the function's docstring",
             )
         yield from _hot_loop_violations(path, node, child_exempt)
 

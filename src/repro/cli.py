@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="exit non-zero unless trees are bit-identical, the grid:400-"
              "class speedup and cold-plan gates hold, and array schedules "
-             "match the seed builder on every family",
+             "match the per-vertex reference on every family",
     )
 
     p_lint = sub.add_parser(

@@ -68,7 +68,7 @@ from .survival import (
     survivor_coverage,
     validate_survival,
 )
-from .schedule import Round, Schedule, ScheduleBuilder, Transmission, merge_schedules
+from .schedule import Round, Schedule, Transmission, merge_schedules
 from .simple import simple_gossip, simple_gossip_on_tree, simple_total_time
 from .store_forward import (
     GreedyMulticastPolicy,
@@ -88,7 +88,6 @@ __all__ = [
     "Transmission",
     "Round",
     "Schedule",
-    "ScheduleBuilder",
     "merge_schedules",
     "concurrent_updown",
     "concurrent_updown_on_tree",

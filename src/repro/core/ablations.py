@@ -26,10 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..exceptions import ScheduleConflictError
 from ..tree.labeling import LabeledTree
-from .propagate_down import propagate_down_builder
-from .schedule import Schedule, ScheduleBuilder
+from .propagate_down import propagate_down
+from .propagate_up import _repeat_offsets, parent_masks
+from .schedule import ArraySchedule, Schedule, merge_schedules
 
 __all__ = [
     "propagate_up_no_lip",
@@ -47,15 +50,17 @@ def propagate_up_no_lip(labeled: LabeledTree) -> Schedule:
     counterfactual).  Feasible in isolation — Lemma 2's timing still
     holds — but incompatible with Propagate-Down.
     """
-    builder = ScheduleBuilder()
-    tree = labeled.tree
-    for v in range(labeled.n):
-        if tree.is_root(v):
-            continue
-        block = labeled.block(v)
-        for m in range(block.i, block.j + 1):
-            builder.send(m - block.k, v, m, (tree.parent(v),))
-    return builder.build(name="Propagate-Up-no-lip")
+    arr = labeled.arrays
+    nonroot = np.flatnonzero(arr.parent >= 0)
+    reps, offs = _repeat_offsets(arr.j[nonroot] - arr.i[nonroot] + 1)
+    senders = nonroot[reps]
+    messages = arr.i[senders] + offs
+    arrays = ArraySchedule.from_events(
+        messages - arr.k[senders], senders, messages,
+        parent_masks(labeled, senders),
+        n=labeled.n, n_messages=labeled.n, name="Propagate-Up-no-lip",
+    )
+    return Schedule.from_arrays(arrays)
 
 
 def concurrent_updown_no_lip(labeled: LabeledTree) -> Schedule:
@@ -68,9 +73,10 @@ def concurrent_updown_no_lip(labeled: LabeledTree) -> Schedule:
         itself internal (every interesting tree), because the lookahead's
         arrival now lands on a busy receive slot.
     """
-    up = ScheduleBuilder._load(propagate_up_no_lip(labeled))
-    down = propagate_down_builder(labeled)
-    return up.merge(down).build(name="ConcurrentUpDown-no-lip")
+    return merge_schedules(
+        propagate_up_no_lip(labeled), propagate_down(labeled),
+        name="ConcurrentUpDown-no-lip",
+    )
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from typing import Dict, List, Set, Tuple
 from ..exceptions import ReproError
 from ..networks.graph import Graph
 from ..networks.topologies import path_graph
-from .schedule import Schedule, ScheduleBuilder
+from .schedule import ArraySchedule, Schedule
 
 __all__ = ["optimal_path_gossip", "optimal_path_time"]
 
@@ -66,13 +66,13 @@ def optimal_path_gossip(n: int) -> Tuple[Graph, Schedule]:
     def vid(pos: int) -> int:
         return pos + m
 
-    builder = ScheduleBuilder()
+    sends: List[Tuple[int, int, int, List[int]]] = []
     send_cal: List[Dict[int, int]] = [dict() for _ in range(n)]
     recv_busy: List[Set[int]] = [set() for _ in range(n)]
     arrivals: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
 
     def emit(t: int, sender: int, message: int, dests: List[int]) -> None:
-        builder.send(t, sender, message, dests)
+        sends.append((t, sender, message, dests))
         send_cal[sender][t] = message
         for d in dests:
             recv_busy[d].add(t + 1)
@@ -116,4 +116,5 @@ def optimal_path_gossip(n: int) -> Tuple[Graph, Schedule]:
                     t += 1
                 emit(t, v, msg, [nxt])
 
-    return path_graph(n), builder.build(name=f"optimal-path-{n}")
+    arrays = ArraySchedule.from_sends(sends, n=n, name=f"optimal-path-{n}")
+    return path_graph(n), Schedule.from_arrays(arrays)

@@ -34,24 +34,22 @@ Table 4.
 Events are compact ``(time, sender, message, excluded-child)`` columns —
 the destination set is always "children of the sender, minus the
 excluded child" (``-1`` = none excluded), so no bitmask rows are
-materialised here; the callers build masks exactly once.
-:func:`propagate_down_builder` keeps the seed's per-vertex emission as
-the differential-testing reference.
+materialised here; the callers build masks exactly once.  The seed's
+per-vertex emission is kept in :mod:`repro.core.reference` as the
+differential-testing oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..tree.labeling import LabeledTree
-from ..types import Message, Time
 from .propagate_up import _repeat_offsets
-from .schedule import ArraySchedule, Schedule, ScheduleBuilder, _bit_of, _mask_width
+from .schedule import ArraySchedule, Schedule, _bit_of, _mask_width
 
 __all__ = [
-    "propagate_down_builder",
     "propagate_down_events",
     "children_masks",
     "down_event_masks",
@@ -95,8 +93,8 @@ def propagate_down_events(
     """All (D2)/(D3) sends as flat ``(time, sender, message, excl)`` columns.
 
     Events whose destination set is empty (the excluded child was the
-    sender's only child) are already dropped, mirroring the seed
-    builder.  hot-loop-ok: the only Python loop below is over tree
+    sender's only child) are already dropped, mirroring the reference
+    emitter.  hot-loop-ok: the only Python loop below is over tree
     *levels* — the (D2) stream of level ``l`` is defined by the actual
     sends of level ``l - 1``, a genuine sequential dependency; every
     per-level step is whole-array numpy.
@@ -129,7 +127,7 @@ def propagate_down_events(
     b_m = arr.i[b_excl] + offs
     b_t = b_m - arr.k[b_sender]
     # Drop empty-destination events now (the excluded child was the
-    # sender's only child — the seed builder's emit() skip); this keeps
+    # sender's only child — the reference emitter's skip); this keeps
     # every later stage filter-free.
     bkeep = deg[b_sender] > 1
     if not bkeep.all():
@@ -243,60 +241,6 @@ def propagate_down_events(
     excl = np.full(len(times), -1, dtype=np.int64)
     excl[len(s_v) : len(s_v) + len(b_t)] = b_excl
     return times, senders, messages, excl
-
-
-def propagate_down_builder(labeled: LabeledTree) -> ScheduleBuilder:
-    """Emit all (D2)/(D3) send events into a fresh builder.
-
-    The seed per-vertex reference implementation, kept for ablations and
-    for differential tests against :func:`propagate_down_events`.
-    """
-    builder = ScheduleBuilder()
-    tree = labeled.tree
-    # Downward sends already emitted, per vertex, so each child can
-    # reconstruct its arrival stream: (send_time, message, destinations).
-    down_sends: Dict[int, List[Tuple[Time, Message, FrozenSet[int]]]] = {
-        v: [] for v in range(labeled.n)
-    }
-
-    def emit(v: int, time: Time, message: Message, dests: Tuple[int, ...]) -> None:
-        if dests:
-            builder.send(time, v, message, dests)
-            down_sends[v].append((time, message, frozenset(dests)))
-
-    for v in tree.bfs_order():
-        kids = tree.children(v)
-        if not kids:
-            continue  # leaves relay nothing downward
-        block = labeled.block(v)
-        i, j, k = block.i, block.j, block.k
-
-        # (D3): body messages i..j at times i-k .. j-k.
-        for m in range(i, j + 1):
-            if m == i:
-                send_time = (j - k + 1) if i == k else (i - k)
-                emit(v, send_time, m, kids)
-            else:
-                owner = labeled.owner_child(v, m)
-                emit(v, m - k, m, tuple(c for c in kids if c != owner))
-
-        # (D2): forward o-messages arriving from the parent.
-        if not tree.is_root(v):
-            parent = tree.parent(v)
-            arrivals = sorted(
-                (send_time + 1, message)
-                for (send_time, message, dests) in down_sends[parent]
-                if v in dests
-            )
-            held: List[Message] = []
-            for arrival_time, m in arrivals:
-                if arrival_time in (i - k, i - k + 1):
-                    held.append(m)
-                else:
-                    emit(v, arrival_time, m, kids)
-            for offset, m in enumerate(held):
-                emit(v, j - k + 1 + offset, m, kids)
-    return builder
 
 
 def propagate_down(labeled: LabeledTree) -> Schedule:

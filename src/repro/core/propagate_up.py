@@ -26,8 +26,8 @@ vertices are expanded with a single repeat/offset trick, never touching
 per-message Python objects.  Every event is implicitly a unicast to the
 sender's parent, so no destination masks are materialised here; the
 callers (:func:`propagate_up` and the ConcurrentUpDown assembly) set the
-parent bits where they need them.  :func:`propagate_up_builder` keeps
-the seed's per-vertex emission as the differential-testing reference.
+parent bits where they need them.  The seed's per-vertex emission is
+kept in :mod:`repro.core.reference` as the differential-testing oracle.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from typing import Tuple
 import numpy as np
 
 from ..tree.labeling import LabeledTree
-from .schedule import ArraySchedule, Schedule, ScheduleBuilder, _bit_of, _mask_width
+from .schedule import ArraySchedule, Schedule, _bit_of, _mask_width
 
-__all__ = ["propagate_up_builder", "propagate_up_events", "propagate_up"]
+__all__ = ["propagate_up_events", "parent_masks", "propagate_up"]
 
 
 def _repeat_offsets(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -84,26 +84,13 @@ def propagate_up_events(
     return times, senders, messages
 
 
-def propagate_up_builder(labeled: LabeledTree) -> ScheduleBuilder:
-    """Emit all (U3)/(U4) send events into a fresh builder.
-
-    The seed per-vertex reference implementation, kept for ablations and
-    for differential tests against :func:`propagate_up_events`.
-    """
-    builder = ScheduleBuilder()
-    tree = labeled.tree
-    for v in range(labeled.n):
-        if tree.is_root(v):
-            continue
-        block = labeled.block(v)
-        parent = tree.parent(v)
-        # (U3): the lip-message, one round ahead of the rip stream.
-        if block.is_first_child:
-            builder.send(0, v, block.i, (parent,))
-        # (U4): rip-messages i+w .. j, message m at time m - k.
-        for m in range(block.i + block.w, block.j + 1):
-            builder.send(m - block.k, v, m, (parent,))
-    return builder
+def parent_masks(labeled: LabeledTree, senders: np.ndarray) -> np.ndarray:
+    """Destination bitmask rows for upward unicasts: the sender's parent."""
+    masks = np.zeros((len(senders), _mask_width(labeled.n)), dtype=np.uint64)
+    if len(senders):
+        word, bit = _bit_of(labeled.arrays.parent[senders])
+        masks[np.arange(len(senders)), word] = bit
+    return masks
 
 
 def propagate_up(labeled: LabeledTree) -> Schedule:
@@ -113,14 +100,8 @@ def propagate_up(labeled: LabeledTree) -> Schedule:
     ``n - 1`` (Lemma 2); it is one half of the ConcurrentUpDown overlap.
     """
     times, senders, messages = propagate_up_events(labeled)
-    arr = labeled.arrays
-    n = labeled.n
-    masks = np.zeros((len(times), _mask_width(n)), dtype=np.uint64)
-    if len(times):
-        word, bit = _bit_of(arr.parent[senders])
-        masks[np.arange(len(times)), word] = bit
     arrays = ArraySchedule.from_events(
-        times, senders, messages, masks,
-        n=n, n_messages=n, name="Propagate-Up",
+        times, senders, messages, parent_masks(labeled, senders),
+        n=labeled.n, n_messages=labeled.n, name="Propagate-Up",
     )
     return Schedule.from_arrays(arrays)

@@ -38,13 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Set, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:  # the engine is only imported lazily, inside execute()
     from ..simulator.engine import ExecutionResult
 
 from ..exceptions import ReproError, ScheduleConflictError
 from ..tree.labeling import LabeledTree
 from .concurrent_updown import concurrent_updown
-from .schedule import Schedule, ScheduleBuilder
+from .schedule import ArraySchedule, Schedule
 
 __all__ = ["RepeatedGossipPlan", "minimal_pipeline_offset", "repeated_gossip"]
 
@@ -156,7 +158,9 @@ def repeated_gossip(
 
     ``offset`` defaults to :func:`minimal_pipeline_offset` of the single
     schedule.  Raises :class:`ReproError` when a supplied offset causes a
-    collision (the builder proves safety as a side effect of merging).
+    collision (packing the shifted copies proves safety as a side effect).
+    The arrays declare ``n_messages = instances * n``: instance ``q``'s
+    message with DFS label ``m`` is ``q * n + m``.
     """
     if instances < 1:
         raise ReproError("need at least one gossip instance")
@@ -164,20 +168,23 @@ def repeated_gossip(
     if offset is None:
         offset = minimal_pipeline_offset(single)
     n = labeled.n
-    builder = ScheduleBuilder()
+    cols = single.arrays()
+    q = np.repeat(np.arange(instances, dtype=np.int64), cols.n_transmissions)
     try:
-        for q in range(instances):
-            base = q * offset
-            for t, rnd in enumerate(single):
-                for tx in rnd:
-                    builder.send(
-                        base + t, tx.sender, q * n + tx.message, tx.destinations
-                    )
-        schedule = builder.build(name=f"ConcurrentUpDown-x{instances}")
+        arrays = ArraySchedule.from_events(
+            np.tile(cols.round, instances) + q * offset,
+            np.tile(cols.sender, instances),
+            np.tile(cols.message, instances) + q * n,
+            np.tile(cols.dest_mask, (instances, 1)),
+            n=n,
+            n_messages=instances * n,
+            name=f"ConcurrentUpDown-x{instances}",
+        )
     except ScheduleConflictError as exc:
         raise ReproError(
             f"offset {offset} is unsafe for pipelined gossip: {exc}"
         ) from exc
     return RepeatedGossipPlan(
-        labeled=labeled, instances=instances, offset=offset, schedule=schedule
+        labeled=labeled, instances=instances, offset=offset,
+        schedule=Schedule.from_arrays(arrays),
     )

@@ -38,26 +38,22 @@ and :mod:`repro.lint`.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import ScheduleConflictError, ScheduleError
-from ..types import Message, Time, Vertex, VertexSet
+from ..types import Message, Time, Vertex
 
 __all__ = [
     "Transmission",
     "Round",
     "Schedule",
     "ArraySchedule",
-    "ScheduleBuilder",
     "merge_schedules",
 ]
-
-#: Ids this large would make the packed destination matrix absurd; the
-#: builder falls back to the object representation beyond it.
-_MAX_PACKED_ID = 1 << 22
 
 #: Set-bit count and ascending set-bit positions of every byte value
 #: (rows padded with zeros), for :meth:`ArraySchedule.destination_pairs`.
@@ -330,11 +326,11 @@ class ArraySchedule:
     ) -> "ArraySchedule":
         """Canonicalise raw send events into an :class:`ArraySchedule`.
 
-        This is the array analogue of :class:`ScheduleBuilder`: events
-        with empty destination sets are dropped, same-time same-sender
-        events carrying the *same* message fuse into one multicast
-        (their destination masks are OR-ed — the Theorem 1 overlap), and
-        a same-time same-sender pair with *different* messages raises
+        The one place where sends are fused and checked: events with
+        empty destination sets are dropped, same-time same-sender events
+        carrying the *same* message fuse into one multicast (their
+        destination masks are OR-ed — the Theorem 1 overlap), and a
+        same-time same-sender pair with *different* messages raises
         :class:`~repro.exceptions.ScheduleConflictError`, machine-checking
         the no-interference property on every construction.
         """
@@ -381,6 +377,36 @@ class ArraySchedule:
         )
 
     @classmethod
+    def from_sends(
+        cls,
+        sends: Iterable[Tuple[Time, Vertex, Message, Iterable[Vertex]]],
+        *,
+        n: int,
+        n_messages: Optional[int] = None,
+        name: str = "",
+    ) -> "ArraySchedule":
+        """Pack ``(time, sender, message, destinations)`` send tuples.
+
+        The front door for producers that emit sends one by one: the
+        destination lists are packed into masks and handed to
+        :meth:`from_events`, so fusion and conflict checks are the same.
+        """
+        sends = list(sends)
+        times, senders, messages, dests = (
+            zip(*sends) if sends else ((), (), (), ())
+        )
+        times = np.asarray(times, dtype=np.int64)
+        if len(times) and times.min() < 0:
+            raise ScheduleError(f"negative send time {int(times.min())}")
+        return cls.from_events(
+            times,
+            np.asarray(senders, dtype=np.int64),
+            np.asarray(messages, dtype=np.int64),
+            _masks_from_dest_lists([tuple(d) for d in dests], int(n)),
+            n=int(n), n_messages=n_messages, name=name,
+        )
+
+    @classmethod
     def from_schedule(
         cls,
         schedule: "Schedule",
@@ -391,43 +417,23 @@ class ArraySchedule:
         """Pack an object-view schedule into the canonical array form.
 
         ``n`` defaults to the smallest processor count covering every
-        sender and destination in the schedule.
+        sender and destination in the schedule; ids outside ``0..n-1``
+        raise :class:`~repro.exceptions.ScheduleError`.
         """
-        times: List[int] = []
-        senders: List[int] = []
-        messages: List[int] = []
-        dests: List[Tuple[int, ...]] = []
-        for t, rnd in enumerate(schedule.rounds):
-            for tx in rnd:
-                times.append(t)
-                senders.append(int(tx.sender))
-                messages.append(int(tx.message))
-                dests.append(tuple(tx.destinations))
-        max_id = -1
-        for s, ds in zip(senders, dests):
-            top = max(ds) if ds else -1
-            m = s if s > top else top
-            if m > max_id:
-                max_id = m
-        if any(d < 0 for ds in dests for d in ds) or min(senders, default=0) < 0:
+        sends = [
+            (t, tx.sender, tx.message, tx.destinations)
+            for t, rnd in enumerate(schedule.rounds)
+            for tx in rnd
+        ]
+        ids = [v for _, s, _, ds in sends for v in (s, *ds)]
+        if min(ids, default=0) < 0:
             raise ScheduleError(
                 "cannot pack a schedule with negative processor ids into arrays"
             )
         if n is None:
-            n = max_id + 1
-        elif max_id >= n:
-            raise ScheduleError(
-                f"schedule references processor {max_id} but n={n} was given"
-            )
-        masks = _masks_from_dest_lists(dests, int(n))
-        return cls.from_events(
-            np.asarray(times, dtype=np.int64),
-            np.asarray(senders, dtype=np.int64),
-            np.asarray(messages, dtype=np.int64),
-            masks,
-            n=int(n),
-            n_messages=n_messages,
-            name=schedule.name,
+            n = max(ids, default=-1) + 1
+        return cls.from_sends(
+            sends, n=n, n_messages=n_messages, name=schedule.name
         )
 
     @classmethod
@@ -488,6 +494,16 @@ class ArraySchedule:
     def _validate_columns(self) -> None:
         """Checks that need only the flat columns (not the mask matrix)."""
         rnd, snd, msg = self.round, self.sender, self.message
+        if self.n < 0 or self.n_messages < 0:
+            raise ScheduleError(
+                f"array schedule needs n >= 0 and n_messages >= 0, got "
+                f"n={self.n}, n_messages={self.n_messages}"
+            )
+        if not len(rnd) == len(snd) == len(msg):
+            raise ScheduleError(
+                f"array schedule columns differ in length: round {len(rnd)}, "
+                f"sender {len(snd)}, message {len(msg)}"
+            )
         if len(rnd) == 0:
             return
         if (
@@ -662,13 +678,42 @@ class ArraySchedule:
 
     @classmethod
     def from_npz(cls, path) -> "ArraySchedule":
-        """Load (and re-validate) an :meth:`to_npz` artefact."""
-        with np.load(path, allow_pickle=False) as data:
-            n, n_messages = (int(x) for x in data["meta"])
-            return cls(
-                data["round"], data["sender"], data["message"], data["dest_mask"],
-                n=n, n_messages=n_messages, name=str(data["name"]),
+        """Load (and re-validate) an :meth:`to_npz` artefact.
+
+        A malformed file raises :class:`~repro.exceptions.ScheduleError`:
+        a missing field, a misshapen ``meta``, non-integer columns, ids
+        outside int32 or bytes that are not an npz archive here, and
+        unequal column lengths or a negative ``n`` / ``n_messages`` in
+        the constructor's validation.  A missing file still raises
+        :class:`FileNotFoundError`.
+        """
+        keys = ("round", "sender", "message", "dest_mask", "meta")
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                rnd, snd, msg, masks, meta = (data[key] for key in keys)
+                name = str(data["name"])
+        except FileNotFoundError:
+            raise
+        except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
+            raise ScheduleError(f"unreadable schedule npz {path}: {exc}") from exc
+        int32 = np.iinfo(np.int32)
+        for key, col in zip(keys, (rnd, snd, msg, masks, meta)):
+            if col.dtype.kind not in "iu":
+                raise ScheduleError(
+                    f"schedule npz field {key!r} has dtype {col.dtype}; "
+                    "expected integers"
+                )
+            if key in keys[:3] and col.size and (
+                col.min() < int32.min or col.max() > int32.max
+            ):
+                raise ScheduleError(f"schedule npz field {key!r} exceeds int32")
+        if meta.shape != (2,):
+            raise ScheduleError(
+                f"schedule npz meta has shape {meta.shape}; expected (2,) = "
+                "(n, n_messages)"
             )
+        n, n_messages = (int(x) for x in meta)
+        return cls(rnd, snd, msg, masks, n=n, n_messages=n_messages, name=name)
 
     # ------------------------------------------------------------------
     # Object-view materialisation
@@ -755,6 +800,11 @@ def _masks_from_dest_lists(
         flat = np.fromiter(
             (d for ds in dests for d in ds), dtype=np.int64, count=total
         )
+        if flat.min() < 0 or flat.max() >= n:
+            bad = int(flat.min()) if flat.min() < 0 else int(flat.max())
+            raise ScheduleError(
+                f"destination {bad} is outside processors 0..{n - 1}"
+            )
         rows = np.repeat(np.arange(len(dests)), counts)
         word, bit = _bit_of(flat)
         np.bitwise_or.at(masks, (rows, word), bit)
@@ -770,7 +820,7 @@ class Schedule:
     communication".
 
     A schedule constructed from an :class:`ArraySchedule`
-    (:meth:`from_arrays`, or any array-native algorithm / builder) keeps
+    (:meth:`from_arrays`, or any algorithm that packs its sends) keeps
     the arrays as the source of truth and materialises the
     ``Round`` / ``Transmission`` objects lazily on first access; counters
     such as :attr:`total_time` and :meth:`total_deliveries` answer from
@@ -924,150 +974,27 @@ class Schedule:
 _EMPTY_ROUND = Round(())
 
 
-class ScheduleBuilder:
-    """Accumulates ``send(time, sender, message, destinations)`` events.
-
-    The builder is how the Propagate-Up and Propagate-Down schedules are
-    *overlapped* into the ConcurrentUpDown schedule: when the same sender
-    sends the same message at the same time in both (steps (U4) and (D3)
-    deliberately coincide — Theorem 1), the destination sets are merged
-    into a single multicast.  A same-time same-sender event with a
-    *different* message raises :class:`ScheduleConflictError` immediately,
-    which is exactly the no-interference condition the theorem proves.
-
-    :meth:`build` packs the accumulated events straight into an
-    :class:`ArraySchedule` (the returned :class:`Schedule` is the lazy
-    facade over it), so schedules assembled through the builder are
-    array-backed like the native pipeline's.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self) -> None:
-        # time -> sender -> (message, set of destinations)
-        self._events: Dict[int, Dict[int, Tuple[int, set]]] = {}
-
-    def send(
-        self, time: Time, sender: Vertex, message: Message, destinations: VertexSet
-    ) -> "ScheduleBuilder":
-        """Record that ``sender`` multicasts ``message`` at ``time``.
-
-        Merges with an existing same-time event of the same sender when the
-        message matches; raises otherwise.
-        """
-        if time < 0:
-            raise ScheduleError(f"negative send time {time}")
-        dests = set(int(d) for d in destinations)
-        if not dests:
-            return self  # nothing to do; empty multicasts are dropped
-        at_time = self._events.setdefault(int(time), {})
-        existing = at_time.get(int(sender))
-        if existing is None:
-            at_time[int(sender)] = (int(message), dests)
-        else:
-            prev_message, prev_dests = existing
-            if prev_message != int(message):
-                raise ScheduleConflictError(
-                    f"processor {sender} would send both message {prev_message} "
-                    f"and message {message} at time {time}"
-                )
-            prev_dests.update(dests)
-        return self
-
-    def merge(self, other: "ScheduleBuilder") -> "ScheduleBuilder":
-        """Overlap all events of ``other`` into this builder."""
-        for time, at_time in other._events.items():
-            for sender, (message, dests) in at_time.items():
-                self.send(time, sender, message, dests)
-        return self
-
-    def build(self, name: str = "") -> Schedule:
-        """Freeze into an array-backed :class:`Schedule`, validating every round."""
-        if not self._events:
-            return Schedule((), name=name)
-        times: List[int] = []
-        senders: List[int] = []
-        messages: List[int] = []
-        dests: List[Sequence[int]] = []
-        max_id = -1
-        min_id = 0
-        for t, at_time in self._events.items():
-            for s, (m, ds) in at_time.items():
-                times.append(t)
-                senders.append(s)
-                messages.append(m)
-                dests.append(tuple(ds))
-                top = max(ds)
-                low = min(ds)
-                if s > top:
-                    top = s
-                if s < low:
-                    low = s
-                if top > max_id:
-                    max_id = top
-                if low < min_id:
-                    min_id = low
-        if min_id < 0 or max_id >= _MAX_PACKED_ID:
-            return self._build_objects(name)  # ids the mask cannot pack
-        n = max_id + 1
-        arrays = ArraySchedule.from_events(
-            np.asarray(times, dtype=np.int64),
-            np.asarray(senders, dtype=np.int64),
-            np.asarray(messages, dtype=np.int64),
-            _masks_from_dest_lists(dests, n),
-            n=n,
-            name=name,
-        )
-        return Schedule.from_arrays(arrays)
-
-    def _build_objects(self, name: str) -> Schedule:
-        """Object-path fallback for ids the packed mask cannot represent."""
-        horizon = max(self._events) + 1
-        rounds: List[Round] = []
-        for t in range(horizon):
-            at_time = self._events.get(t, {})
-            rounds.append(
-                Round(
-                    Transmission(sender=s, message=m, destinations=frozenset(d))
-                    for s, (m, d) in at_time.items()
-                )
-            )
-        return Schedule(rounds, name=name)
-
-    @staticmethod
-    def _load(schedule: Schedule) -> "ScheduleBuilder":
-        """Builder pre-loaded with every event of ``schedule`` (object path)."""
-        builder = ScheduleBuilder()
-        for t, rnd in enumerate(schedule):
-            for tx in rnd:
-                builder.send(t, tx.sender, tx.message, tx.destinations)
-        return builder
-
-
 def merge_schedules(first: Schedule, second: Schedule, name: str = "") -> Schedule:
     """Overlap two schedules into one (the ConcurrentUpDown combination).
 
-    Array-backed inputs merge natively (their event rows are concatenated
-    and re-canonicalised); object inputs go through the builder.  Either
-    way a :class:`ScheduleConflictError` is raised when the overlap
-    breaks a model rule — by Theorem 1 this never happens for the
-    Propagate-Up / Propagate-Down pair.
+    Both inputs are packed to arrays (object inputs through
+    :meth:`Schedule.arrays`), their event rows are concatenated and
+    re-canonicalised by :meth:`ArraySchedule.from_events`, which raises
+    :class:`ScheduleConflictError` when the overlap breaks a model rule
+    — by Theorem 1 this never happens for the Propagate-Up /
+    Propagate-Down pair.
     """
-    if first.is_array_backed and second.is_array_backed:
-        a = first.arrays()
-        b = second.arrays()
-        n = max(a.n, b.n)
-        a, b = a.widen(n), b.widen(n)
-        merged = ArraySchedule.from_events(
-            np.concatenate([a.round.astype(np.int64), b.round.astype(np.int64)]),
-            np.concatenate([a.sender.astype(np.int64), b.sender.astype(np.int64)]),
-            np.concatenate([a.message.astype(np.int64), b.message.astype(np.int64)]),
-            np.vstack([a.dest_mask, b.dest_mask]),
-            n=n,
-            n_messages=max(a.n_messages, b.n_messages),
-            name=name,
-        )
-        return Schedule.from_arrays(merged)
-    builder = ScheduleBuilder._load(first)
-    builder.merge(ScheduleBuilder._load(second))
-    return builder.build(name=name)
+    a = first.arrays()
+    b = second.arrays()
+    n = max(a.n, b.n)
+    a, b = a.widen(n), b.widen(n)
+    merged = ArraySchedule.from_events(
+        np.concatenate([a.round, b.round]),
+        np.concatenate([a.sender, b.sender]),
+        np.concatenate([a.message, b.message]),
+        np.vstack([a.dest_mask, b.dest_mask]),
+        n=n,
+        n_messages=max(a.n_messages, b.n_messages),
+        name=name,
+    )
+    return Schedule.from_arrays(merged)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from ..tree.labeling import LabeledTree
 from ..tree.tree import Tree
 from .gossip import register_algorithm
-from .schedule import Schedule, ScheduleBuilder
+from .schedule import ArraySchedule, Schedule
 
 __all__ = ["simple_gossip", "simple_gossip_on_tree", "simple_total_time"]
 
@@ -42,14 +42,14 @@ def simple_total_time(n: int, height: int) -> int:
 @register_algorithm("simple")
 def simple_gossip(labeled: LabeledTree) -> Schedule:
     """Build procedure Simple's schedule for a labelled tree."""
-    builder = ScheduleBuilder()
     tree = labeled.tree
     n = labeled.n
     if n <= 1:
-        return builder.build(name="Simple")
+        return Schedule((), name="Simple")
 
     # Up phase: message m climbs one level per round, timed to reach the
     # root at time m.  The ancestor at level l sends it at time m - l.
+    sends = []
     for v in range(n):
         if tree.is_root(v):
             continue
@@ -57,7 +57,7 @@ def simple_gossip(labeled: LabeledTree) -> Schedule:
         ancestor = v
         level = tree.level(v)
         while ancestor != tree.root:
-            builder.send(m - level, ancestor, m, (tree.parent(ancestor),))
+            sends.append((m - level, ancestor, m, (tree.parent(ancestor),)))
             ancestor = tree.parent(ancestor)
             level -= 1
 
@@ -69,8 +69,8 @@ def simple_gossip(labeled: LabeledTree) -> Schedule:
             continue
         k = tree.level(v)
         for m in range(n):
-            builder.send(n - 2 + m + k, v, m, kids)
-    return builder.build(name="Simple")
+            sends.append((n - 2 + m + k, v, m, kids))
+    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name="Simple"))
 
 
 def simple_gossip_on_tree(tree: Tree) -> Schedule:

@@ -43,8 +43,9 @@ from ..tree.labeling import LabeledTree
 from ..tree.tree import Tree
 from ..types import Message, Time
 from .gossip import register_algorithm
-from .propagate_up import propagate_up_builder
-from .schedule import Schedule
+from .propagate_up import propagate_up_events
+from .reference import propagate_down_reference
+from .schedule import ArraySchedule, Schedule
 
 __all__ = ["updown_gossip", "updown_gossip_on_tree", "updown_total_time_bound"]
 
@@ -67,60 +68,28 @@ def updown_gossip(labeled: LabeledTree) -> Schedule:
     downward events; the per-vertex stuck messages are collected instead
     of being inlined.  Phase 2 flushes them level by level using
     explicit send/receive calendars, so the result is conflict-free by
-    construction (and re-checked by the builder).
+    construction (and re-checked when the sends are packed).
     """
     tree = labeled.tree
     n = labeled.n
     if n <= 1:
         return Schedule((), name="UpDown")
 
-    builder = propagate_up_builder(labeled)
+    # Phase 1: the (U3)/(U4) up half (unicasts to the parent) plus the
+    # immediate (D2)/(D3) down stream, with the stuck o-messages held back.
+    stuck: Dict[int, List[Tuple[Time, Message]]] = {}
+    sends = [
+        (t, v, m, (tree.parent(v),))
+        for t, v, m in zip(*(col.tolist() for col in propagate_up_events(labeled)))
+    ]
+    sends += propagate_down_reference(labeled, stuck=stuck)
     # Calendars of *all* phase-1 activity, so phase 2 can slot around it.
     send_busy: List[Set[Time]] = [set() for _ in range(n)]
     recv_busy: List[Set[Time]] = [set() for _ in range(n)]
-    _record_up_calendars(labeled, send_busy, recv_busy)
-
-    stuck: Dict[int, List[Tuple[Time, Message]]] = {}
-    down_sends: Dict[int, List[Tuple[Time, Message, frozenset]]] = {
-        v: [] for v in range(n)
-    }
-
-    def emit(v: int, time: Time, message: Message, dests: Tuple[int, ...]) -> None:
-        if dests:
-            builder.send(time, v, message, dests)
-            send_busy[v].add(time)
-            for d in dests:
-                recv_busy[d].add(time + 1)
-            down_sends[v].append((time, message, frozenset(dests)))
-
-    # ------------------------------------------------------------------
-    # Phase 1 downward stream: (D3) plus immediate (D2); stuck held back.
-    # ------------------------------------------------------------------
-    for v in tree.bfs_order():
-        kids = tree.children(v)
-        if not kids:
-            continue
-        block = labeled.block(v)
-        i, j, k = block.i, block.j, block.k
-        for m in range(i, j + 1):
-            if m == i:
-                send_time = (j - k + 1) if i == k else (i - k)
-                emit(v, send_time, m, kids)
-            else:
-                owner = labeled.owner_child(v, m)
-                emit(v, m - k, m, tuple(c for c in kids if c != owner))
-        if not tree.is_root(v):
-            parent = tree.parent(v)
-            arrivals = sorted(
-                (t + 1, message)
-                for (t, message, dests) in down_sends[parent]
-                if v in dests
-            )
-            for arrival_time, m in arrivals:
-                if arrival_time in (i - k, i - k + 1):
-                    stuck.setdefault(v, []).append((arrival_time, m))
-                else:
-                    emit(v, arrival_time, m, kids)
+    for t, v, _, dests in sends:
+        send_busy[v].add(t)
+        for d in dests:
+            recv_busy[d].add(t + 1)
 
     # ------------------------------------------------------------------
     # Phase 2: flush stuck messages from T0 = n - 1 + r downward.
@@ -141,31 +110,13 @@ def updown_gossip(labeled: LabeledTree) -> Schedule:
             t = avail
             while t in send_busy[v] or any(t + 1 in recv_busy[c] for c in kids):
                 t += 1
-            emit(v, t, m, kids)
+            sends.append((t, v, m, kids))
+            send_busy[v].add(t)
             for c in kids:
+                recv_busy[c].add(t + 1)
                 flushed_arrivals[c].append((t + 1, m))
 
-    return builder.build(name="UpDown")
-
-
-def _record_up_calendars(
-    labeled: LabeledTree,
-    send_busy: List[Set[Time]],
-    recv_busy: List[Set[Time]],
-) -> None:
-    """Mark the (U3)/(U4) send and receive times in the calendars."""
-    tree = labeled.tree
-    for v in range(labeled.n):
-        if tree.is_root(v):
-            continue
-        block = labeled.block(v)
-        parent = tree.parent(v)
-        if block.is_first_child:
-            send_busy[v].add(0)
-            recv_busy[parent].add(1)
-        for m in range(block.i + block.w, block.j + 1):
-            send_busy[v].add(m - block.k)
-            recv_busy[parent].add(m - block.k + 1)
+    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name="UpDown"))
 
 
 def updown_gossip_on_tree(tree: Tree) -> Schedule:

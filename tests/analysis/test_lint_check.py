@@ -119,8 +119,8 @@ class TestConventionsScript:
     def test_hot_path_loop_exemptions(self, tmp_path):
         core = tmp_path / "core"
         core.mkdir()
-        ok = core / "propagate_down.py"
-        ok.write_text(
+        mixed = core / "propagate_down.py"
+        mixed.write_text(
             "def emit_builder(events):\n"
             "    for e in events:\n"
             "        pass\n"
@@ -129,8 +129,12 @@ class TestConventionsScript:
             "    for lvl in tree:\n"
             "        pass\n"
         )
-        proc = run("-m", "repro.check.codelint", str(ok))
-        assert proc.returncode == 0, proc.stdout
+        proc = run("-m", "repro.check.codelint", str(mixed))
+        # A *_builder name no longer exempts a loop; only the marker does.
+        assert proc.returncode == 1
+        flagged = [line for line in proc.stdout.splitlines() if "hot path" in line]
+        assert len(flagged) == 1
+        assert f"{mixed}:2:" in flagged[0]
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")

@@ -7,12 +7,13 @@ end to end:
   matrix, the analytic ``nbytes``, and the npz round-trip;
 * losslessness of the array <-> object-view round-trip (property-tested
   over random labeled trees);
-* bit-identity of the array-built ConcurrentUpDown against the seed
-  per-vertex builder across every topology family and random trees;
+* bit-identity of the array-built ConcurrentUpDown against the
+  per-vertex reference emitters across every topology family and
+  random trees;
 * identical diagnostics from every ``repro.lint`` rule on both forms;
 * the engine judging an array-backed plan with and without a delivery
   log identically (results and error text);
-* the deprecation fence on the legacy builder mutation path.
+* the removal of the legacy ``ScheduleBuilder`` accumulator.
 """
 
 import warnings
@@ -22,16 +23,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis.sweep import FAMILIES, family_instance
-from repro.core.concurrent_updown import (
-    concurrent_updown,
-    concurrent_updown_reference,
-)
+from repro.core.concurrent_updown import concurrent_updown
 from repro.core.gossip import gossip
-from repro.core.schedule import (
-    ArraySchedule,
-    Schedule,
-    ScheduleBuilder,
-)
+from repro.core.reference import concurrent_updown_reference
+from repro.core.schedule import ArraySchedule, Schedule
 from repro.exceptions import ScheduleConflictError, ScheduleError
 from repro.lint import lint_schedule
 from repro.networks.builders import tree_to_graph
@@ -131,6 +126,67 @@ class TestNpzRoundTrip:
         assert back == arr and back.total_time == 0
 
 
+class TestNpzMalformed:
+    """Every malformed artefact raises ``ScheduleError``, never loads."""
+
+    @pytest.fixture
+    def arr(self):
+        return gossip("path:10").arrays()  # 18 rows
+
+    def _write(self, tmp_path, arr, **override):
+        fields = dict(
+            round=arr.round, sender=arr.sender, message=arr.message,
+            dest_mask=arr.dest_mask,
+            meta=np.array([arr.n, arr.n_messages], dtype=np.int64),
+            name=np.array(arr.name),
+        )
+        fields.update(override)
+        path = tmp_path / "bad.npz"
+        np.savez(path, **{k: v for k, v in fields.items() if v is not None})
+        return path
+
+    def test_short_message_column(self, tmp_path, arr):
+        path = self._write(tmp_path, arr, message=arr.message[:15])
+        with pytest.raises(ScheduleError, match="differ in length"):
+            ArraySchedule.from_npz(path)
+
+    def test_negative_n_messages(self, tmp_path, arr):
+        path = self._write(tmp_path, arr, meta=np.array([10, -4], dtype=np.int64))
+        with pytest.raises(ScheduleError, match="n_messages >= 0"):
+            ArraySchedule.from_npz(path)
+
+    def test_float_round_column(self, tmp_path, arr):
+        path = self._write(tmp_path, arr, round=arr.round + 0.5)
+        with pytest.raises(ScheduleError, match="expected integers"):
+            ArraySchedule.from_npz(path)
+
+    def test_round_beyond_int32(self, tmp_path, arr):
+        # int64 rounds past 2**31 would wrap silently in the int32 column
+        path = self._write(tmp_path, arr, round=arr.round.astype(np.int64) + 2**32)
+        with pytest.raises(ScheduleError, match="exceeds int32"):
+            ArraySchedule.from_npz(path)
+
+    def test_missing_meta(self, tmp_path, arr):
+        path = self._write(tmp_path, arr, meta=None)
+        with pytest.raises(ScheduleError, match="meta"):
+            ArraySchedule.from_npz(path)
+
+    def test_three_entry_meta(self, tmp_path, arr):
+        path = self._write(tmp_path, arr, meta=np.array([10, 10, 1], dtype=np.int64))
+        with pytest.raises(ScheduleError, match="meta has shape"):
+            ArraySchedule.from_npz(path)
+
+    def test_non_zip_bytes(self, tmp_path):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(b"this is not a zip archive at all")
+        with pytest.raises(ScheduleError, match="unreadable"):
+            ArraySchedule.from_npz(path)
+
+    def test_missing_file_is_not_wrapped(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ArraySchedule.from_npz(tmp_path / "absent.npz")
+
+
 class TestValidation:
     def _cols(self):
         t = np.array([0, 1], dtype=np.int64)
@@ -219,10 +275,7 @@ def test_array_pipeline_matches_seed_builder_random(labeled):
     fast = concurrent_updown(labeled)
     seed = concurrent_updown_reference(labeled)
     assert fast.rounds == seed.rounds
-    if labeled.n > 1:
-        # n = 1 schedules are empty: the object-built seed cannot infer
-        # the processor universe, so only the rounds compare there.
-        assert fast.arrays() == seed.arrays()
+    assert fast.arrays() == seed.arrays()
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -287,22 +340,27 @@ class TestPackedStateParity:
 
 class TestDeprecations:
     def test_from_schedule_shim_is_gone(self):
-        plan = _plan("path:6")
-        with pytest.raises(AttributeError, match="from_schedule"):
-            ScheduleBuilder.from_schedule(plan.schedule)
+        """``ScheduleBuilder`` (and its ``from_schedule`` shim) are gone."""
+        import repro
+        import repro.core
+        import repro.core.schedule
+
+        for namespace in (repro, repro.core, repro.core.schedule):
+            assert not hasattr(namespace, "ScheduleBuilder")
+        with pytest.raises(ImportError):
+            from repro.core.schedule import ScheduleBuilder  # noqa: F401
 
     def test_builder_builds_arrays_underneath(self):
-        builder = ScheduleBuilder()
-        builder.send(0, 0, 0, (1,))
-        builder.send(1, 1, 0, (2,))
-        sched = builder.build(name="tiny")
-        assert sched.is_array_backed
-        assert sched.arrays().n_transmissions == 2
+        """The producers that used the builder pack straight to arrays."""
+        for algorithm in ("simple", "updown", "concurrent-updown"):
+            plan = gossip("grid:9", algorithm=algorithm)
+            assert plan.schedule.is_array_backed
+            assert plan.arrays().n == 9
 
     def test_object_constructed_schedule_does_not_warn(self):
         plan = _plan("path:6")
         objects = Schedule(plan.rounds(), name="objects")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            builder = ScheduleBuilder._load(objects)
-        assert builder.build(name="objects") == objects
+            arrays = ArraySchedule.from_schedule(objects)
+        assert Schedule.from_arrays(arrays) == objects

@@ -1,8 +1,12 @@
 """Tests for ConcurrentUpDown — Theorem 1's n + r guarantee."""
 
+import importlib
+
+import numpy as np
 import pytest
 
 from repro.core.concurrent_updown import concurrent_updown, concurrent_updown_on_tree
+from repro.exceptions import ScheduleConflictError
 from repro.networks import topologies
 from repro.networks.builders import graph_to_tree, tree_to_graph
 from repro.networks.paper_networks import fig5_tree
@@ -12,6 +16,8 @@ from repro.simulator.engine import execute_schedule
 from repro.simulator.state import labeled_holdings
 from repro.tree.labeling import LabeledTree
 from repro.tree.tree import Tree
+
+cud_module = importlib.import_module("repro.core.concurrent_updown")
 
 
 def run(labeled, schedule, **kw):
@@ -117,3 +123,31 @@ class TestCompletionTimes:
         schedule = concurrent_updown(labeled)
         result = run(labeled, schedule)
         assert max(result.completion_times) == schedule.total_time
+
+
+class TestRepeatedKeyGuard:
+    """A half that sends twice from one vertex in one round is refused.
+
+    Lemmas 2 and 3 rule this out for every DFS labelling, so the guard
+    is driven by doubling one event of the real half.
+    """
+
+    @pytest.mark.parametrize("half", ["up", "down"])
+    def test_repeated_key_raises_naming_it(self, monkeypatch, half):
+        labeled = LabeledTree(fig5_tree())
+        name = f"propagate_{half}_events"
+        real = getattr(cud_module, name)
+
+        def doubled(lt):
+            cols = real(lt)
+            return tuple(np.append(c, c[-1]) for c in cols)
+
+        monkeypatch.setattr(cud_module, name, doubled)
+        cols = real(labeled)
+        t, s = int(cols[0][-1]), int(cols[1][-1])
+        half_name = "Propagate-Up" if half == "up" else "Propagate-Down"
+        with pytest.raises(
+            ScheduleConflictError,
+            match=f"{half_name} sends twice from processor {s} at time {t}",
+        ):
+            concurrent_updown(labeled)

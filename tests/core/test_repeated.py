@@ -79,6 +79,15 @@ class TestRepeatedGossip:
         assert messages <= set(range(2 * labeled.n))
         assert any(m >= labeled.n for m in messages)
 
+    @pytest.mark.parametrize("instances", [2, 3])
+    def test_arrays_declare_the_message_universe(self, instances):
+        """n_messages covers every instance's ids q * n + label."""
+        labeled = labeled_of(topologies.grid_2d(3, 3))
+        arr = repeated_gossip(labeled, instances=instances).schedule.arrays()
+        assert arr.n == labeled.n
+        assert arr.n_messages == instances * labeled.n
+        assert int(arr.message.max()) < arr.n_messages
+
     def test_explicit_safe_offset(self):
         labeled = labeled_of(topologies.path_graph(6))
         single = concurrent_updown(labeled)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.schedule import (
+    ArraySchedule,
     Round,
     Schedule,
-    ScheduleBuilder,
     Transmission,
     merge_schedules,
 )
@@ -124,49 +124,49 @@ class TestSchedule:
         assert hash(mk()) == hash(mk())
 
 
+def pack(*sends, n=4):
+    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n))
+
+
 class TestScheduleBuilder:
+    """``ArraySchedule.from_sends``, the send packer that replaced the
+    ``ScheduleBuilder`` accumulator (test ids kept stable)."""
+
     def test_build_orders_rounds(self):
-        b = ScheduleBuilder()
-        b.send(2, 0, 0, {1})
-        b.send(0, 1, 1, {0})
-        s = b.build()
+        s = pack((2, 0, 0, {1}), (0, 1, 1, {0}))
         assert s.total_time == 3
         assert s.round_at(0).sent_by(1).message == 1
         assert s.round_at(1).is_empty()
 
     def test_merges_same_message_same_sender(self):
-        b = ScheduleBuilder()
-        b.send(0, 0, 7, {1})
-        b.send(0, 0, 7, {2, 3})
-        s = b.build()
+        s = pack((0, 0, 7, {1}), (0, 0, 7, {2, 3}))
         assert s.round_at(0).sent_by(0).destinations == frozenset({1, 2, 3})
         assert s.total_messages() == 1
 
     def test_rejects_different_message_same_sender(self):
-        b = ScheduleBuilder()
-        b.send(0, 0, 7, {1})
         with pytest.raises(ScheduleConflictError):
-            b.send(0, 0, 8, {2})
+            pack((0, 0, 7, {1}), (0, 0, 8, {2}))
 
     def test_receiver_conflict_caught_at_build(self):
-        b = ScheduleBuilder()
-        b.send(0, 0, 0, {2})
-        b.send(0, 1, 1, {2})
         with pytest.raises(ScheduleConflictError):
-            b.build()
+            pack((0, 0, 0, {2}), (0, 1, 1, {2}))
 
     def test_empty_destination_ignored(self):
-        b = ScheduleBuilder()
-        b.send(0, 0, 0, [])
-        assert b.build().total_time == 0
+        assert pack((0, 0, 0, [])).total_time == 0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ScheduleError):
-            ScheduleBuilder().send(-1, 0, 0, {1})
+            pack((-1, 0, 0, {1}))
 
     def test_from_schedule_roundtrip(self):
         s = Schedule([Round([tx(0, 0, {1, 2})]), Round([tx(2, 0, {3})])], name="x")
-        assert ScheduleBuilder._load(s).build(name="x") == s
+        assert Schedule.from_arrays(ArraySchedule.from_schedule(s)) == s
+
+    def test_destination_outside_universe_rejected(self):
+        with pytest.raises(ScheduleError, match="outside processors 0..3"):
+            pack((0, 0, 0, {4}))
+        with pytest.raises(ScheduleError, match="outside processors"):
+            pack((0, 1, 0, {-1}))
 
 
 class TestMergeSchedules:

@@ -1,5 +1,5 @@
-"""Conflict paths of ``merge_schedules`` / ``ScheduleBuilder`` misuse,
-and loci parity with the static analyzer.
+"""Conflict paths of ``merge_schedules`` / ``ArraySchedule.from_sends``
+misuse, and loci parity with the static analyzer.
 
 The constructors reject rule-violating rounds eagerly; the lint layer
 must report the *same* violations at the *same* loci when handed the raw
@@ -10,9 +10,9 @@ agree on what a conflict is and where it happens.
 import pytest
 
 from repro.core.schedule import (
+    ArraySchedule,
     Round,
     Schedule,
-    ScheduleBuilder,
     Transmission,
     merge_schedules,
 )
@@ -30,59 +30,69 @@ def k4():
     return topologies.complete_graph(4)
 
 
+def pack(*sends, n=4):
+    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n))
+
+
 class TestBuilderMisuse:
+    """Misuse of the send packer ``ArraySchedule.from_sends``."""
+
     def test_sender_message_conflict(self):
-        builder = ScheduleBuilder().send(0, 1, 1, {2})
         with pytest.raises(
             ScheduleConflictError, match=r"send both message 1 and message 2"
         ):
-            builder.send(0, 1, 2, {3})
+            pack((0, 1, 1, {2}), (0, 1, 2, {3}))
 
     def test_same_message_merges_destinations(self):
-        sched = (
-            ScheduleBuilder().send(0, 1, 1, {2}).send(0, 1, 1, {3}).build()
-        )
+        sched = pack((0, 1, 1, {2}), (0, 1, 1, {3}))
         assert sched.round_at(0).transmissions[0].destinations == frozenset({2, 3})
 
     def test_overlapping_destinations_rejected_at_build(self):
-        builder = ScheduleBuilder().send(0, 1, 1, {3}).send(0, 2, 2, {3})
         with pytest.raises(ScheduleConflictError, match="receives two"):
-            builder.build()
+            pack((0, 1, 1, {3}), (0, 2, 2, {3}))
 
     def test_negative_time_rejected(self):
         with pytest.raises(ScheduleError, match="negative send time"):
-            ScheduleBuilder().send(-1, 0, 0, {1})
+            pack((-1, 0, 0, {1}))
 
     def test_empty_destinations_dropped(self):
-        assert ScheduleBuilder().send(0, 1, 1, set()).build().total_time == 0
+        assert pack((0, 1, 1, set())).total_time == 0
 
 
 class TestMergeConflicts:
     def test_sender_collision_across_merged_schedules(self):
-        a = ScheduleBuilder().send(0, 1, 1, {2}).build()
-        b = ScheduleBuilder().send(0, 1, 2, {3}).build()
+        a = pack((0, 1, 1, {2}))
+        b = pack((0, 1, 2, {3}))
         with pytest.raises(ScheduleConflictError, match="send both"):
             merge_schedules(a, b)
 
     def test_receiver_collision_across_merged_schedules(self):
-        a = ScheduleBuilder().send(0, 1, 1, {3}).build()
-        b = ScheduleBuilder().send(0, 2, 2, {3}).build()
+        a = pack((0, 1, 1, {3}))
+        b = pack((0, 2, 2, {3}))
         with pytest.raises(ScheduleConflictError, match="receives two"):
             merge_schedules(a, b)
 
     def test_conflict_only_at_overlap_time(self):
         # same events at different times merge cleanly
-        a = ScheduleBuilder().send(0, 1, 1, {3}).build()
-        b = ScheduleBuilder().send(1, 2, 2, {3}).build()
+        a = pack((0, 1, 1, {3}))
+        b = pack((1, 2, 2, {3}))
         merged = merge_schedules(a, b)
         assert merged.total_time == 2
+
+    def test_object_inputs_pack_through_arrays(self):
+        # object-view inputs are packed, then fused like array inputs
+        a = Schedule([Round([tx(1, 1, {2})])])
+        b = pack((0, 1, 1, {3}))
+        merged = merge_schedules(a, b)
+        assert merged.is_array_backed
+        assert merged.round_at(0).sent_by(1).destinations == frozenset({2, 3})
 
 
 class TestLintLociParity:
     """The lint rules report the same loci the constructors reject."""
 
     def test_sender_collision_locus(self, k4):
-        # the raw rounds ScheduleBuilder would refuse to build at t=0
+        # the raw rounds from_sends would refuse to pack at t=0
         raw = [[tx(1, 1, {2}), tx(1, 2, {3})]]
         report = lint_schedule(k4, raw, require_complete=False)
         found = report.by_rule("model/sender-collision")
@@ -111,8 +121,6 @@ class TestLintLociParity:
         assert [d.round for d in found] == [1]
 
     def test_clean_merge_lints_clean(self, k4):
-        a = ScheduleBuilder().send(0, 1, 1, {3}).build()
-        b = ScheduleBuilder().send(1, 2, 2, {3}).build()
-        merged = merge_schedules(a, b)
+        merged = merge_schedules(pack((0, 1, 1, {3})), pack((1, 2, 2, {3})))
         report = lint_schedule(k4, merged, require_complete=False)
         assert report.errors == ()
