@@ -379,8 +379,8 @@ def run_epidemic_comparison(
         graph, tree = resolve_network(f"{family}:{n}")
         plan = gossip(graph, algorithm="concurrent-updown", tree=tree)
         makespan = plan.schedule.total_time
-        det_msgs = sum(len(rnd) for rnd in plan.schedule.rounds)
-        det_deliveries = sum(rnd.delivery_count() for rnd in plan.schedule.rounds)
+        det_msgs = plan.schedule.total_messages()
+        det_deliveries = plan.schedule.total_deliveries()
         regimes = [(d, f) for f in fail_stop_rates for d in drop_rates]
         for j, (drop, fstop) in enumerate(regimes):
             null_regime = drop == 0.0 and fstop == 0.0

@@ -48,12 +48,12 @@ code paths never set it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..core.gossip import GossipPlan
 from ..core.online import OnlineProcessor, _ChildInfo
 from ..core.recovery import _tree_adjacency, plan_repair_rounds
-from ..exceptions import ProtocolCheckError, SimulationError
+from ..exceptions import ProtocolCheckError, ScheduleConflictError, SimulationError
 from ..runtime.wire import DATA, FENCE, PHASE_ONLINE
 
 __all__ = [
@@ -276,8 +276,7 @@ class ProtocolModel:
         Interleaves receives and per-round transmission computation in
         the exact order :meth:`GossipPeer.run_online` produced them, so
         the stateful (D2) delay bookkeeping is bit-identical.  After the
-        call, ``transmissions(upto)`` is the next thing the peer would
-        compute.
+        call, ``send(upto)`` is the next thing the peer would compute.
         """
         proc = self._processor(v)
         by_time: Dict[int, List[Tuple[int, int]]] = {}
@@ -287,7 +286,7 @@ class ProtocolModel:
             for sender, message in sorted(by_time.get(tau, ())):
                 proc.receive(tau, sender, message)
             if tau < upto:
-                proc.transmissions(tau)
+                proc.send(tau)
         return proc
 
     # -- enabledness ----------------------------------------------------
@@ -550,15 +549,14 @@ class ProtocolModel:
         dests: Tuple[int, ...] = ()
         try:
             proc = self._rebuild(v, delivered, t)
-            txs = proc.transmissions(t)
+            sent = proc.send(t)
         except SimulationError as exc:
             violations.append(
                 f"online-protocol violation at peer {v}, round {t}: {exc}"
             )
-            txs = []
-        if txs:
-            message = txs[0].message
-            dests = tuple(sorted(txs[0].destinations))
+            sent = None
+        if sent is not None:
+            message, dests = sent
 
         record: Optional[SentRecord] = None
         if message is not None:
@@ -735,33 +733,24 @@ def check_rejoin(
             )
         holds = [p.holds for p in state.peers]
         holds[victim] = merged
-        rounds = plan_repair_rounds(
-            adjacency, holds, n, max_rounds=budget
-        )
-        for t, rnd in enumerate(rounds):
-            receiving: Set[int] = set()
-            senders: Set[int] = set()
-            for tx in rnd:
-                if tx.sender in senders:
+        try:
+            repairs = plan_repair_rounds(adjacency, holds, n, max_rounds=budget)
+        except ScheduleConflictError as exc:
+            violations.append(f"rejoin repair schedule breaks a round rule: {exc}")
+            continue
+        rows = repairs.sends()
+        ptr = repairs.round_ptr.tolist()
+        for t in range(repairs.total_time):
+            for _, sender, message, _ in rows[ptr[t] : ptr[t + 1]]:
+                if not holds[sender] >> message & 1:
                     violations.append(
-                        f"rejoin repair round {t}: peer {tx.sender} sends twice"
+                        f"rejoin repair round {t}: peer {sender} sends "
+                        f"message {message} without holding it"
                     )
-                senders.add(tx.sender)
-                if not holds[tx.sender] >> tx.message & 1:
-                    violations.append(
-                        f"rejoin repair round {t}: peer {tx.sender} sends "
-                        f"message {tx.message} without holding it"
-                    )
-                for d in tx.destinations:
-                    if d in receiving:
-                        violations.append(
-                            f"rejoin repair round {t}: peer {d} receives twice"
-                        )
-                    receiving.add(d)
-            for tx in rnd:
-                for d in tx.destinations:
-                    holds[d] |= 1 << tx.message
-        if len(rounds) > budget or any(h != full for h in holds):
+            for _, _, message, dests in rows[ptr[t] : ptr[t + 1]]:
+                for d in dests:
+                    holds[d] |= 1 << message
+        if repairs.total_time > budget or any(h != full for h in holds):
             short = [v for v, h in enumerate(holds) if h != full]
             violations.append(
                 f"rejoin from source {source} did not re-complete full gossip "

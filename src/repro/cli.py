@@ -646,7 +646,7 @@ def _cmd_online(args: argparse.Namespace) -> int:
     labeled = LabeledTree(minimum_depth_spanning_tree(graph))
     online = run_online_gossip(labeled)
     offline = concurrent_updown(labeled)
-    identical = online.rounds == offline.rounds
+    identical = online == offline
     print(f"network : {graph.name}  n={graph.n}")
     print(f"online  : {online.total_time} rounds from (i, j, k)-local knowledge")
     print(f"offline : {offline.total_time} rounds")
@@ -902,11 +902,7 @@ def _cmd_run_net(args: argparse.Namespace) -> int:
               f"components={[list(c) for c in result.components]}")
     offline_ok = True
     if chaos.is_null:
-        offline = sorted(
-            (t, tx.sender, tx.message, tuple(sorted(tx.destinations)))
-            for t, rnd in enumerate(plan.schedule.rounds)
-            for tx in rnd
-        )
+        offline = plan.arrays().sends()
         online = sorted(
             (e.round, e.sender, e.message, e.destinations)
             for e in result.transcript
@@ -989,11 +985,7 @@ def _cmd_run_proc(args: argparse.Namespace) -> int:
         print(f"wrote {args.journal}")
     offline_ok = True
     if chaos.is_null:
-        offline = sorted(
-            (t, tx.sender, tx.message, tuple(sorted(tx.destinations)))
-            for t, rnd in enumerate(plan.schedule.rounds)
-            for tx in rnd
-        )
+        offline = plan.arrays().sends()
         online = sorted(
             (e.round, e.sender, e.message, e.destinations)
             for e in result.transcript

@@ -72,7 +72,6 @@ from .schedule import Round, Schedule, Transmission, merge_schedules
 from .simple import simple_gossip, simple_gossip_on_tree, simple_total_time
 from .store_forward import (
     GreedyMulticastPolicy,
-    TelephonePolicy,
     UpDownTreePolicy,
     greedy_gossip_on_graph,
     greedy_multicast_gossip,
@@ -144,7 +143,6 @@ __all__ = [
     "NetworkSpec",
     "store_forward_schedule",
     "GreedyMulticastPolicy",
-    "TelephonePolicy",
     "UpDownTreePolicy",
     "greedy_multicast_gossip",
     "greedy_gossip_on_graph",

@@ -16,14 +16,13 @@ multicasts once to all the frontier vertices assigned to it.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Set
+from typing import List, Set
 
 from ..exceptions import DisconnectedGraphError
 from ..networks.bfs import UNREACHED, bfs_tree
 from ..networks.graph import Graph
 from ..types import Message, Vertex
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 __all__ = ["broadcast", "broadcast_time", "telephone_broadcast"]
 
@@ -40,22 +39,17 @@ def broadcast(graph: Graph, source: Vertex, message: Message | None = None) -> S
     dist, parent = bfs_tree(graph, source)
     if (dist == UNREACHED).any():
         raise DisconnectedGraphError("cannot broadcast over a disconnected graph")
-    horizon = int(dist.max())
-    rounds: List[Round] = []
-    for t in range(horizon):
-        # Vertices at distance t+1 are informed this round, each by its
-        # BFS parent; group the frontier by sender into multicasts.
-        by_sender: Dict[int, Set[int]] = defaultdict(set)
-        for v in range(graph.n):
-            if dist[v] == t + 1:
-                by_sender[int(parent[v])].add(v)
-        rounds.append(
-            Round(
-                Transmission(sender=s, message=msg, destinations=frozenset(dests))
-                for s, dests in by_sender.items()
-            )
-        )
-    return Schedule(rounds, name=f"broadcast-from-{source}")
+    # Vertex v is informed at time dist(v) by its BFS parent, which sends
+    # at dist(v) - 1; the packer fuses each parent's sends into one
+    # multicast.
+    sends = [
+        (int(dist[v]) - 1, int(parent[v]), msg, (v,))
+        for v in range(graph.n)
+        if v != source
+    ]
+    return Schedule.from_arrays(
+        ArraySchedule.from_sends(sends, n=graph.n, name=f"broadcast-from-{source}")
+    )
 
 
 def broadcast_time(graph: Graph, source: Vertex) -> int:
@@ -85,10 +79,11 @@ def telephone_broadcast(
         raise DisconnectedGraphError("cannot broadcast over a disconnected graph")
     informed_order: List[int] = [int(source)]
     informed: Set[int] = {int(source)}
-    rounds: List[Round] = []
+    sends = []
+    t = 0
     while len(informed) < graph.n:
         claimed: Set[int] = set()
-        txs = []
+        calls = 0
         for caller in informed_order:
             target = next(
                 (
@@ -100,14 +95,15 @@ def telephone_broadcast(
             )
             if target is not None:
                 claimed.add(target)
-                txs.append(
-                    Transmission(
-                        sender=caller, message=msg, destinations=frozenset({target})
-                    )
-                )
-        if not txs:  # pragma: no cover - impossible on connected graphs
+                sends.append((t, caller, msg, (target,)))
+                calls += 1
+        if not calls:  # pragma: no cover - impossible on connected graphs
             raise DisconnectedGraphError("broadcast stalled; graph disconnected?")
-        rounds.append(Round(txs))
         informed_order.extend(sorted(claimed))
         informed |= claimed
-    return Schedule(rounds, name=f"telephone-broadcast-from-{source}")
+        t += 1
+    return Schedule.from_arrays(
+        ArraySchedule.from_sends(
+            sends, n=graph.n, name=f"telephone-broadcast-from-{source}"
+        )
+    )

@@ -65,7 +65,7 @@ from .epidemic import (
 )
 from .gossip import register_algorithm
 from .rng import SplitMix64, keyed_u64
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 __all__ = [
     "RankTracker",
@@ -338,7 +338,7 @@ def systematic_coded_schedule(
         trackers[v].insert(1 << m)
     cap = default_epidemic_horizon(n) if max_rounds is None else max_rounds
 
-    rounds: List[Round] = []
+    sends: List[Tuple[int, int, int, Tuple[int, ...]]] = []
     pending: List[Tuple[int, int, int]] = []  # (receiver, label, coeffs)
     t = 0
     while True:
@@ -367,20 +367,20 @@ def systematic_coded_schedule(
             )
 
         order_rng = SplitMix64(keyed_u64(seed, _TAG_ORDER, t))
-        txs: List[Transmission] = []
         for sender, (label, support), dests in _resolve_receivers(intents, order_rng):
-            txs.append(Transmission(sender=sender, message=label, destinations=dests))
+            sends.append((t, sender, label, dests))
             for d in dests:
                 pending.append((d, label, support))
-        rounds.append(Round(txs))
         t += 1
 
     if not all(h == full for h in holds):
         raise ReproError(
-            f"systematic coded gossip did not complete within {len(rounds)} "
+            f"systematic coded gossip did not complete within {t} "
             "rounds (disconnected network?)"
         )
-    return Schedule(rounds, name=f"Coded-systematic(seed={seed})")
+    return Schedule.from_arrays(
+        ArraySchedule.from_sends(sends, n=n, name=f"Coded-systematic(seed={seed})")
+    )
 
 
 @register_algorithm("coded")

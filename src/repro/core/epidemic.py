@@ -62,7 +62,7 @@ from ..simulator.lossy import FaultModel
 from ..tree.labeling import LabeledTree
 from .gossip import register_algorithm
 from .rng import SplitMix64, keyed_u64
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 __all__ = [
     "EpidemicResult",
@@ -273,7 +273,7 @@ def run_epidemic(
         hot_expiry = [{origin[v]: ttl} for v in range(n)]
 
     completion: List[Optional[int]] = [0 if holds[v] == full else None for v in range(n)]
-    rounds: List[Round] = []
+    sends: List[Tuple[int, int, int, Tuple[int, ...]]] = []
     pending: List[Tuple[int, int, int]] = []  # (receiver, sender, message)
     messages_sent = deliveries = delivered = lost = duplicates = suppressed = 0
 
@@ -347,13 +347,8 @@ def run_epidemic(
         # ------------------------------------------------------------------
         order_rng = SplitMix64(keyed_u64(seed, _TAG_ORDER, t))
         resolved = _resolve_receivers(intents, order_rng)
-        rounds.append(
-            Round(
-                Transmission(sender=s, message=m, destinations=d)
-                for s, m, d in resolved
-            )
-        )
         for sender, m, dests in resolved:
+            sends.append((t, sender, m, dests))
             messages_sent += 1
             deliveries += len(dests)
             if null_model:
@@ -374,8 +369,8 @@ def run_epidemic(
         variant=variant,
         seed=seed,
         complete=all(h == full for h in holds),
-        rounds=len(rounds),
-        schedule=Schedule(rounds, name=name),
+        rounds=t,
+        schedule=Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name=name)),
         completion_times=tuple(completion),
         messages_sent=messages_sent,
         deliveries=deliveries,

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import SimulationError
 from ..tree.labeling import LabeledTree
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 __all__ = ["OnlineProcessor", "run_online_gossip", "online_matches_offline"]
 
@@ -139,8 +139,9 @@ class OnlineProcessor:
                 return child.vertex
         return None
 
-    def transmissions(self, time: int) -> List[Transmission]:
-        """Everything this processor sends in round ``time`` (0 or 1 items).
+    def send(self, time: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """What this processor sends in round ``time``: ``(message,
+        destinations ascending)``, or ``None`` when it stays silent.
 
         Computes the (U3)/(U4) upward event and the (D2)/(D3) downward
         event for this round and fuses them when they carry the same
@@ -185,50 +186,34 @@ class OnlineProcessor:
                     down_dests = [c.vertex for c in self.children]
         self._fresh_from_parent = None
 
-        txs: List[Transmission] = []
         if up_message is not None and up_message == down_message:
             if up_message not in self._held:
                 raise SimulationError(
                     f"processor {self.vertex} must send {up_message} at "
                     f"{time} but has not received it"
                 )
-            dests = frozenset([self.parent, *down_dests])
-            txs.append(
-                Transmission(sender=self.vertex, message=up_message, destinations=dests)
-            )
-            return txs
+            return up_message, tuple(sorted({self.parent, *down_dests}))
+        sends: List[Tuple[int, Tuple[int, ...]]] = []
         if up_message is not None:
             if up_message not in self._held:
                 raise SimulationError(
                     f"processor {self.vertex} must send {up_message} up at "
                     f"{time} but has not received it"
                 )
-            txs.append(
-                Transmission(
-                    sender=self.vertex,
-                    message=up_message,
-                    destinations=frozenset({self.parent}),
-                )
-            )
+            sends.append((up_message, (self.parent,)))
         if down_message is not None and down_dests:
             if down_message not in self._held:
                 raise SimulationError(
                     f"processor {self.vertex} must send {down_message} down "
                     f"at {time} but has not received it"
                 )
-            txs.append(
-                Transmission(
-                    sender=self.vertex,
-                    message=down_message,
-                    destinations=frozenset(down_dests),
-                )
-            )
-        if len(txs) > 1:
+            sends.append((down_message, tuple(sorted(down_dests))))
+        if len(sends) > 1:
             raise SimulationError(
                 f"processor {self.vertex} would send two different messages "
-                f"at time {time}: {txs}"
+                f"at time {time}: {sends}"
             )
-        return txs
+        return sends[0] if sends else None
 
     @property
     def held_messages(self) -> List[int]:
@@ -278,7 +263,7 @@ def run_online_gossip(labeled: LabeledTree, max_rounds: Optional[int] = None) ->
     """
     procs = build_processors(labeled)
     horizon = labeled.n + labeled.height if max_rounds is None else max_rounds
-    rounds: List[Round] = []
+    sends: List[Tuple[int, int, int, Tuple[int, ...]]] = []
     pending: List[Tuple[int, int, int]] = []  # (receiver, sender, message)
     for t in range(horizon + 1):
         for receiver, sender, message in pending:
@@ -286,22 +271,23 @@ def run_online_gossip(labeled: LabeledTree, max_rounds: Optional[int] = None) ->
         pending = []
         if all(p.is_complete() for p in procs):
             break
-        txs: List[Transmission] = []
         for p in procs:
-            for tx in p.transmissions(t):
-                txs.append(tx)
-                for d in tx.destinations:
-                    pending.append((d, tx.sender, tx.message))
-        rounds.append(Round(txs))
+            sent = p.send(t)
+            if sent is not None:
+                message, dests = sent
+                sends.append((t, p.vertex, message, dests))
+                pending.extend((d, p.vertex, message) for d in dests)
     else:
         raise SimulationError(
             f"online gossip did not finish within {horizon} rounds"
         )
-    return Schedule(rounds, name="ConcurrentUpDown-online")
+    return Schedule.from_arrays(
+        ArraySchedule.from_sends(sends, n=labeled.n, name="ConcurrentUpDown-online")
+    )
 
 
 def online_matches_offline(labeled: LabeledTree) -> bool:
     """Whether the online emission equals the offline schedule exactly."""
     from .concurrent_updown import concurrent_updown
 
-    return run_online_gossip(labeled).rounds == concurrent_updown(labeled).rounds
+    return run_online_gossip(labeled) == concurrent_updown(labeled)

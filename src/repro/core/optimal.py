@@ -31,11 +31,14 @@ import numpy as np
 from ..exceptions import ReproError
 from ..networks.bfs import distance_matrix, require_connected
 from ..networks.graph import Graph
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 __all__ = ["minimum_gossip_time", "is_gossipable_within", "optimal_schedule"]
 
 _MAX_EXACT_N = 7
+
+#: One move of the search: ``(sender, message, destinations)`` sends.
+_Move = List[Tuple[int, int, Tuple[int, ...]]]
 
 
 def _heuristic(holds: Tuple[int, ...], full: int, dist: np.ndarray) -> int:
@@ -63,8 +66,8 @@ def _heuristic(holds: Tuple[int, ...], full: int, dist: np.ndarray) -> int:
 
 def _enumerate_rounds(
     graph: Graph, holds: Tuple[int, ...], telephone: bool
-) -> List[Tuple[Tuple[int, ...], List[Transmission]]]:
-    """All useful next rounds as ``(new_holds, transmissions)``.
+) -> List[Tuple[Tuple[int, ...], _Move]]:
+    """All useful next rounds as ``(new_holds, sends)``.
 
     Exponential — intended for ``n <= 7`` only.
     """
@@ -72,7 +75,7 @@ def _enumerate_rounds(
     receivers = [v for v in range(n) if any(
         holds[u] & ~holds[v] for u in graph.neighbors(v)
     )]
-    results: List[Tuple[Tuple[int, ...], List[Transmission]]] = []
+    results: List[Tuple[Tuple[int, ...], _Move]] = []
     # committed: sender -> (message, receiver-list)
     committed: Dict[int, Tuple[int, List[int]]] = {}
 
@@ -81,18 +84,12 @@ def _enumerate_rounds(
             if not committed:
                 return
             new_holds = list(holds)
-            txs: List[Transmission] = []
+            move: _Move = []
             for sender, (message, dests) in committed.items():
-                txs.append(
-                    Transmission(
-                        sender=sender,
-                        message=message,
-                        destinations=frozenset(dests),
-                    )
-                )
+                move.append((sender, message, tuple(dests)))
                 for d in dests:
                     new_holds[d] |= 1 << message
-            results.append((tuple(new_holds), txs))
+            results.append((tuple(new_holds), move))
             return
         v = receivers[idx]
         # Option: receive nothing.
@@ -178,7 +175,7 @@ def _search(
     options.sort(
         key=lambda item: -sum(x.bit_count() for x in item[0])
     )
-    for new_holds, _txs in options:
+    for new_holds, _move in options:
         if _search(graph, new_holds, full, dist, budget - 1, telephone, visited):
             return True
     return False
@@ -209,19 +206,23 @@ def optimal_schedule(graph: Graph, telephone: bool = False) -> Schedule:
     full = (1 << graph.n) - 1
     dist = distance_matrix(graph)
     holds = tuple(1 << v for v in range(graph.n))
-    rounds: List[Round] = []
+    sends = []
     budget = opt
     while not all(h == full for h in holds):
         options = _enumerate_rounds(graph, holds, telephone)
         options.sort(key=lambda item: -sum(x.bit_count() for x in item[0]))
         advanced = False
-        for new_holds, txs in options:
+        for new_holds, move in options:
             if _search(graph, new_holds, full, dist, budget - 1, telephone, {}):
-                rounds.append(Round(txs))
+                sends.extend((opt - budget, s, m, d) for s, m, d in move)
                 holds = new_holds
                 budget -= 1
                 advanced = True
                 break
         if not advanced:  # pragma: no cover - cannot happen if opt is right
             raise ReproError("failed to re-trace the optimal schedule")
-    return Schedule(rounds, name=f"optimal-{'tel' if telephone else 'mc'}")
+    return Schedule.from_arrays(
+        ArraySchedule.from_sends(
+            sends, n=graph.n, name=f"optimal-{'tel' if telephone else 'mc'}"
+        )
+    )

@@ -50,12 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..exceptions import (
     PartitionedNetworkError,
     RecoveryExhaustedError,
     ReproError,
 )
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 if TYPE_CHECKING:  # runtime imports are lazy to avoid core <-> simulator cycles
     from ..networks.graph import Graph
@@ -150,7 +152,7 @@ def plan_repair_rounds(
     *,
     max_rounds: int,
     policy: str = "nearest-holder",
-) -> List[Round]:
+) -> ArraySchedule:
     """Plan fault-free repair rounds from the hold state ``holds``.
 
     Greedy nearest-holder propagation: every round, each processor (in
@@ -162,8 +164,10 @@ def plan_repair_rounds(
     hop-by-hop realisation of nearest-holder retransmission.
 
     Stops early once everyone is complete; returns at most
-    ``max_rounds`` rounds.  Every returned round satisfies the two
-    communication rules by construction.
+    ``max_rounds`` rounds, numbered from 0, as columns over
+    ``len(holds)`` processors.  Every round satisfies the two
+    communication rules by construction (and is re-checked by the
+    packer).
     """
     if policy not in REPAIR_POLICIES:
         raise ReproError(
@@ -171,12 +175,11 @@ def plan_repair_rounds(
         )
     full = (1 << n_messages) - 1
     holds = list(holds)
-    rounds: List[Round] = []
-    for _ in range(max_rounds):
+    sends: List[Tuple[int, int, int, List[int]]] = []
+    for t in range(max_rounds):
         if all(h == full for h in holds):
             break
         receiving: set = set()
-        txs: List[Transmission] = []
         deliveries: List[Tuple[int, int]] = []
         for u in sorted(adjacency):
             # message -> starved neighbours it would serve this round
@@ -197,17 +200,14 @@ def plan_repair_rounds(
             )
             if policy == "unicast":
                 dests = dests[:1]
-            txs.append(
-                Transmission(sender=u, message=message, destinations=frozenset(dests))
-            )
+            sends.append((t, u, message, dests))
             receiving.update(dests)
             deliveries.extend((d, message) for d in dests)
-        if not txs:
+        if not deliveries:
             break  # nobody can make progress (single vertex, or complete)
-        rounds.append(Round(txs))
         for d, message in deliveries:
             holds[d] |= 1 << message
-    return rounds
+    return ArraySchedule.from_sends(sends, n=len(holds), n_messages=n_messages)
 
 
 def recover(
@@ -297,7 +297,7 @@ def recover(
             max_rounds=budget_now,
             policy=policy,
         )
-        if not repairs:
+        if not repairs.n_transmissions:
             raise RecoveryExhaustedError(
                 "repair planner made no progress (disconnected repair "
                 f"substrate?); still missing: {current.missing_sets()}",
@@ -305,11 +305,12 @@ def recover(
                 repair_rounds=appended,
                 missing=current.missing_sets(),
             )
-        schedule = Schedule(
-            (*schedule.rounds, *repairs),
+        schedule = _append_rounds(
+            schedule,
+            repairs,
             name=f"{plan.schedule.name}+repair" if plan.schedule.name else "repair",
         )
-        appended += len(repairs)
+        appended += repairs.total_time
         attempt_budget *= 2
         current = execute_with_faults(
             graph,
@@ -325,6 +326,25 @@ def recover(
         attempts=attempts,
         repair_rounds=appended,
         baseline_total=baseline_total,
+    )
+
+
+def _append_rounds(schedule: Schedule, repairs: ArraySchedule, name: str) -> Schedule:
+    """``schedule`` followed by ``repairs``, whose round 0 becomes round
+    ``schedule.total_time``."""
+    base = schedule.arrays()
+    n = max(base.n, repairs.n)
+    base, repairs = base.widen(n), repairs.widen(n)
+    return Schedule.from_arrays(
+        ArraySchedule.from_events(
+            np.concatenate([base.round, repairs.round + base.total_time]),
+            np.concatenate([base.sender, repairs.sender]),
+            np.concatenate([base.message, repairs.message]),
+            np.vstack([base.dest_mask, repairs.dest_mask]),
+            n=n,
+            n_messages=max(base.n_messages, repairs.n_messages),
+            name=name,
+        )
     )
 
 

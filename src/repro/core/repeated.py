@@ -36,7 +36,7 @@ is the one family that squeezes out a round).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Set, Tuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -51,16 +51,19 @@ from .schedule import ArraySchedule, Schedule
 __all__ = ["RepeatedGossipPlan", "minimal_pipeline_offset", "repeated_gossip"]
 
 
-def _calendars(schedule: Schedule) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
-    """Per-vertex send-time and receive-time sets of a schedule."""
-    sends: Dict[int, Set[int]] = {}
-    recvs: Dict[int, Set[int]] = {}
-    for t, rnd in enumerate(schedule):
-        for tx in rnd:
-            sends.setdefault(tx.sender, set()).add(t)
-            for d in tx.destinations:
-                recvs.setdefault(d, set()).add(t + 1)
-    return sends, recvs
+def _clash_shifts(calendar: np.ndarray) -> np.ndarray:
+    """``clash[d]``: some row of the 0/1 ``calendar`` has both ``t`` and
+    ``t + d`` set.
+
+    The sum over rows of each row's autocorrelation, by FFT.  Every
+    entry is an integer count no larger than ``calendar.sum()``, so the
+    float round-off (far below 0.5 at any size a schedule reaches) never
+    moves a count across the ``> 0.5`` threshold.
+    """
+    width = calendar.shape[1]
+    spectrum = np.fft.rfft(calendar, n=2 * width, axis=1)
+    power = (spectrum.real**2 + spectrum.imag**2).sum(axis=0)
+    return np.fft.irfft(power, n=2 * width)[:width] > 0.5
 
 
 def minimal_pipeline_offset(schedule: Schedule) -> int:
@@ -69,27 +72,25 @@ def minimal_pipeline_offset(schedule: Schedule) -> int:
     Checks sender and receiver calendars of the schedule against its own
     copy shifted by each candidate offset, starting from the capacity
     floor (no processor may receive two messages in one round, so the
-    offset is at least the maximum per-vertex receive count).
+    offset is at least the maximum per-vertex receive count).  The
+    calendars are read off the columns: sender ``s`` is busy at each of
+    its rows' rounds, destination ``d`` at each delivery's round + 1.
     """
-    sends, recvs = _calendars(schedule)
-    if not sends:
+    arrays = schedule.arrays()
+    if not arrays.n_transmissions:
         return 0
-    floor = max(len(times) for times in recvs.values()) if recvs else 1
-    floor = max(floor, 1)
-    horizon = schedule.total_time
-
-    def clashes(delta: int) -> bool:
-        return any(
-            (t + delta) in times for times in sends.values() for t in times
-        ) or any(
-            (t + delta) in times for times in recvs.values() for t in times
-        )
-
+    horizon = arrays.total_time
+    rows, dests = arrays.destination_pairs()
+    sends = np.zeros((arrays.n, horizon + 1), dtype=np.float64)
+    sends[arrays.sender, arrays.round] = 1.0
+    recvs = np.zeros_like(sends)
+    recvs[dests, arrays.round[rows] + 1] = 1.0
+    floor = max(int(recvs.sum(axis=1).max()), 1)
+    clash = _clash_shifts(sends) | _clash_shifts(recvs)
     for offset in range(floor, horizon + 1):
         # Instances q < q' are shifted by (q' - q) * offset; only shifts
-        # below the horizon can ever overlap, so check those multiples.
-        deltas = range(offset, horizon + 1, offset)
-        if not any(clashes(delta) for delta in deltas):
+        # up to the horizon can ever overlap, so check those multiples.
+        if not clash[offset : horizon + 1 : offset].any():
             return offset
     return horizon  # sequential fallback: no overlap possible
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 from ..exceptions import GraphError
 from ..networks.graph import Graph
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 __all__ = ["ring_gossip", "hamiltonian_circuit", "ring_gossip_on_graph"]
 
@@ -36,21 +36,14 @@ def ring_gossip(circuit: Sequence[int]) -> Schedule:
         raise GraphError("a Hamiltonian circuit needs at least 3 vertices")
     if sorted(order) != list(range(n)):
         raise GraphError("circuit must visit each of 0..n-1 exactly once")
-    rounds: List[Round] = []
-    carried = list(order)  # message currently at each circuit position
-    for _ in range(n - 1):
-        rounds.append(
-            Round(
-                Transmission(
-                    sender=order[p],
-                    message=carried[p],
-                    destinations=frozenset({order[(p + 1) % n]}),
-                )
-                for p in range(n)
-            )
-        )
-        carried = [carried[-1]] + carried[:-1]
-    return Schedule(rounds, name="ring")
+    # In round t, circuit position p forwards the message that started
+    # t positions behind it.
+    sends = [
+        (t, order[p], order[(p - t) % n], (order[(p + 1) % n],))
+        for t in range(n - 1)
+        for p in range(n)
+    ]
+    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name="ring"))
 
 
 def hamiltonian_circuit(graph: Graph) -> Optional[List[int]]:

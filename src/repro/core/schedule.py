@@ -14,23 +14,23 @@ at time ``t`` and received at time ``t + 1``; the *total communication
 time* is the number of rounds (equivalently, the latest time at which a
 communication happens).
 
-Two representations live here:
+One representation lives here, with a facade and a view over it:
 
-* :class:`ArraySchedule` — the **canonical in-memory form**: parallel
-  ``round`` / ``sender`` / ``message`` numpy columns plus a packed
-  destination bitmask matrix, one row per multicast.  Everything on the
-  hot path (the ConcurrentUpDown construction, the simulator's array
-  engine, serialisation, cache weight accounting) works on this form
-  directly.
-* :class:`Schedule` / :class:`Round` / :class:`Transmission` — the
-  object view.  A ``Schedule`` built from arrays is a **lazy facade**:
-  the per-round ``Transmission`` tuples are only materialised when a
-  caller actually iterates them, so array-native consumers never pay
-  for objects they do not touch.
+* :class:`ArraySchedule` — **the** schedule: parallel ``round`` /
+  ``sender`` / ``message`` numpy columns plus a packed destination
+  bitmask matrix, one row per ``(m, l, D)`` tuple.  Every producer packs
+  its sends through :meth:`ArraySchedule.from_sends` or
+  :meth:`ArraySchedule.from_events`, the one place where the two rules
+  are checked.
+* :class:`Schedule` — a thin named facade over exactly one
+  ``ArraySchedule``; every accessor answers from the columns.
+* :class:`Round` / :class:`Transmission` — a read-only object view,
+  built only by :meth:`ArraySchedule.build_rounds` for display (ASCII
+  timelines, the paper's Tables 1–4) and accepted as raw input by the
+  linter.  Their constructors check nothing: validation lives once, in
+  ``ArraySchedule``.
 
-The classes enforce the two structural rules at construction time
-(vectorised for the array form, per-object for the facade); the
-*semantic* rules (the sender actually holds the message, every
+The *semantic* rules (the sender actually holds the message, every
 destination is an adjacent processor) depend on the network and on the
 execution history and are checked by :mod:`repro.simulator.validator`
 and :mod:`repro.lint`.
@@ -81,13 +81,28 @@ def _popcounts(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def _int32_column(values, name: str) -> np.ndarray:
+    """``values`` as a contiguous int32 column; ids outside int32 raise
+    :class:`~repro.exceptions.ScheduleError` instead of wrapping."""
+    col = np.asarray(values)
+    if col.dtype != np.int32 and col.size and (
+        col.min() < _INT32.min or col.max() > _INT32.max
+    ):
+        raise ScheduleError(f"array schedule {name} column exceeds int32")
+    return np.ascontiguousarray(col, dtype=np.int32)
+
+
 @dataclass(frozen=True)
 class Transmission:
-    """One multicast: ``message`` goes from ``sender`` to ``destinations``.
+    """One multicast of the object view: ``message`` from ``sender`` to
+    ``destinations``.
 
-    ``destinations`` must be non-empty and must not contain the sender
-    (the sender keeps every message it ever held; self-delivery is
-    meaningless in the model).
+    A plain record: the construction checks (non-empty destinations, no
+    self-send) live in :class:`ArraySchedule`, so a raw ``Transmission``
+    can carry a broken send to the linter.
 
     Ordering compares ``(sender, message)`` only: within one round
     senders are unique, so that is a total order — comparing the
@@ -107,15 +122,6 @@ class Transmission:
     def __post_init__(self) -> None:
         if not isinstance(self.destinations, frozenset):
             object.__setattr__(self, "destinations", frozenset(self.destinations))
-        if not self.destinations:
-            raise ScheduleError(
-                f"transmission of message {self.message} from {self.sender} "
-                "has an empty destination set"
-            )
-        if self.sender in self.destinations:
-            raise ScheduleError(
-                f"processor {self.sender} cannot send message {self.message} to itself"
-            )
 
     def fan_out(self) -> int:
         """Number of simultaneous receivers (1 = unicast)."""
@@ -127,35 +133,21 @@ class Transmission:
 
 
 class Round:
-    """An immutable communication round: a conflict-free set of transmissions.
+    """One round of the read-only object view: its transmissions, sorted.
 
-    Enforces the two structural rules of the model at construction and
-    offers O(1) lookup of "who sends what" and "who receives what".
+    Offers O(1) lookup of "who sends what" and "who receives what".  It
+    checks nothing — rounds built by :meth:`ArraySchedule.build_rounds`
+    already obey the two rules, and a hand-built raw round may break
+    them on purpose (the linter's collision rules read such input).
     """
 
     __slots__ = ("_transmissions", "_by_sender", "_by_receiver")
 
     def __init__(self, transmissions: Iterable[Transmission] = ()) -> None:
         txs = tuple(sorted(transmissions, key=lambda tx: (tx.sender, tx.message)))
-        by_sender: Dict[int, Transmission] = {}
-        by_receiver: Dict[int, Transmission] = {}
-        for tx in txs:
-            if tx.sender in by_sender:
-                raise ScheduleConflictError(
-                    f"processor {tx.sender} sends two messages in one round: "
-                    f"{by_sender[tx.sender].message} and {tx.message}"
-                )
-            by_sender[tx.sender] = tx
-            for d in tx.destinations:
-                if d in by_receiver:
-                    raise ScheduleConflictError(
-                        f"processor {d} receives two messages in one round: "
-                        f"{by_receiver[d].message} and {tx.message}"
-                    )
-                by_receiver[d] = tx
         self._transmissions = txs
-        self._by_sender = by_sender
-        self._by_receiver = by_receiver
+        self._by_sender = {tx.sender: tx for tx in txs}
+        self._by_receiver = {d: tx for tx in txs for d in tx.destinations}
 
     @property
     def transmissions(self) -> Tuple[Transmission, ...]:
@@ -229,9 +221,9 @@ class ArraySchedule:
 
     ``n`` is the number of processors (fixes the mask width) and
     ``n_messages`` the number of distinct message ids.  The structural
-    rules of Section 1 are enforced vectorised at construction; error
-    paths materialise the offending :class:`Round` so the exception type
-    *and text* match the object view exactly.
+    rules of Section 1 are enforced vectorised at construction, for every
+    way in: :meth:`from_sends`, :meth:`from_events`, :meth:`from_npz` and
+    direct construction.
     """
 
     __slots__ = (
@@ -263,9 +255,9 @@ class ArraySchedule:
         self.n = int(n)
         self.n_messages = self.n if n_messages is None else int(n_messages)
         self.name = name
-        self.round = np.ascontiguousarray(round, dtype=np.int32)
-        self.sender = np.ascontiguousarray(sender, dtype=np.int32)
-        self.message = np.ascontiguousarray(message, dtype=np.int32)
+        self.round = _int32_column(round, "round")
+        self.sender = _int32_column(sender, "sender")
+        self.message = _int32_column(message, "message")
         if dest_mask is None:
             if mask_builder is None:
                 raise ScheduleError(
@@ -395,45 +387,18 @@ class ArraySchedule:
         times, senders, messages, dests = (
             zip(*sends) if sends else ((), (), (), ())
         )
-        times = np.asarray(times, dtype=np.int64)
+        try:
+            times, senders, messages = (
+                np.asarray(col, dtype=np.int64) for col in (times, senders, messages)
+            )
+        except OverflowError as exc:
+            raise ScheduleError(f"send ids exceed int32: {exc}") from exc
         if len(times) and times.min() < 0:
             raise ScheduleError(f"negative send time {int(times.min())}")
         return cls.from_events(
-            times,
-            np.asarray(senders, dtype=np.int64),
-            np.asarray(messages, dtype=np.int64),
+            times, senders, messages,
             _masks_from_dest_lists([tuple(d) for d in dests], int(n)),
             n=int(n), n_messages=n_messages, name=name,
-        )
-
-    @classmethod
-    def from_schedule(
-        cls,
-        schedule: "Schedule",
-        *,
-        n: Optional[int] = None,
-        n_messages: Optional[int] = None,
-    ) -> "ArraySchedule":
-        """Pack an object-view schedule into the canonical array form.
-
-        ``n`` defaults to the smallest processor count covering every
-        sender and destination in the schedule; ids outside ``0..n-1``
-        raise :class:`~repro.exceptions.ScheduleError`.
-        """
-        sends = [
-            (t, tx.sender, tx.message, tx.destinations)
-            for t, rnd in enumerate(schedule.rounds)
-            for tx in rnd
-        ]
-        ids = [v for _, s, _, ds in sends for v in (s, *ds)]
-        if min(ids, default=0) < 0:
-            raise ScheduleError(
-                "cannot pack a schedule with negative processor ids into arrays"
-            )
-        if n is None:
-            n = max(ids, default=-1) + 1
-        return cls.from_sends(
-            sends, n=n, n_messages=n_messages, name=schedule.name
         )
 
     @classmethod
@@ -506,13 +471,13 @@ class ArraySchedule:
             )
         if len(rnd) == 0:
             return
-        if (
-            np.any(rnd < 0)
-            or np.any(snd < 0)
-            or np.any(snd >= self.n)
-        ):
+        if np.any(rnd < 0):
+            raise ScheduleError(f"array schedule has negative round {int(rnd.min())}")
+        bad = (snd < 0) | (snd >= self.n)
+        if bad.any():
             raise ScheduleError(
-                "array schedule has a negative round or an out-of-range sender"
+                f"array schedule sender {int(snd[bad.argmax()])} is not one of "
+                f"the {self.n} processors"
             )
         key_sorted = np.all(
             (rnd[:-1] < rnd[1:])
@@ -554,14 +519,25 @@ class ArraySchedule:
             sum_pop = np.add.reduceat(pops, starts)
             clash = union_pop != sum_pop
             if clash.any():
-                g = int(np.flatnonzero(clash)[0])
-                t = int(rnd[starts[g]])
-                # Materialise the offending round: Round() raises the
-                # historical ScheduleConflictError with the exact text.
-                Round(self._transmissions_of_slice(ptr[t], ptr[t + 1]))
-                raise ScheduleConflictError(  # pragma: no cover — Round raises
-                    f"round {t} has a receiver collision"
-                )
+                t = int(rnd[starts[int(np.flatnonzero(clash)[0])]])
+                raise ScheduleConflictError(self._receiver_collision(t))
+
+    def _receiver_collision(self, t: int) -> str:
+        """The rule-1 error text for round ``t``: the first receiver (rows
+        in sender order, destinations ascending) that an earlier row of
+        the same round already reaches."""
+        lo, hi = int(self.round_ptr[t]), int(self.round_ptr[t + 1])
+        first: Dict[int, int] = {}
+        for e in range(lo, hi):
+            bits = np.unpackbits(self.dest_mask[e].view(np.uint8), bitorder="little")
+            for d in np.flatnonzero(bits).tolist():
+                if d in first:
+                    return (
+                        f"processor {d} receives two messages in one round: "
+                        f"{first[d]} and {int(self.message[e])}"
+                    )
+                first[d] = int(self.message[e])
+        return f"round {t} has a receiver collision"  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Accessors
@@ -696,17 +672,12 @@ class ArraySchedule:
             raise
         except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
             raise ScheduleError(f"unreadable schedule npz {path}: {exc}") from exc
-        int32 = np.iinfo(np.int32)
         for key, col in zip(keys, (rnd, snd, msg, masks, meta)):
             if col.dtype.kind not in "iu":
                 raise ScheduleError(
                     f"schedule npz field {key!r} has dtype {col.dtype}; "
                     "expected integers"
                 )
-            if key in keys[:3] and col.size and (
-                col.min() < int32.min or col.max() > int32.max
-            ):
-                raise ScheduleError(f"schedule npz field {key!r} exceeds int32")
         if meta.shape != (2,):
             raise ScheduleError(
                 f"schedule npz meta has shape {meta.shape}; expected (2,) = "
@@ -716,54 +687,39 @@ class ArraySchedule:
         return cls(rnd, snd, msg, masks, n=n, n_messages=n_messages, name=name)
 
     # ------------------------------------------------------------------
-    # Object-view materialisation
+    # Object view
     # ------------------------------------------------------------------
-    def _transmissions_of_slice(self, lo: int, hi: int) -> List[Transmission]:
-        """Transmission objects for rows ``lo:hi`` (one round's worth)."""
-        out: List[Transmission] = []
-        senders = self.sender[lo:hi].tolist()
-        messages = self.message[lo:hi].tolist()
-        for e, (s, m) in enumerate(zip(senders, messages)):
-            bits = np.unpackbits(
-                self.dest_mask[lo + e].view(np.uint8), bitorder="little"
+    def sends(self) -> List[Tuple[int, int, int, Tuple[int, ...]]]:
+        """Every row as a ``(time, sender, message, destinations)`` send
+        tuple, destinations ascending — the input form of
+        :meth:`from_sends`, in ``(round, sender)`` order."""
+        _, dest = self.destination_pairs()
+        bounds = np.zeros(self.n_transmissions + 1, dtype=np.int64)
+        np.cumsum(self.fan_outs(), out=bounds[1:])
+        dests, edges = dest.tolist(), bounds.tolist()
+        return [
+            (t, s, m, tuple(dests[edges[e] : edges[e + 1]]))
+            for e, (t, s, m) in enumerate(
+                zip(self.round.tolist(), self.sender.tolist(), self.message.tolist())
             )
-            out.append(
-                Transmission(
-                    sender=s, message=m,
-                    destinations=frozenset(np.flatnonzero(bits).tolist()),
-                )
-            )
-        return out
+        ]
 
     def build_rounds(self) -> Tuple[Round, ...]:
-        """Materialise the full object view (one Round per send time)."""
-        total = self.total_time
-        if total == 0:
-            return ()
-        row, dest = self.destination_pairs()
-        counts = self.fan_outs()
-        bounds = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        senders = self.sender.tolist()
-        messages = self.message.tolist()
-        dest_list = dest.tolist()
-        ptr = self.round_ptr.tolist()
-        rounds: List[Round] = []
-        for t in range(total):
-            txs = [
-                Transmission(
-                    sender=senders[e],
-                    message=messages[e],
-                    destinations=frozenset(dest_list[bounds[e] : bounds[e + 1]]),
-                )
-                for e in range(ptr[t], ptr[t + 1])
-            ]
-            rounds.append(Round(txs))
-        return tuple(rounds)
+        """The read-only object view, one :class:`Round` per send time.
 
-    def to_schedule(self, name: Optional[str] = None) -> "Schedule":
-        """The lazy object-view facade over these arrays."""
-        return Schedule.from_arrays(self, name=name)
+        The only place ``Round`` and ``Transmission`` objects are made;
+        for display and for consumers that want objects, never for the
+        hot path.
+        """
+        rows = self.sends()
+        ptr = self.round_ptr.tolist()
+        return tuple(
+            Round(
+                Transmission(sender=s, message=m, destinations=frozenset(ds))
+                for _, s, m, ds in rows[ptr[t] : ptr[t + 1]]
+            )
+            for t in range(self.total_time)
+        )
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -812,50 +768,36 @@ def _masks_from_dest_lists(
 
 
 class Schedule:
-    """An immutable sequence of rounds.
+    """A named facade over exactly one :class:`ArraySchedule`.
 
     Round ``t`` (0-based) is *sent* at time ``t`` and *received* at time
-    ``t + 1``.  Trailing empty rounds are trimmed so
-    :attr:`total_time` matches the paper's "latest time there is a
-    communication".
-
-    A schedule constructed from an :class:`ArraySchedule`
-    (:meth:`from_arrays`, or any algorithm that packs its sends) keeps
-    the arrays as the source of truth and materialises the
-    ``Round`` / ``Transmission`` objects lazily on first access; counters
-    such as :attr:`total_time` and :meth:`total_deliveries` answer from
-    the arrays without materialising anything.
+    ``t + 1``; :attr:`total_time` is one past the last send time, the
+    paper's "latest time there is a communication".  Every accessor
+    answers from the columns; the ``Round`` / ``Transmission`` view is
+    built from them only when :attr:`rounds`, :meth:`round_at` or
+    iteration asks for it, and then cached.
     """
 
-    __slots__ = ("_rounds", "_name", "_arrays")
+    __slots__ = ("_arrays", "_name", "_rounds")
 
-    def __init__(self, rounds: Iterable[Round], name: str = "") -> None:
-        rnds = list(rounds)
-        while rnds and rnds[-1].is_empty():
-            rnds.pop()
-        self._rounds: Optional[Tuple[Round, ...]] = tuple(rnds)
-        self._name = name
-        self._arrays: Optional[ArraySchedule] = None
+    def __init__(self, arrays: ArraySchedule, name: Optional[str] = None) -> None:
+        if not isinstance(arrays, ArraySchedule):
+            raise ScheduleError(
+                "a Schedule wraps an ArraySchedule; pack sends with "
+                "ArraySchedule.from_sends(...)"
+            )
+        self._arrays = arrays
+        self._name = arrays.name if name is None else name
+        self._rounds: Optional[Tuple[Round, ...]] = None
 
     @classmethod
     def from_arrays(
         cls, arrays: ArraySchedule, name: Optional[str] = None
     ) -> "Schedule":
-        """Lazy object-view facade over a canonical :class:`ArraySchedule`."""
-        self = object.__new__(cls)
-        self._rounds = None
-        self._name = arrays.name if name is None else name
-        self._arrays = arrays
-        return self
+        """The facade over ``arrays`` (named ``name``, default its own)."""
+        return cls(arrays, name)
 
     # ------------------------------------------------------------------
-    def _materialized(self) -> Tuple[Round, ...]:
-        """The object rounds, built from the arrays on first demand."""
-        if self._rounds is None:
-            assert self._arrays is not None
-            self._rounds = self._arrays.build_rounds()
-        return self._rounds
-
     @property
     def name(self) -> str:
         """Name of the producing algorithm (used in reports)."""
@@ -863,26 +805,16 @@ class Schedule:
 
     @property
     def rounds(self) -> Tuple[Round, ...]:
-        """All rounds, index = send time (materialises the object view)."""
-        return self._materialized()
-
-    @property
-    def is_array_backed(self) -> bool:
-        """Whether the canonical array form already exists."""
-        return self._arrays is not None
+        """All rounds, index = send time (builds the object view once)."""
+        if self._rounds is None:
+            self._rounds = self._arrays.build_rounds()
+        return self._rounds
 
     def arrays(
         self, *, n: Optional[int] = None, n_messages: Optional[int] = None
     ) -> ArraySchedule:
-        """The canonical :class:`ArraySchedule` form of this schedule.
-
-        For an array-backed schedule this is (a widened view of) the
-        stored arrays; otherwise the arrays are packed from the object
-        view and memoised.  ``n`` / ``n_messages`` fix the processor and
-        message universes (defaults: inferred from the content).
-        """
-        if self._arrays is None:
-            self._arrays = ArraySchedule.from_schedule(self)
+        """The backing :class:`ArraySchedule`, widened to ``n`` processors
+        and ``n_messages`` messages when those are given and larger."""
         arr = self._arrays
         if n is not None and n > arr.n:
             return arr.widen(n, n_messages)
@@ -897,14 +829,11 @@ class Schedule:
         The last round is sent at ``total_time - 1`` and received at
         ``total_time``.
         """
-        if self._rounds is None:
-            assert self._arrays is not None
-            return self._arrays.total_time
-        return len(self._rounds)
+        return self._arrays.total_time
 
     def round_at(self, t: Time) -> Round:
         """The round sent at time ``t`` (empty if past the end)."""
-        rounds = self._materialized()
+        rounds = self.rounds
         if 0 <= t < len(rounds):
             return rounds[t]
         return _EMPTY_ROUND
@@ -915,56 +844,52 @@ class Schedule:
 
     def total_messages(self) -> int:
         """Total multicasts across all rounds."""
-        if self._rounds is None:
-            assert self._arrays is not None
-            return self._arrays.n_transmissions
-        return sum(len(r) for r in self._rounds)
+        return self._arrays.n_transmissions
 
     def total_deliveries(self) -> int:
         """Total point-to-point deliveries across all rounds."""
-        if self._rounds is None:
-            assert self._arrays is not None
-            return self._arrays.delivery_count()
-        return sum(r.delivery_count() for r in self._rounds)
+        return self._arrays.delivery_count()
 
     def max_fan_out(self) -> int:
         """Largest multicast fan-out anywhere in the schedule (0 if empty)."""
-        if self._rounds is None:
-            assert self._arrays is not None
-            return self._arrays.max_fan_out()
-        return max(
-            (tx.fan_out() for r in self._rounds for tx in r), default=0
-        )
+        return self._arrays.max_fan_out()
 
     def with_name(self, name: str) -> "Schedule":
         """Same schedule carrying a different name."""
-        if self._rounds is None:
-            assert self._arrays is not None
-            return Schedule.from_arrays(self._arrays, name=name)
-        out = Schedule((), name=name)
-        out._rounds = self._rounds
-        out._arrays = self._arrays
-        return out
+        return Schedule(self._arrays, name)
 
     def __iter__(self) -> Iterator[Round]:
-        return iter(self._materialized())
+        return iter(self.rounds)
 
     def __len__(self) -> int:
         return self.total_time
 
+    def _significant_masks(self) -> np.ndarray:
+        """The destination matrix without its all-zero trailing words, so
+        equal sends compare equal whatever ``n`` each side declares."""
+        masks = self._arrays.dest_mask
+        used = np.flatnonzero(masks.any(axis=0))
+        return masks[:, : int(used[-1]) + 1 if len(used) else 0]
+
     def __eq__(self, other: object) -> bool:
+        """The same sends in the same rounds; names, ``n`` and
+        ``n_messages`` are not compared."""
         if not isinstance(other, Schedule):
             return NotImplemented
-        if (
-            self._arrays is not None
-            and other._arrays is not None
-            and self._arrays == other._arrays
-        ):
-            return True
-        return self._materialized() == other._materialized()
+        a, b = self._arrays, other._arrays
+        return (
+            np.array_equal(a.round, b.round)
+            and np.array_equal(a.sender, b.sender)
+            and np.array_equal(a.message, b.message)
+            and np.array_equal(self._significant_masks(), other._significant_masks())
+        )
 
     def __hash__(self) -> int:
-        return hash(self._materialized())
+        a = self._arrays
+        return hash((
+            a.round.tobytes(), a.sender.tobytes(), a.message.tobytes(),
+            self._significant_masks().tobytes(),
+        ))
 
     def __repr__(self) -> str:
         label = f" name={self._name!r}" if self._name else ""
@@ -977,9 +902,7 @@ _EMPTY_ROUND = Round(())
 def merge_schedules(first: Schedule, second: Schedule, name: str = "") -> Schedule:
     """Overlap two schedules into one (the ConcurrentUpDown combination).
 
-    Both inputs are packed to arrays (object inputs through
-    :meth:`Schedule.arrays`), their event rows are concatenated and
-    re-canonicalised by :meth:`ArraySchedule.from_events`, which raises
+    The two inputs' event rows are concatenated and re-canonicalised by :meth:`ArraySchedule.from_events`, which raises
     :class:`ScheduleConflictError` when the overlap breaks a model rule
     — by Theorem 1 this never happens for the Propagate-Up /
     Propagate-Down pair.

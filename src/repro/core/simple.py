@@ -45,7 +45,7 @@ def simple_gossip(labeled: LabeledTree) -> Schedule:
     tree = labeled.tree
     n = labeled.n
     if n <= 1:
-        return Schedule((), name="Simple")
+        return Schedule.from_arrays(ArraySchedule.from_sends((), n=n, name="Simple"))
 
     # Up phase: message m climbs one level per round, timed to reach the
     # root at time m.  The ancestor at level l sends it at time m - l.

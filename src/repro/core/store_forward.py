@@ -9,13 +9,13 @@ processed in ascending (message label, sender) order, so lower-labelled
 messages win contended receivers — the same label-ordered pipelining
 principle the paper's algorithms hard-code analytically.
 
-Three policies are provided:
+Two policies are provided:
 
 * :class:`GreedyMulticastPolicy` — send the lowest-labelled held message
   some neighbour still lacks, to *all* such neighbours.  A strong generic
-  baseline for the comparison benchmarks.
-* :class:`TelephonePolicy` — the same, restricted to a single receiver:
-  the telephone (unicast) communication model the paper contrasts with.
+  baseline for the comparison benchmarks; with ``max_fan_out=1`` the
+  arbiter keeps one receiver per send, which is the telephone (unicast)
+  model the paper contrasts with.
 * :class:`UpDownTreePolicy` — the reconstruction of Gonzalez's two-phase
   UpDown algorithm [15] (the paper gives only its phase structure and
   bound, not its pseudo-code — see DESIGN.md): body messages stream
@@ -40,15 +40,14 @@ from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 from ..exceptions import SimulationError
 from ..networks.builders import tree_to_graph
 from ..networks.graph import Graph
-from ..simulator.state import HoldState, labeled_holdings
+from ..simulator.state import initial_holdings, labeled_holdings
 from ..tree.labeling import LabeledTree
 from .gossip import register_algorithm
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 __all__ = [
     "SendPolicy",
     "GreedyMulticastPolicy",
-    "TelephonePolicy",
     "UpDownTreePolicy",
     "store_forward_schedule",
     "greedy_multicast_gossip",
@@ -65,23 +64,16 @@ Proposal = Tuple[int, Sequence[int]]
 class SendPolicy(Protocol):
     """Chooses what each processor offers to send in the current round."""
 
-    def propose(
-        self, vertex: int, state: HoldState, graph: Graph, time: int
-    ) -> Optional[Proposal]:
-        """Return ``(message, destinations)`` or ``None`` to stay silent.
-
-        ``destinations`` must be neighbours of ``vertex``; the arbiter
-        trims it to the receivers still free this round and drops the
-        proposal entirely if none remain.
-        """
-        ...
-
     def propose_ranked(
-        self, vertex: int, state: HoldState, graph: Graph, time: int
+        self, vertex: int, holds: Sequence[int], graph: Graph, time: int
     ) -> List[Proposal]:
-        """Proposals in decreasing preference; the arbiter falls back to
-        the next one when a higher-preference proposal wins no receiver.
-        The default adapter wraps :meth:`propose` into a one-element list.
+        """Proposals ``(message, destinations)`` in decreasing preference.
+
+        ``holds`` is every processor's hold bitset (bit ``m`` set: holds
+        message ``m``).  ``destinations`` must be neighbours of
+        ``vertex``; the arbiter trims them to the receivers still free
+        this round and falls back to the next proposal when one wins no
+        receiver.  An empty list stays silent.
         """
         ...
 
@@ -89,37 +81,18 @@ class SendPolicy(Protocol):
 class GreedyMulticastPolicy:
     """Multicast the lowest-labelled held message a neighbour lacks."""
 
-    def propose(
-        self, vertex: int, state: HoldState, graph: Graph, time: int
-    ) -> Optional[Proposal]:
+    def propose_ranked(
+        self, vertex: int, holds: Sequence[int], graph: Graph, time: int
+    ) -> List[Proposal]:
         neighbours = graph.neighbors(vertex)
         lacking_union = 0
-        hold = state.hold_set(vertex)
+        hold = holds[vertex]
         for u in neighbours:
-            lacking_union |= hold & ~state.hold_set(u)
+            lacking_union |= hold & ~holds[u]
         if not lacking_union:
-            return None
+            return []
         message = (lacking_union & -lacking_union).bit_length() - 1
-        dests = [u for u in neighbours if not state.holds(u, message)]
-        return (message, dests)
-
-
-class TelephonePolicy:
-    """The unicast restriction: one receiver per send (telephone model)."""
-
-    def __init__(self) -> None:
-        self._inner = GreedyMulticastPolicy()
-
-    def propose(
-        self, vertex: int, state: HoldState, graph: Graph, time: int
-    ) -> Optional[Proposal]:
-        proposal = self._inner.propose(vertex, state, graph, time)
-        if proposal is None:
-            return None
-        message, dests = proposal
-        # Keep the full preference list; the arbiter's unicast truncation
-        # (max_fan_out=1) picks the first still-free receiver.
-        return (message, dests)
+        return [(message, [u for u in neighbours if not holds[u] >> message & 1])]
 
 
 class UpDownTreePolicy:
@@ -137,12 +110,12 @@ class UpDownTreePolicy:
         self._labeled = labeled
 
     def propose_ranked(
-        self, vertex: int, state: HoldState, graph: Graph, time: int
+        self, vertex: int, holds: Sequence[int], graph: Graph, time: int
     ) -> List[Proposal]:
         labeled = self._labeled
         tree = labeled.tree
         block = labeled.block(vertex)
-        hold = state.hold_set(vertex)
+        hold = holds[vertex]
         kids = tree.children(vertex)
         ranked: List[Proposal] = []
         # Preference 1 — upward: lowest held body message the parent
@@ -151,27 +124,21 @@ class UpDownTreePolicy:
         if not tree.is_root(vertex):
             parent = tree.parent(vertex)
             body_mask = ((1 << (block.j + 1)) - 1) ^ ((1 << block.i) - 1)
-            pending_up = hold & body_mask & ~state.hold_set(parent)
+            pending_up = hold & body_mask & ~holds[parent]
             if pending_up:
                 message = (pending_up & -pending_up).bit_length() - 1
-                dests = [parent] + [c for c in kids if not state.holds(c, message)]
+                dests = [parent] + [c for c in kids if not holds[c] >> message & 1]
                 ranked.append((message, dests))
         # Preference 2 — downward: lowest held message some child lacks.
         lacking_union = 0
         for c in kids:
-            lacking_union |= hold & ~state.hold_set(c)
+            lacking_union |= hold & ~holds[c]
         if lacking_union:
             message = (lacking_union & -lacking_union).bit_length() - 1
             ranked.append(
-                (message, [c for c in kids if not state.holds(c, message)])
+                (message, [c for c in kids if not holds[c] >> message & 1])
             )
         return ranked
-
-    def propose(
-        self, vertex: int, state: HoldState, graph: Graph, time: int
-    ) -> Optional[Proposal]:
-        ranked = self.propose_ranked(vertex, state, graph, time)
-        return ranked[0] if ranked else None
 
 
 def store_forward_schedule(
@@ -198,34 +165,31 @@ def store_forward_schedule(
         Safety valve; defaults to ``n * n`` (far above the progress bound).
     """
     n = graph.n
-    state = HoldState(n, initial=initial_holds)
+    holds = initial_holdings(n, initial_holds, n)
+    full = (1 << n) - 1
     limit = n * n if max_rounds is None else max_rounds
-    rounds: List[Round] = []
+    sends: List[Tuple[int, int, int, List[int]]] = []
     pending: List[Tuple[int, int]] = []  # (receiver, message) applied next round
     time = 0
-    while not state.all_complete():
+    while not all(h == full for h in holds):
         if time > limit:
             raise SimulationError(
                 f"store-and-forward did not finish within {limit} rounds"
             )
         for receiver, message in pending:
-            state.deliver(receiver, message, time)
+            holds[receiver] |= 1 << message
         pending = []
-        if state.all_complete():
+        if all(h == full for h in holds):
             break
         ranked_by_vertex: Dict[int, List[Proposal]] = {}
         for v in range(n):
-            if hasattr(policy, "propose_ranked"):
-                ranked = policy.propose_ranked(v, state, graph, time)
-            else:
-                p = policy.propose(v, state, graph, time)
-                ranked = [p] if p is not None else []
-            ranked = [(m, d) for (m, d) in ranked if d]
+            ranked = [
+                (m, d) for (m, d) in policy.propose_ranked(v, holds, graph, time) if d
+            ]
             if ranked:
                 ranked_by_vertex[v] = ranked
         taken = [False] * n
         granted_sender = [False] * n
-        txs: List[Transmission] = []
         max_rank = max((len(r) for r in ranked_by_vertex.values()), default=0)
         for rank in range(max_rank):
             # Senders still empty-handed try their rank-th preference,
@@ -244,15 +208,10 @@ def store_forward_schedule(
                 for d in granted:
                     taken[d] = True
                 granted_sender[sender] = True
-                txs.append(
-                    Transmission(
-                        sender=sender, message=message, destinations=frozenset(granted)
-                    )
-                )
+                sends.append((time, sender, message, granted))
                 pending.extend((d, message) for d in granted)
-        rounds.append(Round(txs))
         time += 1
-    return Schedule(rounds, name=name)
+    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name=name))
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +250,7 @@ def telephone_gossip(labeled: LabeledTree) -> Schedule:
     """Telephone-model (unicast) gossip on the tree network."""
     return store_forward_schedule(
         tree_to_graph(labeled.tree),
-        TelephonePolicy(),
+        GreedyMulticastPolicy(),
         initial_holds=labeled_holdings(labeled.labels()),
         max_fan_out=1,
         name="Telephone",
@@ -301,7 +260,7 @@ def telephone_gossip(labeled: LabeledTree) -> Schedule:
 def telephone_gossip_on_graph(graph: Graph) -> Schedule:
     """Telephone-model gossip directly on an arbitrary network."""
     return store_forward_schedule(
-        graph, TelephonePolicy(), max_fan_out=1, name="Telephone"
+        graph, GreedyMulticastPolicy(), max_fan_out=1, name="Telephone"
     )
 
 

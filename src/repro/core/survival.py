@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import PartitionedNetworkError, ReproError, SurvivorSetError
-from .schedule import Round, Schedule, Transmission
+from .schedule import ArraySchedule, Schedule
 
 if TYPE_CHECKING:  # runtime imports are lazy to avoid core <-> simulator cycles
     from ..networks.graph import Graph
@@ -408,7 +408,7 @@ def survive(
     alg = plan.algorithm if algorithm is None else algorithm
 
     component_plans: List[ComponentPlan] = []
-    per_component_rounds: List[List[Round]] = []
+    sends: List[Tuple[int, int, int, Tuple[int, ...]]] = []
     for comp in diagnosis.components:
         if len(comp) == 1 or all(holds[v] & masks[v] == masks[v] for v in comp):
             continue  # singleton, or the faults never hurt this component
@@ -426,19 +426,10 @@ def survive(
         message_of = {
             int(sub_labels[lv]): labels[comp[lv]] for lv in range(len(comp))
         }
-        translated: List[Round] = []
-        for rnd in sub_plan.schedule:
-            translated.append(
-                Round(
-                    Transmission(
-                        sender=comp[tx.sender],
-                        message=message_of[tx.message],
-                        destinations=frozenset(comp[d] for d in tx.destinations),
-                    )
-                    for tx in rnd
-                )
-            )
-        per_component_rounds.append(translated)
+        sends.extend(
+            (t, comp[s], message_of[m], tuple(comp[d] for d in ds))
+            for t, s, m, ds in sub_plan.arrays().sends()
+        )
         component_plans.append(
             ComponentPlan(
                 vertices=comp,
@@ -447,19 +438,16 @@ def survive(
             )
         )
 
-    merged: List[Round] = []
-    for t in range(max((len(r) for r in per_component_rounds), default=0)):
-        txs = [
-            tx
-            for rounds in per_component_rounds
-            if t < len(rounds)
-            for tx in rounds[t]
-        ]
-        merged.append(Round(txs))
+    # The components are vertex-disjoint, so their rows merge side by
+    # side without a conflict.
     name = plan.schedule.name
-    schedule = Schedule(merged, name=f"{name}+survival" if name else "survival")
+    schedule = Schedule.from_arrays(
+        ArraySchedule.from_sends(
+            sends, n=graph.n, name=f"{name}+survival" if name else "survival"
+        )
+    )
 
-    if merged:
+    if sends:
         survived: "ExecutionResult" = execute_schedule(
             graph,
             schedule,

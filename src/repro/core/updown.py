@@ -73,7 +73,7 @@ def updown_gossip(labeled: LabeledTree) -> Schedule:
     tree = labeled.tree
     n = labeled.n
     if n <= 1:
-        return Schedule((), name="UpDown")
+        return Schedule.from_arrays(ArraySchedule.from_sends((), n=n, name="UpDown"))
 
     # Phase 1: the (U3)/(U4) up half (unicasts to the parent) plus the
     # immediate (D2)/(D3) down stream, with the stuck o-messages held back.

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
+import numpy as np
+
 if TYPE_CHECKING:  # the engine is only imported lazily, inside execute()
     from ..simulator.engine import ExecutionResult
 
@@ -159,19 +161,20 @@ class WeightedGossipPlan:
         paper's "mimicking" requirement.
         """
         worst: Dict[int, int] = {v: 0 for v in range(self.graph.n)}
-        for rnd in self.schedule:
-            per_real: Dict[int, int] = {}
-            for tx in rnd:
-                real = self.owner[tx.sender]
-                # chain-internal transmissions are bookkeeping, not wire traffic
-                external = [
-                    d for d in tx.destinations if self.owner[d] != real
-                ]
-                if external:
-                    per_real[real] = per_real.get(real, 0) + 1
-            for real, count in per_real.items():
-                if count > worst[real]:
-                    worst[real] = count
+        arrays = self.schedule.arrays()
+        owner = np.asarray(self.owner, dtype=np.int64)
+        rows, dests = arrays.destination_pairs()
+        real = owner[arrays.sender]
+        # chain-internal transmissions are bookkeeping, not wire traffic
+        external = np.zeros(arrays.n_transmissions, dtype=bool)
+        external[rows[owner[dests] != real[rows]]] = True
+        keys, counts = np.unique(
+            arrays.round[external].astype(np.int64) * self.graph.n + real[external],
+            return_counts=True,
+        )
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            v = key % self.graph.n
+            worst[v] = max(worst[v], count)
         return worst
 
 

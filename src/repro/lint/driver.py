@@ -17,14 +17,15 @@ built by :func:`arrival_pass` with only the execution rules active, is
 what :func:`repro.simulator.engine.execute_schedule` answers from: the
 simulator imports this module, never the other way round.
 
-Array-backed input is read straight from its columns; the
-``Transmission`` object view is never built.  A
-:class:`~repro.core.schedule.Schedule` of objects or a raw sequence of
-rounds (each an iterable of transmissions) is packed into the same
-columns by one loop.  Only raw rounds can reach the
-``model/sender-collision`` / ``model/receiver-collision`` rules, since
-the ``Round`` constructor rejects them — which is how the test suite
-proves the lint layer agrees with the constructors' conflict checks.
+A :class:`~repro.core.schedule.Schedule` or
+:class:`~repro.core.schedule.ArraySchedule` is read straight from its
+columns; the ``Transmission`` object view is never built.  A raw
+sequence of rounds (each a ``Round`` or an iterable of
+``Transmission``) is packed into the same columns by one loop.  Only raw
+rounds can reach the ``model/sender-collision`` /
+``model/receiver-collision`` rules, since ``ArraySchedule`` refuses
+them — which is how the test suite proves the lint layer agrees with
+the packer's conflict checks.
 
 Diagnostics are built only for findings, each with an emission key that
 reproduces a round-by-round walk: round ``t - 1``'s landings, then round
@@ -73,7 +74,7 @@ __all__ = [
     "lint_schedule",
 ]
 
-#: Anything the driver understands as a schedule: the object view, the
+#: Anything the driver understands as a schedule: the facade, the
 #: canonical array form, or a raw sequence of rounds (each a ``Round``
 #: or iterable of transmissions).
 ScheduleLike = Union[
@@ -128,7 +129,7 @@ class _Columns(NamedTuple):
 
 def _columns(schedule: ScheduleLike) -> _Columns:
     """Read a schedule-like object as flat columns."""
-    if isinstance(schedule, Schedule) and schedule.is_array_backed:
+    if isinstance(schedule, Schedule):
         schedule = schedule.arrays()
     if isinstance(schedule, ArraySchedule):
         row, d = schedule.destination_pairs()

@@ -9,10 +9,10 @@ without re-running the construction.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, List
 
-from ..core.schedule import Round, Schedule, Transmission
-from ..exceptions import GraphError
+from ..core.schedule import ArraySchedule, Schedule
+from ..exceptions import GraphError, ScheduleConflictError, ScheduleError
 from ..tree.tree import Tree
 from .graph import Graph
 
@@ -86,24 +86,68 @@ def tree_from_json(text: str) -> Tree:
 
 def schedule_to_json(schedule: Schedule) -> str:
     """JSON envelope: rounds as ``[[message, sender, [dests]], ...]``."""
-    payload: Dict[str, Any] = {
-        "name": schedule.name,
-        "rounds": [
-            [[tx.message, tx.sender, sorted(tx.destinations)] for tx in rnd]
-            for rnd in schedule
-        ],
-    }
-    return json.dumps(payload)
+    arrays = schedule.arrays()
+    rounds: List[List[List[Any]]] = [[] for _ in range(arrays.total_time)]
+    for t, sender, message, dests in arrays.sends():
+        rounds[t].append([message, sender, list(dests)])
+    return json.dumps({"name": schedule.name, "rounds": rounds})
+
+
+def _is_id(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def schedule_from_json(text: str) -> Schedule:
-    """Parse the :func:`schedule_to_json` envelope."""
-    data = json.loads(text)
-    rounds = [
-        Round(
-            Transmission(sender=s, message=m, destinations=frozenset(d))
-            for m, s, d in rnd
+    """Parse the :func:`schedule_to_json` envelope.
+
+    The processor count is inferred as the largest sender or destination
+    id plus one.  Malformed input raises
+    :class:`~repro.exceptions.ScheduleError` (a
+    :class:`~repro.exceptions.ScheduleConflictError` for a processor
+    listed twice as a sender in one round): text that is not JSON, an
+    envelope without a ``rounds`` list, a row that is not
+    ``[message, sender, [destinations]]`` of integers, a negative id or
+    an empty destination list.
+    """
+    try:
+        data = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise ScheduleError(f"schedule JSON does not parse: {exc}") from exc
+    rounds = data.get("rounds") if isinstance(data, dict) else None
+    name = data.get("name", "") if isinstance(data, dict) else ""
+    if not isinstance(rounds, list) or not isinstance(name, str):
+        raise ScheduleError(
+            "schedule JSON must be an object with a 'rounds' list and a string 'name'"
         )
-        for rnd in data["rounds"]
-    ]
-    return Schedule(rounds, name=data.get("name", ""))
+    sends = []
+    for t, rnd in enumerate(rounds):
+        if not isinstance(rnd, list):
+            raise ScheduleError(f"schedule JSON round {t} is not a list")
+        senders: Dict[int, int] = {}
+        for row in rnd:
+            if not (
+                isinstance(row, list) and len(row) == 3
+                and _is_id(row[0]) and _is_id(row[1])
+                and isinstance(row[2], list) and all(_is_id(d) for d in row[2])
+            ):
+                raise ScheduleError(
+                    f"schedule JSON round {t}: {row!r} is not "
+                    "[message, sender, [destinations]] of integers"
+                )
+            message, sender, dests = row
+            if min(message, sender, *dests) < 0:
+                raise ScheduleError(f"schedule JSON round {t}: negative id in {row!r}")
+            if not dests:
+                raise ScheduleError(
+                    f"transmission of message {message} from {sender} "
+                    "has an empty destination set"
+                )
+            if sender in senders:
+                raise ScheduleConflictError(
+                    f"processor {sender} sends two messages in one round: "
+                    f"{senders[sender]} and {message}"
+                )
+            senders[sender] = message
+            sends.append((t, sender, message, dests))
+    n = max((v for _, s, _, ds in sends for v in (s, *ds)), default=-1) + 1
+    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name=name))

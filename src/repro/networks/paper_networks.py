@@ -25,9 +25,9 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from ..core.schedule import Round, Schedule, Transmission
+from ..core.schedule import ArraySchedule, Schedule
 from ..exceptions import GraphError
 from ..tree.tree import Tree
 from .graph import Graph, GraphBuilder
@@ -139,19 +139,14 @@ def fig4_network() -> Graph:
     return b.build()
 
 
-def _rotation_round(order: List[int], carried: List[int]) -> List[Transmission]:
-    """One rotation step: position ``p`` of ``order`` sends ``carried[p]``
-    to position ``p + 1`` (cyclically).  Returns the transmissions; the
-    caller updates ``carried``."""
+def _rotation_sends(
+    t: int, order: List[int], carried: List[int]
+) -> List[Tuple[int, int, int, Tuple[int]]]:
+    """One rotation step at time ``t``: position ``p`` of ``order`` sends
+    ``carried[p]`` to position ``p + 1`` (cyclically).  The caller
+    updates ``carried``."""
     k = len(order)
-    return [
-        Transmission(
-            sender=order[p],
-            message=carried[p],
-            destinations=frozenset({order[(p + 1) % k]}),
-        )
-        for p in range(k)
-    ]
+    return [(t, order[p], carried[p], (order[(p + 1) % k],)) for p in range(k)]
 
 
 def petersen_gossip_schedule() -> Schedule:
@@ -173,40 +168,32 @@ def petersen_gossip_schedule() -> Schedule:
     """
     outer = [0, 1, 2, 3, 4]
     inner = [5, 7, 9, 6, 8]  # the pentagram traversed as a 5-cycle
-    rounds: List[Round] = []
+    sends: List[Tuple[int, int, int, Tuple[int]]] = []
 
     out_carried = list(outer)  # message at each outer position
     in_carried = list(inner)
-    for _ in range(4):
-        txs = _rotation_round(outer, out_carried) + _rotation_round(inner, in_carried)
-        rounds.append(Round(txs))
+    for t in range(4):
+        sends += _rotation_sends(t, outer, out_carried)
+        sends += _rotation_sends(t, inner, in_carried)
         out_carried = [out_carried[-1]] + out_carried[:-1]
         in_carried = [in_carried[-1]] + in_carried[:-1]
 
     # Round 4: spoke swap of the vertices' own messages.
-    rounds.append(
-        Round(
-            [
-                Transmission(sender=i, message=i, destinations=frozenset({5 + i}))
-                for i in range(5)
-            ]
-            + [
-                Transmission(sender=5 + i, message=5 + i, destinations=frozenset({i}))
-                for i in range(5)
-            ]
-        )
-    )
+    sends += [(4, i, i, (5 + i,)) for i in range(5)]
+    sends += [(4, 5 + i, 5 + i, (i,)) for i in range(5)]
 
     # Rounds 5-8: rotate the injected cross-ring messages.
     out_carried = [5 + v for v in outer]          # outer vertex i now carries 5+i
     in_carried = [v - 5 for v in inner]           # inner vertex 5+i carries i
-    for _ in range(4):
-        txs = _rotation_round(outer, out_carried) + _rotation_round(inner, in_carried)
-        rounds.append(Round(txs))
+    for t in range(5, 9):
+        sends += _rotation_sends(t, outer, out_carried)
+        sends += _rotation_sends(t, inner, in_carried)
         out_carried = [out_carried[-1]] + out_carried[:-1]
         in_carried = [in_carried[-1]] + in_carried[:-1]
 
-    return Schedule(rounds, name="petersen-telephone-9")
+    return Schedule.from_arrays(
+        ArraySchedule.from_sends(sends, n=10, name="petersen-telephone-9")
+    )
 
 
 def n3_multicast_schedule() -> Schedule:
@@ -217,28 +204,13 @@ def n3_multicast_schedule() -> Schedule:
     Vertices: centers 0, 1; leaves 2, 3, 4; message ``m`` starts at
     vertex ``m``.
     """
-    t = Transmission
-    rounds = [
-        Round([
-            t(sender=0, message=0, destinations=frozenset({3, 4})),
-            t(sender=1, message=1, destinations=frozenset({2})),
-            t(sender=2, message=2, destinations=frozenset({0, 1})),
-        ]),
-        Round([
-            t(sender=0, message=0, destinations=frozenset({2})),
-            t(sender=1, message=1, destinations=frozenset({3, 4})),
-            t(sender=3, message=3, destinations=frozenset({0, 1})),
-        ]),
-        Round([
-            t(sender=0, message=2, destinations=frozenset({3, 4})),
-            t(sender=1, message=3, destinations=frozenset({2})),
-            t(sender=4, message=4, destinations=frozenset({0, 1})),
-        ]),
-        Round([
-            t(sender=0, message=4, destinations=frozenset({2, 3})),
-            t(sender=1, message=3, destinations=frozenset({4})),
-            t(sender=2, message=0, destinations=frozenset({1})),
-            t(sender=3, message=1, destinations=frozenset({0})),
-        ]),
+    sends = [
+        # (time, sender, message, destinations)
+        (0, 0, 0, (3, 4)), (0, 1, 1, (2,)), (0, 2, 2, (0, 1)),
+        (1, 0, 0, (2,)), (1, 1, 1, (3, 4)), (1, 3, 3, (0, 1)),
+        (2, 0, 2, (3, 4)), (2, 1, 3, (2,)), (2, 4, 4, (0, 1)),
+        (3, 0, 4, (2, 3)), (3, 1, 3, (4,)), (3, 2, 0, (1,)), (3, 3, 1, (0,)),
     ]
-    return Schedule(rounds, name="n3-multicast-4")
+    return Schedule.from_arrays(
+        ArraySchedule.from_sends(sends, n=5, name="n3-multicast-4")
+    )

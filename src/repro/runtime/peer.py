@@ -568,12 +568,11 @@ class GossipPeer:
                     return
                 if t == horizon:
                     break
-                txs = self.proc.transmissions(t)
+                sent = self.proc.send(t)
                 message: Optional[int] = None
                 dests: Tuple[int, ...] = ()
-                if txs:
-                    message = txs[0].message
-                    dests = tuple(sorted(txs[0].destinations))
+                if sent is not None:
+                    message, dests = sent
                     self.transcript.append(
                         TranscriptEntry(round=t, sender=self.vertex,
                                         message=message, destinations=dests)

@@ -71,6 +71,7 @@ from typing import (
 
 from ..core.gossip import GossipPlan, NetworkSpec, gossip
 from ..core.recovery import _tree_adjacency, plan_repair_rounds
+from ..core.schedule import ArraySchedule
 from ..core.survival import survive, survivor_coverage, validate_survival
 from ..exceptions import (
     GossipRuntimeError,
@@ -309,19 +310,16 @@ class RestartPolicy:
         return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
 
-def script_slices(
-    rounds: Sequence[Sequence[object]], horizon: int
-) -> Dict[int, PeerScript]:
-    """Slice a merged round schedule into per-peer send/expect scripts.
+def script_slices(schedule: ArraySchedule, horizon: int) -> Dict[int, PeerScript]:
+    """Slice a merged schedule into per-peer send/expect scripts.
 
     Every peer receives *only its own rows*: what it sends each round
     and what will land on it each time step — the same locality
     discipline phase 1 gets from
-    :class:`~repro.core.online.OnlineProcessor`.  Works for any list of
-    :class:`~repro.simulator.engine.Round`-shaped rounds: the
-    orchestrator slices :func:`survive` replans and
+    :class:`~repro.core.online.OnlineProcessor`.  The orchestrator
+    slices :func:`survive` replans and
     :func:`repro.core.recovery.plan_repair_rounds` rejoin-completion
-    schedules.
+    schedules, reading their columns.
     """
     scripts: Dict[int, PeerScript] = {}
 
@@ -330,12 +328,10 @@ def script_slices(
             scripts[v] = PeerScript(horizon=horizon)
         return scripts[v]
 
-    for t, rnd in enumerate(rounds):
-        for tx in rnd:  # type: ignore[attr-defined]
-            dests = tuple(sorted(tx.destinations))
-            script_of(tx.sender).sends[t] = (tx.message, dests)
-            for d in dests:
-                script_of(d).expects[t + 1] = (tx.sender, tx.message)
+    for t, sender, message, dests in schedule.sends():
+        script_of(sender).sends[t] = (message, dests)
+        for d in dests:
+            script_of(d).expects[t + 1] = (sender, message)
     return scripts
 
 
@@ -910,11 +906,11 @@ class Supervisor:
         holds = list(holds_at_abort)
         for victim, handle in rejoined.items():
             holds[victim] = int(handle.resynced or 0)
-        rounds = plan_repair_rounds(
+        repairs = plan_repair_rounds(
             adjacency, holds, self.n, max_rounds=4 * self.n + 16
         )
         final_holds = await self._run_scripts(
-            script_slices(rounds, len(rounds)), (), holds,
+            script_slices(repairs, repairs.total_time), (), holds,
             "rejoin completion schedule",
         )
         full = (1 << self.n) - 1
@@ -922,7 +918,7 @@ class Supervisor:
         if complete:
             self._record(
                 "recovered",
-                details=f"full gossip re-completed in {len(rounds)} rounds",
+                details=f"full gossip re-completed in {repairs.total_time} rounds",
             )
         return self._result(
             mode="rejoin",
@@ -931,7 +927,7 @@ class Supervisor:
             final_holds=final_holds,
             dead=(),
             components=(),
-            survival_rounds=len(rounds),
+            survival_rounds=repairs.total_time,
         )
 
     async def _await_hello(self, handle: _PeerHandle) -> bool:
@@ -963,7 +959,7 @@ class Supervisor:
         )
         outcome = survive(self.plan.graph, self.plan, faulty)
         scripts = script_slices(
-            outcome.schedule.rounds, outcome.schedule.total_time
+            outcome.schedule.arrays(), outcome.schedule.total_time
         )
         dead = set(outcome.diagnosis.dead)
         for victim in dead & set(scripts):

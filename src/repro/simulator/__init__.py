@@ -21,7 +21,7 @@ from .lossy import (
     execute_with_faults,
 )
 from .metrics import ScheduleMetrics, compute_metrics, link_loads
-from .state import HoldState, identity_holdings, labeled_holdings
+from .state import identity_holdings, labeled_holdings
 from .trace import VertexTimeline, all_timelines, vertex_timeline
 from .validator import assert_gossip_schedule, check_static, validate_schedule
 
@@ -34,7 +34,6 @@ __all__ = [
     "LostDelivery",
     "SuppressedSend",
     "execute_with_faults",
-    "HoldState",
     "identity_holdings",
     "labeled_holdings",
     "VertexTimeline",

@@ -12,7 +12,7 @@ mode is actually detected (and that an unperturbed copy still passes):
 * :func:`redirect_to_nonneighbor` — retarget a destination off-edge:
   adjacency violation;
 * :func:`duplicate_receiver` — aim two same-round transmissions at one
-  processor: rejected at :class:`~repro.core.schedule.Round` level;
+  processor: refused by :class:`~repro.core.schedule.ArraySchedule`;
 * :func:`swap_rounds` — exchange two rounds: a pipelined schedule
   typically turns into a possession violation (rarely the swap is
   harmless; the tests accept either verdict).
@@ -20,9 +20,9 @@ mode is actually detected (and that an unperturbed copy still passes):
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from ..core.schedule import Round, Schedule, Transmission
+from ..core.schedule import ArraySchedule, Schedule
 from ..exceptions import ScheduleError
 from ..networks.graph import Graph
 
@@ -35,51 +35,68 @@ __all__ = [
     "swap_rounds",
 ]
 
-
-def _rounds(schedule: Schedule) -> List[List[Transmission]]:
-    return [list(rnd.transmissions) for rnd in schedule]
-
-
-def _rebuild(rounds: List[List[Transmission]], name: str) -> Schedule:
-    return Schedule((Round(txs) for txs in rounds), name=name)
+#: One row of a schedule: ``(time, sender, message, destinations)``.
+_Send = Tuple[int, int, int, Tuple[int, ...]]
 
 
-def drop_round(schedule: Schedule, index: int) -> Schedule:
-    """Remove the round at ``index`` entirely (later rounds shift earlier)."""
-    rounds = _rounds(schedule)
-    if not 0 <= index < len(rounds):
-        raise ScheduleError(f"no round {index} in a {len(rounds)}-round schedule")
-    del rounds[index]
-    return _rebuild(rounds, f"{schedule.name}-dropped-round-{index}")
+def _rebuild(arrays: ArraySchedule, sends: List[_Send], name: str, n: int = 0) -> Schedule:
+    """Re-pack edited rows; the packer re-checks the two rules."""
+    return Schedule.from_arrays(
+        ArraySchedule.from_sends(
+            sends, n=max(arrays.n, n), n_messages=arrays.n_messages, name=name
+        )
+    )
 
 
-def drop_transmission(schedule: Schedule, round_index: int, tx_index: int) -> Schedule:
-    """Remove one multicast from one round."""
-    rounds = _rounds(schedule)
+def _round_rows(arrays: ArraySchedule, round_index: int) -> range:
+    """Row positions of round ``round_index``, indexed like a list of
+    rounds (negative indices count from the last round)."""
+    t = range(arrays.total_time)[round_index]
+    ptr = arrays.round_ptr
+    return range(int(ptr[t]), int(ptr[t + 1]))
+
+
+def _row(arrays: ArraySchedule, round_index: int, tx_index: int) -> int:
+    """Row position of transmission ``tx_index`` of round ``round_index``."""
     try:
-        del rounds[round_index][tx_index]
+        return _round_rows(arrays, round_index)[tx_index]
     except IndexError as exc:
         raise ScheduleError(
             f"no transmission ({round_index}, {tx_index}) in schedule"
         ) from exc
-    return _rebuild(rounds, f"{schedule.name}-dropped-tx")
+
+
+def drop_round(schedule: Schedule, index: int) -> Schedule:
+    """Remove the round at ``index`` entirely (later rounds shift earlier)."""
+    arrays = schedule.arrays()
+    if not 0 <= index < arrays.total_time:
+        raise ScheduleError(
+            f"no round {index} in a {arrays.total_time}-round schedule"
+        )
+    sends = [
+        (t - (t > index), s, m, ds) for t, s, m, ds in arrays.sends() if t != index
+    ]
+    return _rebuild(arrays, sends, f"{schedule.name}-dropped-round-{index}")
+
+
+def drop_transmission(schedule: Schedule, round_index: int, tx_index: int) -> Schedule:
+    """Remove one multicast from one round."""
+    arrays = schedule.arrays()
+    sends = arrays.sends()
+    del sends[_row(arrays, round_index, tx_index)]
+    return _rebuild(arrays, sends, f"{schedule.name}-dropped-tx")
 
 
 def corrupt_message(
     schedule: Schedule, round_index: int, tx_index: int, new_message: int
 ) -> Schedule:
     """Replace the message id of one transmission."""
-    rounds = _rounds(schedule)
-    try:
-        tx = rounds[round_index][tx_index]
-    except IndexError as exc:
-        raise ScheduleError(
-            f"no transmission ({round_index}, {tx_index}) in schedule"
-        ) from exc
-    rounds[round_index][tx_index] = Transmission(
-        sender=tx.sender, message=new_message, destinations=tx.destinations
-    )
-    return _rebuild(rounds, f"{schedule.name}-corrupt-msg")
+    arrays = schedule.arrays()
+    sends = arrays.sends()
+    e = _row(arrays, round_index, tx_index)
+    t, s, _, ds = sends[e]
+    sends[e] = (t, s, new_message, ds)
+    return _rebuild(arrays, sends, f"{schedule.name}-corrupt-msg")
 
 
 def redirect_to_nonneighbor(
@@ -90,34 +107,24 @@ def redirect_to_nonneighbor(
     Raises :class:`ScheduleError` when the sender is adjacent to every
     other vertex (no off-edge target exists).
     """
-    rounds = _rounds(schedule)
-    try:
-        tx = rounds[round_index][tx_index]
-    except IndexError as exc:
-        raise ScheduleError(
-            f"no transmission ({round_index}, {tx_index}) in schedule"
-        ) from exc
+    arrays = schedule.arrays()
+    sends = arrays.sends()
+    e = _row(arrays, round_index, tx_index)
+    t, sender, message, dests = sends[e]
     receiving = {
-        d
-        for other in rounds[round_index]
-        for d in other.destinations
+        d for other in _round_rows(arrays, round_index) for d in sends[other][3]
     }
     strangers = [
         v
         for v in range(graph.n)
-        if v != tx.sender
-        and not graph.has_edge(tx.sender, v)
+        if v != sender
+        and not graph.has_edge(sender, v)
         and v not in receiving  # keep the round structurally valid
     ]
     if not strangers:
-        raise ScheduleError(f"vertex {tx.sender} is adjacent to everyone")
-    dests = set(tx.destinations)
-    dests.remove(max(dests))
-    dests.add(strangers[0])
-    rounds[round_index][tx_index] = Transmission(
-        sender=tx.sender, message=tx.message, destinations=frozenset(dests)
-    )
-    return _rebuild(rounds, f"{schedule.name}-offedge")
+        raise ScheduleError(f"vertex {sender} is adjacent to everyone")
+    sends[e] = (t, sender, message, (*dests[:-1], strangers[0]))
+    return _rebuild(arrays, sends, f"{schedule.name}-offedge", n=graph.n)
 
 
 def swap_rounds(schedule: Schedule, a: int, b: int) -> Schedule:
@@ -129,34 +136,37 @@ def swap_rounds(schedule: Schedule, a: int, b: int) -> Schedule:
     completes; the tests accept either verdict but never a silent wrong
     result).
     """
-    rounds = _rounds(schedule)
-    if not (0 <= a < len(rounds) and 0 <= b < len(rounds)):
-        raise ScheduleError(f"cannot swap rounds ({a}, {b}) of {len(rounds)}")
-    rounds[a], rounds[b] = rounds[b], rounds[a]
-    return _rebuild(rounds, f"{schedule.name}-swapped-{a}-{b}")
+    arrays = schedule.arrays()
+    total = arrays.total_time
+    if not (0 <= a < total and 0 <= b < total):
+        raise ScheduleError(f"cannot swap rounds ({a}, {b}) of {total}")
+    swap = {a: b, b: a}
+    sends = [(swap.get(t, t), s, m, ds) for t, s, m, ds in arrays.sends()]
+    return _rebuild(arrays, sends, f"{schedule.name}-swapped-{a}-{b}")
 
 
 def duplicate_receiver(schedule: Schedule, round_index: int) -> Schedule:
     """Make two transmissions of one round target the same receiver.
 
-    Needs a round with at least two transmissions; the resulting rounds
-    raise :class:`~repro.exceptions.ScheduleConflictError` at
-    construction, proving rule 1 is enforced structurally.
+    Needs a round with at least two transmissions; the packer refuses the
+    result with :class:`~repro.exceptions.ScheduleConflictError`, proving
+    rule 1 is enforced structurally.
     """
-    rounds = _rounds(schedule)
-    txs = rounds[round_index]
-    if len(txs) < 2:
+    arrays = schedule.arrays()
+    sends = arrays.sends()
+    try:
+        rows = _round_rows(arrays, round_index)
+    except IndexError as exc:
+        raise ScheduleError(f"no round {round_index} in schedule") from exc
+    if len(rows) < 2:
         raise ScheduleError(f"round {round_index} has fewer than two transmissions")
-    for a in range(len(txs)):
-        for b in range(len(txs)):
+    for a in rows:
+        for b in rows:
             if a == b:
                 continue
-            for victim in sorted(txs[a].destinations):
-                if victim != txs[b].sender and victim not in txs[b].destinations:
-                    txs[b] = Transmission(
-                        sender=txs[b].sender,
-                        message=txs[b].message,
-                        destinations=txs[b].destinations | {victim},
-                    )
-                    return _rebuild(rounds, f"{schedule.name}-dup-receiver")
+            t, sender, message, dests = sends[b]
+            for victim in sends[a][3]:
+                if victim != sender and victim not in dests:
+                    sends[b] = (t, sender, message, (*dests, victim))
+                    return _rebuild(arrays, sends, f"{schedule.name}-dup-receiver")
     raise ScheduleError(f"round {round_index} admits no receiver duplication")

@@ -26,8 +26,9 @@ A fault-free model (:attr:`FaultModel.is_null`) reproduces
 of the result matches bit for bit, the delivery log included (property-
 tested in ``tests/property/test_property_lossy.py`` and
 ``tests/property/test_property_executors.py``).  This loop is the only
-executor that walks rounds, because "not-held" suppression cascades: a
-loss in one round decides what a sender holds in a later one.
+executor that walks rounds one at a time — over the schedule's columns,
+never its object view — because "not-held" suppression cascades: a loss
+in one round decides what a sender holds in a later one.
 
 Fault semantics, applied to the round sent at time ``t``:
 
@@ -71,12 +72,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.rng import keyed_uniform
 from ..core.schedule import Schedule
 from ..exceptions import ModelViolationError, SimulationError
 from ..networks.graph import Graph
 from .engine import ArrivalEvent, ExecutionResult, id_range_violation
-from .state import HoldState, bits_of
+from .state import bits_of, initial_holdings
 
 __all__ = [
     "FaultModel",
@@ -396,74 +399,107 @@ def execute_with_faults(
         they suppress the send and are recorded in
         :attr:`FaultyExecutionResult.suppressed`.
     """
-    state = HoldState(graph.n, initial=initial_holds, n_messages=n_messages)
-    rounds = list(schedule)
-    for t, rnd in enumerate(rounds):
-        for tx in rnd:
-            bad = id_range_violation(t, tx.sender, tx.message, graph.n, state.n_messages)
-            if bad:
-                raise ModelViolationError(bad)
-    init_snapshot = tuple(state.snapshot())
+    n_msgs = graph.n if n_messages is None else n_messages
+    holds = initial_holdings(graph.n, initial_holds, n_msgs)
+    arrays = schedule.arrays()
+    out_of_range = (
+        (arrays.sender < 0) | (arrays.sender >= graph.n)
+        | (arrays.message < 0) | (arrays.message >= n_msgs)
+    )
+    if out_of_range.any():
+        e = int(out_of_range.argmax())
+        raise ModelViolationError(id_range_violation(
+            int(arrays.round[e]), int(arrays.sender[e]), int(arrays.message[e]),
+            graph.n, n_msgs,
+        ))
+    senders, messages = arrays.sender.tolist(), arrays.message.tolist()
+    rows, dests = arrays.destination_pairs()
+    _check_adjacency(graph, arrays.round[rows], arrays.sender[rows], dests)
+    bounds = np.zeros(arrays.n_transmissions + 1, dtype=np.int64)
+    np.cumsum(arrays.fan_outs(), out=bounds[1:])
+    bounds, dests, ptr = bounds.tolist(), dests.tolist(), arrays.round_ptr.tolist()
+
+    init_snapshot = tuple(holds)
+    full = (1 << n_msgs) - 1
+    completion: List[Optional[int]] = [0 if h == full else None for h in holds]
+    duplicates = 0
     arrivals: List[ArrivalEvent] = []
     lost: List[LostDelivery] = []
     suppressed: List[SuppressedSend] = []
     pending: List[Tuple[int, int, int]] = []  # (receiver, sender, message)
-    neighbour_sets: Dict[int, frozenset] = {}
     null_model = model.is_null
+    # Only fail-stops and crashes silence a sender; without them
+    # send_fault draws nothing and is skipped.
+    senders_fail = model.fail_stop_rate > 0.0 or model.crash_rate > 0.0
 
-    for t, rnd in enumerate(rounds):
+    def land(time: int) -> None:
+        nonlocal duplicates
         for receiver, sender, message in pending:
-            state.deliver(receiver, message, t)
+            bit = 1 << message
+            if holds[receiver] & bit:
+                duplicates += 1
+            else:
+                holds[receiver] |= bit
+                if holds[receiver] == full:
+                    completion[receiver] = time
             if record_arrivals:
-                arrivals.append(ArrivalEvent(t, receiver, sender, message))
+                arrivals.append(ArrivalEvent(time, receiver, sender, message))
+
+    for t in range(arrays.total_time):
+        land(t)
         pending = []
-        for tx in rnd:
-            neighbours = neighbour_sets.get(tx.sender)
-            if neighbours is None:
-                neighbours = frozenset(graph.neighbors(tx.sender))
-                neighbour_sets[tx.sender] = neighbours
-            # Destinations ascending: the engine's delivery-log order.
-            dests = sorted(tx.destinations)
-            for d in dests:
-                if d not in neighbours:
-                    raise ModelViolationError(
-                        f"at time {t} processor {tx.sender} multicasts to {d}, "
-                        "which is not an adjacent processor"
-                    )
-            if not null_model:
-                reason = model.send_fault(t, tx.sender)
+        for e in range(ptr[t], ptr[t + 1]):
+            sender, message = senders[e], messages[e]
+            if senders_fail:
+                reason = model.send_fault(t, sender)
                 if reason:
-                    suppressed.append(SuppressedSend(t, tx.sender, tx.message, reason))
+                    suppressed.append(SuppressedSend(t, sender, message, reason))
                     continue
-            if not state.holds(tx.sender, tx.message):
+            if not holds[sender] >> message & 1:
                 # Cascading fault: an earlier loss starved this sender.
-                suppressed.append(
-                    SuppressedSend(t, tx.sender, tx.message, "not-held")
-                )
+                suppressed.append(SuppressedSend(t, sender, message, "not-held"))
                 continue
-            for d in dests:
+            # Destinations ascending: the engine's delivery-log order.
+            for d in dests[bounds[e] : bounds[e + 1]]:
                 if not null_model:
-                    reason = model.delivery_fault(t, tx.sender, d)
+                    reason = model.delivery_fault(t, sender, d)
                     if reason:
-                        lost.append(LostDelivery(t, d, tx.sender, tx.message, reason))
+                        lost.append(LostDelivery(t, d, sender, message, reason))
                         continue
-                pending.append((d, tx.sender, tx.message))
-    final_time = schedule.total_time
-    for receiver, sender, message in pending:
-        state.deliver(receiver, message, final_time)
-        if record_arrivals:
-            arrivals.append(ArrivalEvent(final_time, receiver, sender, message))
+                pending.append((d, sender, message))
+    land(arrays.total_time)
 
     return FaultyExecutionResult(
-        complete=state.all_complete(),
-        total_time=final_time,
-        completion_times=state.completion_times(),
-        duplicate_deliveries=state.duplicate_deliveries,
-        final_holds=state.snapshot(),
+        complete=all(h == full for h in holds),
+        total_time=arrays.total_time,
+        completion_times=completion,
+        duplicate_deliveries=duplicates,
+        final_holds=holds,
         arrivals=arrivals,
         lost=tuple(lost),
         suppressed=tuple(suppressed),
         model=model,
         initial_holds=init_snapshot,
-        n_messages=state.n_messages,
+        n_messages=n_msgs,
     )
+
+
+def _check_adjacency(
+    graph: Graph, times: np.ndarray, senders: np.ndarray, dests: np.ndarray
+) -> None:
+    """Raise for the first delivery pair (send order, destinations
+    ascending) that does not follow an edge of ``graph``.
+
+    Faults never excuse a malformed schedule, and nothing before the
+    first such pair can raise, so checking every pair up front raises
+    exactly what the round loop would have raised on reaching it.
+    """
+    width = max(graph.n, int(dests.max()) + 1 if len(dests) else 0)
+    edges = np.repeat(np.arange(graph.n), graph.degrees()) * width + graph.indices
+    off_edge = ~np.isin(senders.astype(np.int64) * width + dests, edges)
+    if off_edge.any():
+        p = int(np.flatnonzero(off_edge)[0])
+        raise ModelViolationError(
+            f"at time {int(times[p])} processor {int(senders[p])} multicasts to "
+            f"{int(dests[p])}, which is not an adjacent processor"
+        )

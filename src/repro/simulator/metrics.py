@@ -9,9 +9,10 @@ computes all of that from a schedule plus (optionally) an execution.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..core.schedule import Schedule
 from ..networks.graph import Graph
@@ -62,13 +63,18 @@ class ScheduleMetrics:
 
 def link_loads(schedule: Schedule) -> Dict[Tuple[int, int], int]:
     """Deliveries per undirected link ``(min, max) -> count``."""
-    loads: Counter = Counter()
-    for rnd in schedule:
-        for tx in rnd:
-            for d in tx.destinations:
-                key = (tx.sender, d) if tx.sender < d else (d, tx.sender)
-                loads[key] += 1
-    return dict(loads)
+    arrays = schedule.arrays()
+    rows, dests = arrays.destination_pairs()
+    senders = arrays.sender[rows].astype(np.int64)
+    width = arrays.n + 1
+    keys, counts = np.unique(
+        np.minimum(senders, dests) * width + np.maximum(senders, dests),
+        return_counts=True,
+    )
+    return {
+        (key // width, key % width): count
+        for key, count in zip(keys.tolist(), counts.tolist())
+    }
 
 
 def compute_metrics(

@@ -4,8 +4,8 @@ import pytest
 
 from repro.analysis.profile import activity_profile, completion_curve
 from repro.core.gossip import gossip
-from repro.core.schedule import Schedule
 from repro.networks import topologies
+from tests.conftest import sched
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ class TestActivityProfile:
         assert min(profile.senders_per_round) <= 2
 
     def test_empty_schedule(self):
-        profile = activity_profile(Schedule([]))
+        profile = activity_profile(sched(n=5))
         assert profile.total_time == 0
         assert profile.peak_senders == 0
         assert profile.utilisation(5) == 0.0

@@ -27,7 +27,6 @@ def no_object_view(monkeypatch):
 @pytest.mark.parametrize("crash", [(), ((1, 2),)])
 def test_exploration_reads_columns_only(crash, no_object_view):
     plan = plan_for("path", 4)
-    assert plan.schedule.is_array_backed
     report = explore(ProtocolModel(plan, crash=crash))
     assert report.ok, report.counterexample
     assert report.quiescent == {"wavefront" if crash else "complete": 1}

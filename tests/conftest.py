@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from repro.core.schedule import ArraySchedule, Schedule, Transmission
 from repro.networks import topologies
 from repro.networks.builders import graph_to_tree
 from repro.networks.graph import Graph
@@ -56,6 +57,39 @@ def bound_suite() -> list:
     from repro.analysis.sweep import small_suite
 
     return small_suite()
+
+
+def pack(sends, n: int, name: str = "") -> Schedule:
+    """A schedule from ``(time, sender, message, destinations)`` sends."""
+    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name=name))
+
+
+def tx(sender, message, dests):
+    """One send of a hand-written round: ``(sender, message, destinations)``."""
+    return (sender, message, tuple(dests))
+
+
+def sched(*rounds, n=None, name: str = "") -> Schedule:
+    """A schedule from hand-written rounds (lists of :func:`tx` tuples or
+    ``Transmission`` objects); ``n`` defaults to the largest sender or
+    destination id plus one."""
+    sends = [
+        (t, *(
+            (send.sender, send.message, tuple(send.destinations))
+            if isinstance(send, Transmission) else send
+        ))
+        for t, rnd in enumerate(rounds)
+        for send in rnd
+    ]
+    if n is None:
+        n = max((v for _, s, _, ds in sends for v in (s, *ds)), default=-1) + 1
+    return pack(sends, n, name)
+
+
+def schedule_prefix(schedule: Schedule, rounds: int, name: str = "") -> Schedule:
+    """The rounds of ``schedule`` sent before time ``rounds``."""
+    arrays = schedule.arrays()
+    return pack([s for s in arrays.sends() if s[0] < rounds], arrays.n, name)
 
 
 # ----------------------------------------------------------------------

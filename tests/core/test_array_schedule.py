@@ -34,7 +34,7 @@ from repro.networks.spanning_tree import minimum_depth_spanning_tree
 from repro.simulator.engine import execute_schedule
 from repro.simulator.state import labeled_holdings
 from repro.tree.labeling import LabeledTree
-from tests.conftest import labeled_trees
+from tests.conftest import labeled_trees, sched
 
 
 def _plan(spec="grid:16"):
@@ -230,11 +230,49 @@ class TestValidation:
             _ = arr.dest_mask
 
 
+class TestInt32Range:
+    """Ids outside int32 are refused, never wrapped, on every way in."""
+
+    def test_from_sends_round_beyond_int32(self):
+        with pytest.raises(ScheduleError, match="round column exceeds int32"):
+            ArraySchedule.from_sends([(2**32 + 1, 0, 0, (1,))], n=2)
+
+    def test_from_sends_message_beyond_int32(self):
+        with pytest.raises(ScheduleError, match="message column exceeds int32"):
+            ArraySchedule.from_sends([(0, 0, 2**32 + 3, (1,))], n=2)
+
+    def test_from_sends_id_beyond_int64(self):
+        with pytest.raises(ScheduleError, match="exceed int32"):
+            ArraySchedule.from_sends([(0, 0, 2**70, (1,))], n=2)
+
+    def test_from_events_round_beyond_int32(self):
+        masks = np.array([[2]], dtype=np.uint64)
+        with pytest.raises(ScheduleError, match="round column exceeds int32"):
+            ArraySchedule.from_events(
+                np.array([2**31]), np.array([0]), np.array([0]), masks, n=2
+            )
+
+    def test_direct_sender_beyond_int32(self):
+        masks = np.array([[2]], dtype=np.uint64)
+        with pytest.raises(ScheduleError, match="sender column exceeds int32"):
+            ArraySchedule([0], [2**32], [0], masks, n=2)
+
+    def test_negative_message_below_int32(self):
+        masks = np.array([[2]], dtype=np.uint64)
+        with pytest.raises(ScheduleError, match="message column exceeds int32"):
+            ArraySchedule([0], [0], [-(2**31) - 1], masks, n=2)
+
+    def test_int32_extremes_are_kept(self):
+        arr = ArraySchedule.from_sends(
+            [(0, 0, -(2**31), (1,)), (1, 1, 2**31 - 1, (0,))], n=2
+        )
+        assert arr.message.tolist() == [-(2**31), 2**31 - 1]
+
+
 class TestFacadeLaziness:
     def test_counters_answer_from_arrays(self):
         plan = _plan()
         sched = plan.schedule
-        assert sched.is_array_backed
         assert sched._rounds is None
         _ = sched.total_time
         _ = sched.total_deliveries()
@@ -252,7 +290,7 @@ class TestFacadeLaziness:
 
     def test_facade_equals_object_schedule(self):
         plan = _plan("path:8")
-        objects = Schedule(plan.schedule.rounds, name=plan.schedule.name)
+        objects = sched(*plan.schedule.rounds, n=plan.graph.n, name=plan.schedule.name)
         assert plan.schedule == objects
 
 
@@ -261,11 +299,18 @@ class TestFacadeLaziness:
 def test_array_object_round_trip_lossless(labeled):
     """arrays -> rounds -> arrays is the identity (property-tested)."""
     arr = concurrent_updown(labeled).arrays()
-    rebuilt = ArraySchedule.from_schedule(
-        Schedule(arr.build_rounds(), name=arr.name), n=arr.n,
-        n_messages=arr.n_messages,
+    rebuilt = ArraySchedule.from_sends(
+        (
+            (t, tx.sender, tx.message, tx.destinations)
+            for t, rnd in enumerate(arr.build_rounds())
+            for tx in rnd
+        ),
+        n=arr.n, n_messages=arr.n_messages, name=arr.name,
     )
     assert rebuilt == arr
+    assert ArraySchedule.from_sends(
+        arr.sends(), n=arr.n, n_messages=arr.n_messages, name=arr.name
+    ) == arr
 
 
 @given(labeled=labeled_trees(max_n=24))
@@ -292,17 +337,16 @@ def test_array_pipeline_matches_seed_builder_families(family):
 class TestLintDifferential:
     @pytest.mark.parametrize("spec", ["grid:16", "path:12", "star:10", "random:24"])
     def test_identical_diagnostics_on_both_forms(self, spec):
-        """Every lint rule judges the array and object forms identically."""
+        """Every lint rule judges the arrays, the facade and the raw
+        object rounds identically."""
         plan = gossip(spec)
         on_arrays = lint_schedule(plan.graph, plan.arrays(), plan=plan)
-        on_objects = lint_schedule(
-            plan.graph, Schedule(plan.rounds(), name=plan.schedule.name),
-            plan=plan,
-        )
+        on_facade = lint_schedule(plan.graph, plan.schedule, plan=plan)
+        on_objects = lint_schedule(plan.graph, list(plan.rounds()), plan=plan)
         assert len(on_arrays.rules_run) == 18
-        assert on_arrays.rules_run == on_objects.rules_run
-        assert on_arrays.diagnostics == on_objects.diagnostics
-        assert on_arrays.name == on_objects.name
+        assert on_arrays.rules_run == on_facade.rules_run == on_objects.rules_run
+        assert on_arrays.diagnostics == on_facade.diagnostics == on_objects.diagnostics
+        assert on_arrays.name == on_facade.name
 
 
 class TestPackedStateParity:
@@ -340,27 +384,36 @@ class TestPackedStateParity:
 
 class TestDeprecations:
     def test_from_schedule_shim_is_gone(self):
-        """``ScheduleBuilder`` (and its ``from_schedule`` shim) are gone."""
+        """``ScheduleBuilder``, ``ArraySchedule.from_schedule``,
+        ``Schedule.is_array_backed``, ``HoldState`` and
+        ``TelephonePolicy`` are gone; ``Schedule`` wraps arrays only."""
         import repro
         import repro.core
         import repro.core.schedule
+        import repro.simulator
 
         for namespace in (repro, repro.core, repro.core.schedule):
             assert not hasattr(namespace, "ScheduleBuilder")
+            assert not hasattr(namespace, "TelephonePolicy")
         with pytest.raises(ImportError):
             from repro.core.schedule import ScheduleBuilder  # noqa: F401
+        assert not hasattr(ArraySchedule, "from_schedule")
+        assert not hasattr(Schedule, "is_array_backed")
+        assert not hasattr(repro.simulator, "HoldState")
+        with pytest.raises(ScheduleError, match="wraps an ArraySchedule"):
+            Schedule(_plan("path:6").rounds())
 
     def test_builder_builds_arrays_underneath(self):
         """The producers that used the builder pack straight to arrays."""
         for algorithm in ("simple", "updown", "concurrent-updown"):
             plan = gossip("grid:9", algorithm=algorithm)
-            assert plan.schedule.is_array_backed
+            assert plan.schedule._rounds is None
             assert plan.arrays().n == 9
 
     def test_object_constructed_schedule_does_not_warn(self):
+        """Packing the object view's sends back is warning-free."""
         plan = _plan("path:6")
-        objects = Schedule(plan.rounds(), name="objects")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            arrays = ArraySchedule.from_schedule(objects)
-        assert Schedule.from_arrays(arrays) == objects
+            objects = sched(*plan.rounds(), n=plan.graph.n, name="objects")
+        assert objects == plan.schedule

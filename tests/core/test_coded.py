@@ -118,11 +118,9 @@ class TestProjectionImpossibility:
         # ... but a schedule that had only ever *labelled* m0 leaves the
         # hold-set at {m0}; sending the decodable m1 now is a violation.
         g = topologies.path_graph(2)
-        from repro.core.schedule import Round, Schedule, Transmission
+        from tests.conftest import sched, tx
 
-        bad = Schedule(
-            [Round([Transmission(sender=0, message=1, destinations=(1,))])]
-        )
+        bad = sched([tx(0, 1, {1})])
         with pytest.raises(ModelViolationError):
             execute_schedule(g, bad, initial_holds=[0b001, 0b010])
 

@@ -198,9 +198,9 @@ class TestPlanRepairRounds:
         """One send per sender, one receive per receiver, per round."""
         adjacency = {0: (1, 2), 1: (0,), 2: (0, 3), 3: (2,)}
         holds = [0b1111, 0b0010, 0b0100, 0b1000]  # only 0 is complete
-        rounds = plan_repair_rounds(adjacency, holds, 4, max_rounds=10)
-        assert rounds
-        for rnd in rounds:
+        repairs = plan_repair_rounds(adjacency, holds, 4, max_rounds=10)
+        assert repairs.total_time
+        for rnd in repairs.build_rounds():
             senders = [t.sender for t in rnd]
             receivers = [d for t in rnd for d in t.destinations]
             assert len(senders) == len(set(senders))
@@ -211,15 +211,15 @@ class TestPlanRepairRounds:
     def test_completes_hold_state(self):
         adjacency = {0: (1,), 1: (0, 2), 2: (1,)}
         holds = [0b001, 0b010, 0b100]
-        rounds = plan_repair_rounds(adjacency, holds, 3, max_rounds=10)
-        for rnd in rounds:
-            for t in rnd:
-                for d in t.destinations:
-                    holds[d] |= 1 << t.message
+        repairs = plan_repair_rounds(adjacency, holds, 3, max_rounds=10)
+        for _, _, message, dests in repairs.sends():
+            for d in dests:
+                holds[d] |= 1 << message
         assert all(h == 0b111 for h in holds)
 
     def test_empty_when_already_complete(self):
-        assert plan_repair_rounds({0: (1,), 1: (0,)}, [3, 3], 2, max_rounds=5) == []
+        repairs = plan_repair_rounds({0: (1,), 1: (0,)}, [3, 3], 2, max_rounds=5)
+        assert repairs.total_time == 0
 
     def test_policies_constant_is_exhaustive(self):
         assert set(REPAIR_POLICIES) == {"nearest-holder", "unicast"}

@@ -48,23 +48,13 @@ class TestRegisterAlgorithm:
     def test_bad_custom_algorithm_caught_by_execute(self):
         """A broken custom algorithm cannot slip an invalid schedule
         through — the simulator rejects it."""
-        from repro.core.schedule import Round, Schedule, Transmission
+        from tests.conftest import sched, tx
 
         @register_algorithm("test-broken")
         def broken(labeled):
             # sends a message the sender does not hold
-            return Schedule(
-                [
-                    Round(
-                        [
-                            Transmission(
-                                sender=0,
-                                message=labeled.n - 1,
-                                destinations=frozenset({labeled.tree.children(0)[0]}),
-                            )
-                        ]
-                    )
-                ]
+            return sched(
+                [tx(0, labeled.n - 1, {labeled.tree.children(0)[0]})], n=labeled.n
             )
 
         try:

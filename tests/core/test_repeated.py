@@ -1,8 +1,12 @@
 """Tests for repeated (pipelined) gossiping on a fixed tree."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.sweep import family_instance
 from repro.core.concurrent_updown import concurrent_updown
+from repro.core.gossip import ALGORITHMS, gossip
 from repro.core.repeated import (
     minimal_pipeline_offset,
     repeated_gossip,
@@ -13,6 +17,7 @@ from repro.networks.builders import graph_to_tree
 from repro.networks.random_graphs import random_tree
 from repro.networks.spanning_tree import minimum_depth_spanning_tree
 from repro.tree.labeling import LabeledTree
+from tests.conftest import labeled_trees
 
 
 def labeled_of(graph):
@@ -45,9 +50,71 @@ class TestMinimalOffset:
         assert minimal_pipeline_offset(single) == single.total_time - 1
 
     def test_empty_schedule(self):
-        from repro.core.schedule import Schedule
+        from tests.conftest import sched
 
-        assert minimal_pipeline_offset(Schedule([])) == 0
+        assert minimal_pipeline_offset(sched(n=3)) == 0
+
+
+#: ``minimal_pipeline_offset`` of the ConcurrentUpDown plan of every
+#: sweep family at n = 24, as the object-walking search computed them.
+FAMILY_OFFSETS = {
+    "barbell": 30, "binary-tree": 35, "broom": 30, "butterfly": 38,
+    "caterpillar": 29, "ccc": 30, "complete": 24, "cycle": 36,
+    "debruijn": 36, "geometric": 27, "gnp": 27, "grid": 29, "hypercube": 37,
+    "lollipop": 31, "path": 36, "random": 26, "random-tree": 29,
+    "spider": 29, "star": 24, "torus": 29, "wheel": 24,
+}
+
+
+class TestOffsetFromColumns:
+    """The calendar search reads the columns and finds the same offsets."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_OFFSETS))
+    def test_family_offsets_unchanged(self, family):
+        plan = gossip(family_instance(family, 24))
+        assert minimal_pipeline_offset(plan.schedule) == FAMILY_OFFSETS[family]
+
+    @pytest.mark.parametrize("spec, offset", [("grid:400", 420), ("grid:1024", 1056)])
+    def test_large_grids_fall_back_to_sequential(self, spec, offset):
+        schedule = gossip(spec).schedule
+        assert schedule.total_time == offset
+        assert minimal_pipeline_offset(schedule) == offset
+
+
+def reference_pipeline_offset(schedule):
+    """The set-walking offset search over the object view, kept as the
+    oracle for the column search (which counts clashes by FFT)."""
+    sends, recvs = {}, {}
+    for t, rnd in enumerate(schedule):
+        for tx in rnd:
+            sends.setdefault(tx.sender, set()).add(t)
+            for d in tx.destinations:
+                recvs.setdefault(d, set()).add(t + 1)
+    if not sends:
+        return 0
+    floor = max(1, max(len(times) for times in recvs.values()))
+    horizon = schedule.total_time
+
+    def clashes(delta):
+        return any(
+            (t + delta) in times
+            for calendar in (sends, recvs)
+            for times in calendar.values()
+            for t in times
+        )
+
+    for offset in range(floor, horizon + 1):
+        if not any(clashes(delta) for delta in range(offset, horizon + 1, offset)):
+            return offset
+    return horizon
+
+
+@given(labeled=labeled_trees(max_n=30),
+       algorithm=st.sampled_from(["concurrent-updown", "simple", "updown", "greedy"]))
+@settings(max_examples=40, deadline=None)
+def test_offset_matches_the_set_walk(labeled, algorithm):
+    schedule = ALGORITHMS[algorithm](labeled)
+    assert minimal_pipeline_offset(schedule) == reference_pipeline_offset(schedule)
 
 
 class TestRepeatedGossip:

@@ -1,17 +1,16 @@
 """Conflict paths of ``merge_schedules`` / ``ArraySchedule.from_sends``
 misuse, and loci parity with the static analyzer.
 
-The constructors reject rule-violating rounds eagerly; the lint layer
-must report the *same* violations at the *same* loci when handed the raw
-(pre-construction) transmissions — proving the two enforcement points
-agree on what a conflict is and where it happens.
+The packer rejects rule-violating rounds eagerly; the lint layer must
+report the *same* violations at the *same* loci when handed the raw
+(pre-packing) transmissions — proving the two enforcement points agree
+on what a conflict is and where it happens.
 """
 
 import pytest
 
 from repro.core.schedule import (
     ArraySchedule,
-    Round,
     Schedule,
     Transmission,
     merge_schedules,
@@ -19,6 +18,7 @@ from repro.core.schedule import (
 from repro.exceptions import ScheduleConflictError, ScheduleError
 from repro.lint import lint_schedule
 from repro.networks import topologies
+from tests.conftest import sched
 
 
 def tx(sender, message, dests):
@@ -80,16 +80,15 @@ class TestMergeConflicts:
         assert merged.total_time == 2
 
     def test_object_inputs_pack_through_arrays(self):
-        # object-view inputs are packed, then fused like array inputs
-        a = Schedule([Round([tx(1, 1, {2})])])
+        # rounds written as objects are packed, then fused like array inputs
+        a = sched([tx(1, 1, {2})])
         b = pack((0, 1, 1, {3}))
         merged = merge_schedules(a, b)
-        assert merged.is_array_backed
         assert merged.round_at(0).sent_by(1).destinations == frozenset({2, 3})
 
 
 class TestLintLociParity:
-    """The lint rules report the same loci the constructors reject."""
+    """The lint rules report the same loci the packer rejects."""
 
     def test_sender_collision_locus(self, k4):
         # the raw rounds from_sends would refuse to pack at t=0
@@ -99,7 +98,7 @@ class TestLintLociParity:
         assert len(found) == 1
         assert (found[0].round, found[0].sender) == (0, 1)
         with pytest.raises(ScheduleConflictError):
-            Round(raw[0])
+            sched(*raw)
 
     def test_receiver_collision_locus(self, k4):
         raw = [[tx(1, 1, {3}), tx(2, 2, {3})]]
@@ -108,7 +107,7 @@ class TestLintLociParity:
         assert len(found) == 1
         assert (found[0].round, found[0].destination) == (0, 3)
         with pytest.raises(ScheduleConflictError):
-            Round(raw[0])
+            sched(*raw)
 
     def test_collision_round_matches_merge_overlap(self, k4):
         # the merge conflict happens at time 1 — so does the diagnostic

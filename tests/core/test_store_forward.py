@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.store_forward import (
     GreedyMulticastPolicy,
-    TelephonePolicy,
     UpDownTreePolicy,
     greedy_gossip_on_graph,
     greedy_multicast_gossip,
@@ -93,22 +92,25 @@ class TestRankedArbitration:
         )
 
     def test_policy_protocol_single_preference(self):
-        """A plain propose() policy still works through the engine."""
+        """A policy ranking a single preference works through the engine."""
+
+        class LowestFirst:
+            def propose_ranked(self, vertex, holds, graph, time):
+                return GreedyMulticastPolicy().propose_ranked(vertex, holds, graph, time)[:1]
+
         g = topologies.path_graph(5)
-        schedule = store_forward_schedule(g, GreedyMulticastPolicy())
+        schedule = store_forward_schedule(g, LowestFirst())
         assert_gossip_schedule(g, schedule)
+        assert schedule == store_forward_schedule(g, GreedyMulticastPolicy())
 
     def test_telephone_policy_propose_returns_candidates(self):
+        """The telephone model's policy proposes every lacking neighbour;
+        the arbiter's ``max_fan_out=1`` keeps one."""
         g = topologies.star_graph(4)
-        policy = TelephonePolicy()
-        from repro.simulator.state import HoldState
-
-        state = HoldState(4)
-        proposal = policy.propose(0, state, g, 0)
-        assert proposal is not None
-        message, dests = proposal
-        assert message == 0
-        assert set(dests) == {1, 2, 3}
+        policy = GreedyMulticastPolicy()
+        assert policy.propose_ranked(0, [1, 2, 4, 8], g, 0) == [(0, [1, 2, 3])]
+        schedule = store_forward_schedule(g, policy, max_fan_out=1)
+        assert schedule.max_fan_out() == 1
 
 
 class TestProgressGuarantee:

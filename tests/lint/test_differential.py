@@ -21,7 +21,6 @@ import pytest
 
 import repro.lint
 from repro.core.concurrent_updown import concurrent_updown
-from repro.core.schedule import Schedule
 from repro.exceptions import (
     IncompleteGossipError,
     ModelViolationError,
@@ -41,6 +40,7 @@ from repro.simulator.faults import (
 from repro.simulator.state import labeled_holdings
 from repro.simulator.validator import validate_schedule
 from repro.tree.labeling import LabeledTree
+from tests.conftest import schedule_prefix
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ class TestAgreement:
 
     def test_incomplete_maps_to_same_exception_family(self, setup):
         network, schedule, holds = setup
-        truncated = Schedule(list(schedule)[: schedule.total_time // 2])
+        truncated = schedule_prefix(schedule, schedule.total_time // 2)
         ok, report = static_verdict(network, truncated, holds)
         errors = {d.rule for d in report.errors}
         try:

@@ -3,17 +3,15 @@
 import pytest
 
 from repro.core.gossip import gossip
-from repro.core.schedule import Round, Schedule, Transmission
+from repro.core.schedule import Transmission
 from repro.lint import Severity, lint_schedule
 from repro.networks import topologies
+
+from tests.conftest import sched
 
 
 def tx(sender, message, dests):
     return Transmission(sender=sender, message=message, destinations=frozenset(dests))
-
-
-def sched(*rounds):
-    return Schedule([Round(r) for r in rounds])
 
 
 @pytest.fixture(scope="module")

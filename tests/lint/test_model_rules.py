@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.gossip import gossip
-from repro.core.schedule import Round, Schedule, Transmission
+from repro.core.schedule import Transmission
 from repro.exceptions import (
     ModelViolationError,
     ReproError,
@@ -20,13 +20,11 @@ from repro.lint import (
 )
 from repro.networks import topologies
 
+from tests.conftest import sched
+
 
 def tx(sender, message, dests):
     return Transmission(sender=sender, message=message, destinations=frozenset(dests))
-
-
-def sched(*rounds):
-    return Schedule([Round(r) for r in rounds])
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +128,8 @@ class TestNonEdge:
 
 
 class TestCollisions:
-    """Raw (non-``Round``) input is the only way to reach these rules —
-    the constructors reject colliding rounds outright."""
+    """Raw rounds are the only way to reach these rules —
+    ``ArraySchedule`` refuses colliding rows outright."""
 
     def test_sender_collision(self, grid):
         report = lint_schedule(

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.sweep import FAMILIES, family_instance
 from repro.core.gossip import ALGORITHMS, gossip
-from repro.core.schedule import ArraySchedule, Round, Transmission
+from repro.core.schedule import Round, Transmission
 from repro.lint import lint_schedule
 from repro.networks.random_graphs import random_connected_gnp
 from repro.simulator.faults import drop_transmission, swap_rounds
@@ -161,8 +161,8 @@ def test_every_family_and_algorithm(family):
 
 @pytest.mark.parametrize("family", ["grid", "random", "star"])
 def test_broken_object_schedules_in_both_forms(family):
-    """Object schedules (as the fault mutators build them) and their
-    packed array form."""
+    """Broken schedules (as the fault mutators build them), through the
+    facade and as bare arrays on the network's universe."""
     plan = gossip(family_instance(family, 16))
     for t in range(0, plan.total_time - 1, 3):
         for broken in (
@@ -170,7 +170,7 @@ def test_broken_object_schedules_in_both_forms(family):
             swap_rounds(plan.schedule, t, t + 1),
         ):
             assert_same_report(plan.graph, broken, plan=plan)
-            packed = ArraySchedule.from_schedule(broken, n=plan.graph.n)
+            packed = broken.arrays(n=plan.graph.n)
             assert_same_report(plan.graph, packed, plan=plan)
 
 

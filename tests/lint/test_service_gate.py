@@ -5,10 +5,10 @@ import dataclasses
 import pytest
 
 from repro.core.gossip import gossip
-from repro.core.schedule import Schedule
 from repro.exceptions import ReproError, ScheduleLintError
 from repro.networks import topologies
 from repro.service import GossipService
+from tests.conftest import schedule_prefix
 
 
 @pytest.fixture
@@ -19,7 +19,9 @@ def grid():
 def broken_planner(graph, *, algorithm, tree=None):
     """A planner whose plans lose their final rounds (incomplete gossip)."""
     plan = gossip(graph, algorithm=algorithm, tree=tree)
-    truncated = Schedule(list(plan.schedule)[:-3], name=plan.schedule.name)
+    truncated = schedule_prefix(
+        plan.schedule, plan.schedule.total_time - 3, name=plan.schedule.name
+    )
     return dataclasses.replace(plan, schedule=truncated)
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.concurrent_updown import concurrent_updown
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, ScheduleConflictError, ScheduleError
 from repro.networks import topologies
 from repro.networks.io import (
     graph_from_edgelist,
@@ -73,3 +73,40 @@ class TestScheduleJson:
     def test_roundtrip_preserves_name(self):
         schedule = concurrent_updown(LabeledTree(fig5_tree()))
         assert schedule_from_json(schedule_to_json(schedule)).name == schedule.name
+
+
+class TestScheduleJsonMalformed:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            '{"rounds": 5}',
+            '{"rounds": [[[0, 1]]]}',
+            "not json at all",
+            '{"rounds": [[[0, -1, [1]]]]}',
+            '{"rounds": [[[0, 1, [-2]]]]}',
+            '{"rounds": [[[-3, 1, [0]]]]}',
+            "[]",
+            '{"rounds": [5]}',
+            '{"rounds": [[[0, 1, 2]]]}',
+            '{"rounds": [[[0.5, 1, [0]]]]}',
+            '{"rounds": [[[true, 1, [0]]]]}',
+            '{"rounds": [], "name": 3}',
+        ],
+    )
+    def test_malformed_envelope_raises_schedule_error(self, text):
+        with pytest.raises(ScheduleError):
+            schedule_from_json(text)
+
+    def test_rule_breaking_rows_are_refused(self):
+        with pytest.raises(ScheduleError, match="empty destination set"):
+            schedule_from_json('{"rounds": [[[0, 1, []]]]}')
+        with pytest.raises(ScheduleConflictError, match="sends two messages"):
+            schedule_from_json('{"rounds": [[[0, 1, [0]], [0, 1, [2]]]]}')
+        with pytest.raises(ScheduleConflictError, match="receives two"):
+            schedule_from_json('{"rounds": [[[0, 0, [2]], [1, 1, [2]]]]}')
+
+    def test_universe_is_largest_id_plus_one(self):
+        schedule = schedule_from_json('{"rounds": [[], [[3, 1, [6]]]], "name": "x"}')
+        assert schedule.arrays().n == 7
+        assert (schedule.name, schedule.total_time) == ("x", 2)

@@ -8,44 +8,26 @@ import pytest
 
 from repro.exceptions import ModelViolationError
 from repro.networks import topologies
+from tests.conftest import sched, tx
 from tests.simulator.reference import reference_execute
 
 
 class TestReferenceUnit:
     def test_trivial(self):
-        from repro.core.schedule import Round, Schedule, Transmission
-
         g = topologies.path_graph(2)
-        s = Schedule(
-            [
-                Round(
-                    [
-                        Transmission(sender=0, message=0, destinations=frozenset({1})),
-                        Transmission(sender=1, message=1, destinations=frozenset({0})),
-                    ]
-                )
-            ]
-        )
+        s = sched([tx(0, 0, {1}), tx(1, 1, {0})])
         result = reference_execute(g, s)
         assert result.complete
         assert result.completion_times == (1, 1)
 
     def test_possession_violation(self):
-        from repro.core.schedule import Round, Schedule, Transmission
-
         g = topologies.path_graph(2)
-        s = Schedule(
-            [Round([Transmission(sender=0, message=1, destinations=frozenset({1}))])]
-        )
+        s = sched([tx(0, 1, {1})])
         with pytest.raises(ModelViolationError, match="lacks"):
             reference_execute(g, s)
 
     def test_adjacency_violation(self):
-        from repro.core.schedule import Round, Schedule, Transmission
-
         g = topologies.path_graph(3)
-        s = Schedule(
-            [Round([Transmission(sender=0, message=0, destinations=frozenset({2}))])]
-        )
+        s = sched([tx(0, 0, {2})])
         with pytest.raises(ModelViolationError, match="not a link"):
             reference_execute(g, s)

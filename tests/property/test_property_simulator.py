@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from repro.core.gossip import gossip
 from repro.simulator.engine import execute_schedule
 from repro.simulator.metrics import compute_metrics, link_loads
-from repro.simulator.state import labeled_holdings, popcount
-from tests.conftest import connected_graphs
+from repro.simulator.state import labeled_holdings
+from tests.conftest import connected_graphs, schedule_prefix
 
 
 @given(graph=connected_graphs(max_n=18))
@@ -15,14 +15,12 @@ from tests.conftest import connected_graphs
 def test_hold_sets_grow_monotonically(graph):
     """Replaying round prefixes: nobody ever loses a message."""
     plan = gossip(graph)
-    from repro.core.schedule import Schedule
-
     holds = labeled_holdings(plan.labeled.labels())
-    prev_counts = [popcount(h) for h in holds]
+    prev_counts = [h.bit_count() for h in holds]
     for t in range(1, plan.schedule.total_time + 1):
-        prefix = Schedule(plan.schedule.rounds[:t])
+        prefix = schedule_prefix(plan.schedule, t)
         result = execute_schedule(plan.graph, prefix, initial_holds=holds)
-        counts = [popcount(h) for h in result.final_holds]
+        counts = [h.bit_count() for h in result.final_holds]
         assert all(c >= p for c, p in zip(counts, prev_counts))
         prev_counts = counts
 
@@ -34,7 +32,7 @@ def test_message_count_conservation(graph):
     plan = gossip(graph)
     holds = labeled_holdings(plan.labeled.labels())
     result = execute_schedule(plan.graph, plan.schedule, initial_holds=holds)
-    total_held = sum(popcount(h) for h in result.final_holds)
+    total_held = sum(h.bit_count() for h in result.final_holds)
     deliveries = plan.schedule.total_deliveries()
     assert total_held == graph.n + deliveries - result.duplicate_deliveries
 

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.core.gossip import gossip
-from repro.core.schedule import Schedule
 from repro.exceptions import (
     PlanTimeoutError,
     ReproError,
@@ -23,6 +22,7 @@ from repro.exceptions import (
 )
 from repro.networks import topologies
 from repro.service import GossipService
+from tests.conftest import schedule_prefix
 
 NETWORK = "path:4"
 
@@ -257,7 +257,9 @@ class TestLateBuildAdmission:
         def slow_broken(graph, *, algorithm, tree=None):
             time.sleep(0.3)
             plan = gossip(graph, algorithm=algorithm, tree=tree)
-            truncated = Schedule(list(plan.schedule)[:-3], name=plan.schedule.name)
+            truncated = schedule_prefix(
+                plan.schedule, plan.schedule.total_time - 3, name=plan.schedule.name
+            )
             return dataclasses.replace(plan, schedule=truncated)
 
         service = GossipService(

@@ -2,19 +2,21 @@
 
 import pytest
 
-from repro.core.schedule import Round, Schedule, Transmission
+from repro.core.schedule import Transmission
 from repro.exceptions import IncompleteGossipError, ModelViolationError
 from repro.networks import topologies
 from repro.networks.graph import Graph
 from repro.simulator.engine import execute_schedule
+from tests.conftest import sched, tx
 
 
-def tx(sender, message, dests):
-    return Transmission(sender=sender, message=message, destinations=frozenset(dests))
-
-
-def sched(*rounds):
-    return Schedule([Round(r) for r in rounds])
+def raw(*rounds):
+    """Hand-written rounds as raw ``Transmission`` lists: the engine reads
+    them too, ids a schedule cannot hold (a negative sender) included."""
+    return [
+        [Transmission(sender=s, message=m, destinations=frozenset(ds)) for s, m, ds in rnd]
+        for rnd in rounds
+    ]
 
 
 class TestBasicExecution:
@@ -29,12 +31,12 @@ class TestBasicExecution:
 
     def test_empty_schedule_incomplete(self):
         g = Graph(2, [(0, 1)])
-        result = execute_schedule(g, Schedule([]))
+        result = execute_schedule(g, sched())
         assert not result.complete
         assert result.completion_times == [None, None]
 
     def test_single_vertex_trivially_complete(self):
-        result = execute_schedule(Graph(1, []), Schedule([]))
+        result = execute_schedule(Graph(1, []), sched(n=1))
         assert result.complete
         assert result.completion_times == [0]
 
@@ -142,13 +144,13 @@ class TestMalformedIds:
     def test_out_of_range_id_raises_model_violation(self, sender, message, named):
         g = topologies.path_graph(4)
         with pytest.raises(ModelViolationError, match=named):
-            execute_schedule(g, sched([tx(sender, message, {1})]))
+            execute_schedule(g, raw([tx(sender, message, {1})]))
 
     def test_negative_sender_does_not_read_another_processor(self):
         """Sender -1 used to be read as processor 3 (``holds [3]``)."""
         g = topologies.path_graph(4)
         with pytest.raises(ModelViolationError) as err:
-            execute_schedule(g, sched([tx(-1, 3, {2})]))
+            execute_schedule(g, raw([tx(-1, 3, {2})]))
         assert "holds" not in str(err.value)
 
     def test_first_violation_in_round_then_row_order(self):

@@ -156,7 +156,7 @@ class TestSwapRounds:
 
 class TestDuplicateReceiver:
     def test_rejected_structurally(self, setup):
-        """Rule 1 violations never even construct a Round."""
+        """Rule 1 violations are refused when the rows are packed."""
         _, schedule, _ = setup
         busy_round = next(
             t for t in range(schedule.total_time) if len(schedule.round_at(t)) >= 2
@@ -165,12 +165,9 @@ class TestDuplicateReceiver:
             duplicate_receiver(schedule, busy_round)
 
     def test_needs_two_transmissions(self, setup):
-        _, schedule, _ = setup
-        from repro.core.schedule import Round, Schedule, Transmission
+        from tests.conftest import sched, tx
 
-        tiny = Schedule(
-            [Round([Transmission(sender=0, message=0, destinations=frozenset({1}))])]
-        )
+        tiny = sched([tx(0, 0, {1})])
         with pytest.raises(ScheduleError, match="fewer than two"):
             duplicate_receiver(tiny, 0)
 

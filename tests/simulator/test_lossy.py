@@ -3,21 +3,13 @@
 import pytest
 
 from repro.core.gossip import gossip
-from repro.core.schedule import Round, Schedule, Transmission
-from repro.exceptions import ModelViolationError, SimulationError
+from repro.exceptions import ModelViolationError, ScheduleError, SimulationError
 from repro.networks import topologies
 from repro.networks.graph import Graph
 from repro.simulator.engine import execute_schedule
 from repro.simulator.lossy import FaultModel, execute_with_faults
 from repro.simulator.state import labeled_holdings
-
-
-def tx(sender, message, dests):
-    return Transmission(sender=sender, message=message, destinations=frozenset(dests))
-
-
-def sched(*rounds):
-    return Schedule([Round(r) for r in rounds])
+from tests.conftest import pack, sched, tx
 
 
 def plan_run(graph, model, algorithm="concurrent-updown"):
@@ -152,8 +144,10 @@ class TestPermanentFailures:
         prefix = execute_with_faults(
             g, plan.schedule, model, initial_holds=holds, n_messages=g.n
         )
-        extended_schedule = Schedule(
-            list(plan.schedule.rounds) + [Round([])] * 5
+        sends = plan.arrays().sends()
+        total = plan.schedule.total_time
+        extended_schedule = pack(
+            sends + [(t + total, s, m, ds) for t, s, m, ds in sends if t < 5], g.n
         )
         extended = execute_with_faults(
             g, extended_schedule, FaultModel(seed=17, drop_rate=0.1,
@@ -286,9 +280,12 @@ class TestMalformedIds:
     )
     def test_out_of_range_id_raises_model_violation(self, sender, message, named):
         g = topologies.path_graph(4)
-        s = sched([tx(0, 0, {1})], [tx(sender, message, {1})])
-        with pytest.raises(ModelViolationError, match=named):
+        with pytest.raises(ScheduleError, match=named) as err:
+            s = sched([tx(0, 0, {1})], [tx(sender, message, {1})])
             execute_with_faults(g, s, FaultModel(seed=1, drop_rate=1.0))
+        # A negative sender cannot even be packed into a schedule; every
+        # other bad id packs and is the executor's model violation.
+        assert isinstance(err.value, ModelViolationError) == (sender >= 0)
 
     def test_same_text_as_the_engine(self):
         g = topologies.path_graph(4)

@@ -38,9 +38,9 @@ class TestLinkLoads:
             assert u < v
 
     def test_empty_schedule(self):
-        from repro.core.schedule import Schedule
+        from tests.conftest import sched
 
-        assert link_loads(Schedule([])) == {}
+        assert link_loads(sched(n=2)) == {}
 
 
 class TestComputeMetrics:
@@ -89,9 +89,9 @@ class TestComputeMetrics:
         assert run(concurrent_updown(labeled)).redundancy == 0.0
 
     def test_empty_schedule_metrics(self):
-        from repro.core.schedule import Schedule
+        from tests.conftest import sched
 
-        m = compute_metrics(Schedule([]))
+        m = compute_metrics(sched(n=2))
         assert m.total_time == 0
         assert m.mean_fan_out == 0.0
         assert m.busiest_link_load == 0

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.core.schedule import ArraySchedule, Schedule
+from repro.exceptions import ModelViolationError, SimulationError
+from repro.networks import topologies
+from repro.simulator.lossy import FaultModel, execute_with_faults
 from repro.simulator.state import (
-    HoldState,
     bits_of,
     identity_holdings,
+    initial_holdings,
     labeled_holdings,
-    popcount,
-    union_all,
 )
 
 
@@ -17,14 +18,6 @@ class TestBitHelpers:
     def test_bits_of(self):
         assert bits_of(0) == []
         assert bits_of(0b1011) == [0, 1, 3]
-
-    def test_popcount(self):
-        assert popcount(0) == 0
-        assert popcount(0b10110) == 3
-
-    def test_union_all(self):
-        assert union_all([0b001, 0b100]) == 0b101
-        assert union_all([]) == 0
 
 
 class TestInitialHoldings:
@@ -35,66 +28,71 @@ class TestInitialHoldings:
         assert labeled_holdings([2, 0, 1]) == [4, 1, 2]
 
 
+def run(sends, initial=None, n_messages=None):
+    """Execute ``sends`` on the 2-path with the round-walking executor,
+    whose plain list of hold bitsets is the hold state under test."""
+    schedule = Schedule.from_arrays(ArraySchedule.from_sends(sends, n=2))
+    return execute_with_faults(
+        topologies.path_graph(2), schedule, FaultModel(),
+        initial_holds=initial, n_messages=n_messages,
+    )
+
+
 class TestHoldState:
+    """The per-processor hold bitsets: initial validation, deliveries,
+    completion times and duplicates."""
+
     def test_initial(self):
-        s = HoldState(3)
-        assert s.holds(0, 0)
-        assert not s.holds(0, 1)
-        assert s.messages_of(1) == [1]
-        assert s.missing_of(1) == [0, 2]
+        holds = initial_holdings(3, None, 3)
+        assert holds == [1, 2, 4]
+        assert bits_of(holds[1]) == [1]
+        assert bits_of(0b111 & ~holds[1]) == [0, 2]
 
     def test_deliver(self):
-        s = HoldState(2)
-        s.deliver(0, 1, time=3)
-        assert s.holds(0, 1)
-        assert s.is_complete(0)
-        assert s.completion_time(0) == 3
-        assert not s.all_complete()
+        result = run([(2, 1, 1, (0,))])
+        assert result.final_holds == [0b11, 0b10]
+        assert result.completion_times == [3, None]
+        assert not result.complete
 
     def test_duplicate_counted_not_restamped(self):
-        s = HoldState(2)
-        s.deliver(0, 1, time=1)
-        s.deliver(0, 1, time=5)
-        assert s.duplicate_deliveries == 1
-        assert s.completion_time(0) == 1
+        result = run([(0, 1, 1, (0,)), (4, 1, 1, (0,))])
+        assert result.duplicate_deliveries == 1
+        assert result.completion_times[0] == 1
 
     def test_all_complete(self):
-        s = HoldState(2)
-        s.deliver(0, 1, time=1)
-        s.deliver(1, 0, time=1)
-        assert s.all_complete()
-        assert s.completion_times() == [1, 1]
+        result = run([(0, 0, 0, (1,)), (0, 1, 1, (0,))])
+        assert result.complete
+        assert result.completion_times == [1, 1]
 
     def test_initial_complete_at_time_zero(self):
-        s = HoldState(2, initial=[0b11, 0b01])
-        assert s.completion_time(0) == 0
-        assert s.completion_time(1) is None
+        result = run([], initial=[0b11, 0b01])
+        assert result.completion_times == [0, None]
 
     def test_custom_message_count(self):
-        s = HoldState(2, initial=[0b1, 0b10], n_messages=3)
-        assert not s.is_complete(0)
-        s.deliver(0, 1, 1)
-        s.deliver(0, 2, 2)
-        assert s.is_complete(0)
+        first = run([(0, 1, 1, (0,))], initial=[0b001, 0b110], n_messages=3)
+        assert first.completion_times[0] is None
+        both = run([(0, 1, 1, (0,)), (1, 1, 2, (0,))], initial=[0b001, 0b110], n_messages=3)
+        assert both.completion_times[0] == 2
 
     def test_snapshot_is_copy(self):
-        s = HoldState(2)
-        snap = s.snapshot()
-        s.deliver(0, 1, 1)
-        assert snap == [1, 2]
+        initial = [1, 2]
+        result = run([(0, 1, 1, (0,))], initial=initial)
+        assert initial == [1, 2]
+        assert result.initial_holds == (1, 2)
+        assert result.final_holds == [3, 2]
 
     def test_message_out_of_range(self):
-        with pytest.raises(SimulationError):
-            HoldState(2).deliver(0, 5, 0)
+        with pytest.raises(ModelViolationError, match="not one of the 2 message ids"):
+            run([(0, 0, 5, (1,))])
 
     def test_bad_initial_length(self):
         with pytest.raises(SimulationError):
-            HoldState(3, initial=[1, 2])
+            initial_holdings(3, [1, 2], 3)
 
     def test_initial_out_of_range_bits(self):
         with pytest.raises(SimulationError):
-            HoldState(2, initial=[0b100, 0b1])
+            initial_holdings(2, [0b100, 0b1], 2)
 
     def test_zero_processors_rejected(self):
         with pytest.raises(SimulationError):
-            HoldState(0)
+            initial_holdings(0, None, 0)

@@ -64,10 +64,10 @@ class TestVertexTimeline:
         assert len(rows["Send to Child"]) == 21
 
     def test_empty_timeline_horizon(self):
-        from repro.core.schedule import Schedule
+        from tests.conftest import sched
         from repro.tree.tree import Tree
 
-        tl = vertex_timeline(Tree([-1, 0], root=0), Schedule([]), 1)
+        tl = vertex_timeline(Tree([-1, 0], root=0), sched(n=2), 1)
         assert tl.horizon == -1
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.concurrent_updown import concurrent_updown
-from repro.core.schedule import Round, Schedule, Transmission
 from repro.exceptions import ModelViolationError, ScheduleError
 from repro.networks import topologies
 from repro.networks.builders import tree_to_graph
@@ -16,31 +15,28 @@ from repro.simulator.validator import (
     validate_schedule,
 )
 from repro.tree.labeling import LabeledTree
-
-
-def tx(sender, message, dests):
-    return Transmission(sender=sender, message=message, destinations=frozenset(dests))
+from tests.conftest import sched, tx
 
 
 class TestStatic:
     def test_valid_passes(self):
         g = topologies.path_graph(3)
-        check_static(g, Schedule([Round([tx(0, 0, {1})])]))
+        check_static(g, sched([tx(0, 0, {1})]))
 
     def test_off_edge_rejected(self):
         g = topologies.path_graph(3)
         with pytest.raises(ModelViolationError, match="edge"):
-            check_static(g, Schedule([Round([tx(0, 0, {2})])]))
+            check_static(g, sched([tx(0, 0, {2})]))
 
     def test_sender_out_of_range(self):
         g = topologies.path_graph(2)
         with pytest.raises(ScheduleError, match="sender"):
-            check_static(g, Schedule([Round([tx(5, 0, {1})])]))
+            check_static(g, sched([tx(5, 0, {1})]))
 
     def test_destination_out_of_range(self):
         g = topologies.path_graph(2)
         with pytest.raises(ScheduleError, match="destination"):
-            check_static(g, Schedule([Round([tx(0, 0, {9})])]))
+            check_static(g, sched([tx(0, 0, {9})]))
 
 
 class TestDynamic:
@@ -57,12 +53,12 @@ class TestDynamic:
     def test_incomplete_detected(self):
         g = topologies.path_graph(2)
         with pytest.raises(Exception):
-            validate_schedule(g, Schedule([Round([tx(0, 0, {1})])]))
+            validate_schedule(g, sched([tx(0, 0, {1})]))
 
     def test_incomplete_allowed_when_not_required(self):
         g = topologies.path_graph(2)
         result = validate_schedule(
-            g, Schedule([Round([tx(0, 0, {1})])]), require_complete=False
+            g, sched([tx(0, 0, {1})]), require_complete=False
         )
         assert not result.complete
 

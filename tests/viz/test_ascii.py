@@ -39,11 +39,9 @@ class TestRenderSchedule:
         assert "more rounds" in text
 
     def test_idle_round_marked(self):
-        from repro.core.schedule import Round, Schedule, Transmission
+        from tests.conftest import sched, tx
 
-        s = Schedule(
-            [Round(), Round([Transmission(sender=0, message=0, destinations=frozenset({1}))])]
-        )
+        s = sched([], [tx(0, 0, {1})])
         assert "(idle)" in render_schedule(s)
 
 
