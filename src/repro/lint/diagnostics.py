@@ -18,7 +18,7 @@ fan-out waste, rounds beyond the certificate).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -91,9 +91,15 @@ class Diagnostic:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready mapping (severity flattened to its string value)."""
-        data = asdict(self)
-        data["severity"] = self.severity.value
-        return data
+        return {
+            "rule": self.rule,
+            "severity": self.severity.value,
+            "message": self.message,
+            "round": self.round,
+            "sender": self.sender,
+            "message_id": self.message_id,
+            "destination": self.destination,
+        }
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ the same order with the same text, the same ``rules_run`` and the same
 ``name``.  Inputs: seeded raw rounds full of collisions, out-of-range
 ids, non-edges and dropped or duplicated transmissions; every topology
 family under every registered algorithm; and the seven same-size
-networks of the certification benchmark.
+networks of the certification benchmark.  Message universes that cross
+64-bit words, and a batch budget small enough to split every round
+block and candidate batch of the idle-sender scan, are checked too.
 """
 
 import pytest
@@ -18,17 +20,12 @@ from hypothesis import strategies as st
 from repro.analysis.sweep import FAMILIES, family_instance
 from repro.core.gossip import ALGORITHMS, gossip
 from repro.core.schedule import Round, Transmission
-from repro.lint import lint_schedule
+from repro.lint import driver, lint_schedule
 from repro.networks.random_graphs import random_connected_gnp
 from repro.simulator.faults import drop_transmission, swap_rounds
 
+from tests.lint.cases import CERTIFY_NETWORKS, FAMILY_N, family_plan
 from tests.lint.oracle import oracle_lint_schedule
-
-#: The seven networks of the ``certify`` benchmark workload.
-CERTIFY_NETWORKS = (
-    ("hypercube", 128), ("debruijn", 128), ("binary-tree", 127),
-    ("geometric", 144), ("random", 144), ("gnp", 144), ("caterpillar", 144),
-)
 
 
 def assert_same_report(graph, schedule, **options):
@@ -63,6 +60,18 @@ def transmissions(draw, n, n_messages):
     )
     dests = dests - {sender} or frozenset({sender + 1})
     return Transmission(sender=sender, message=message, destinations=dests)
+
+
+@st.composite
+def wide_masks(draw, n_messages):
+    """An initial possession mask over ``n_messages`` messages: a few
+    bits (some at or past ``n_messages``), or all messages but a few,
+    each possibly complemented into a negative mask."""
+    bits = draw(st.frozensets(st.integers(0, n_messages + 70), max_size=6))
+    mask = sum(1 << b for b in bits)
+    if draw(st.booleans()):
+        mask ^= (1 << n_messages) - 1
+    return ~mask if draw(st.integers(0, 3)) == 0 else mask
 
 
 @st.composite
@@ -129,6 +138,25 @@ class TestSeededRawRounds:
 
     @SETTINGS
     @given(data=st.data())
+    def test_multi_word_message_universes(self, data):
+        """Universes that end just before, at and after a 64-bit word
+        boundary; initial holds set bits at and past ``n_messages``, and
+        some are negative (an infinite tail of held bits)."""
+        graph = data.draw(networks())
+        n_messages = data.draw(st.sampled_from([63, 64, 65, 127, 128, 129]))
+        rounds = data.draw(
+            st.lists(st.lists(transmissions(graph.n, n_messages), max_size=4), max_size=6)
+        )
+        holds = data.draw(
+            st.lists(wide_masks(n_messages), min_size=graph.n, max_size=graph.n)
+        )
+        assert_same_report(
+            graph, rounds, n_messages=n_messages, initial_holds=holds,
+            require_complete=data.draw(st.booleans()),
+        )
+
+    @SETTINGS
+    @given(data=st.data())
     def test_mutated_plans(self, data):
         graph = data.draw(networks())
         algorithm = data.draw(st.sampled_from(["concurrent-updown", "simple", "greedy"]))
@@ -152,11 +180,10 @@ class TestSeededRawRounds:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_family_and_algorithm(family):
-    graph = family_instance(family, 12)
     for algorithm in sorted(ALGORITHMS):
-        plan = gossip(graph, algorithm=algorithm)
-        assert_same_report(graph, plan.schedule, plan=plan)
-        assert_same_report(graph, plan.arrays())
+        plan = family_plan(family, FAMILY_N, algorithm)
+        assert_same_report(plan.graph, plan.schedule, plan=plan)
+        assert_same_report(plan.graph, plan.arrays())
 
 
 @pytest.mark.parametrize("family", ["grid", "random", "star"])
@@ -176,6 +203,30 @@ def test_broken_object_schedules_in_both_forms(family):
 
 @pytest.mark.parametrize("family,n", CERTIFY_NETWORKS)
 def test_certify_networks(family, n):
-    plan = gossip(family_instance(family, n))
+    plan = family_plan(family, n)
     report = assert_same_report(plan.graph, plan.schedule, plan=plan)
     assert report.ok and report.warnings
+
+
+# ----------------------------------------------------------------------
+# A tiny batch budget: every round block and candidate batch splits
+# ----------------------------------------------------------------------
+#: Budget small enough that hold blocks span one to five rounds and
+#: candidate batches a handful of candidates.
+TINY_BATCH = 64
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_tiny_batches_on_every_family(family, monkeypatch):
+    monkeypatch.setattr(driver, "_BATCH", TINY_BATCH)
+    for algorithm in sorted(ALGORITHMS):
+        plan = family_plan(family, FAMILY_N, algorithm)
+        assert_same_report(plan.graph, plan.schedule, plan=plan)
+
+
+@pytest.mark.parametrize("family,n", [("geometric", 144), ("caterpillar", 144)])
+def test_tiny_batches_on_certify_networks(family, n, monkeypatch):
+    monkeypatch.setattr(driver, "_BATCH", TINY_BATCH)
+    plan = family_plan(family, n)
+    report = assert_same_report(plan.graph, plan.schedule, plan=plan)
+    assert report.by_rule("efficiency/idle-sender")
