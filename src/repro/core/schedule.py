@@ -510,9 +510,11 @@ class ArraySchedule:
             )
         # Rule 1 — each processor receives at most one message per round:
         # within every round the destination masks must be pairwise
-        # disjoint, i.e. popcount(OR) == sum(popcounts).
-        ptr = self.round_ptr
-        starts = ptr[:-1][np.diff(ptr) > 0]
+        # disjoint, i.e. popcount(OR) == sum(popcounts).  Round starts
+        # come from the rows, so the cost never scales with a round id.
+        new_round = np.ones(len(rnd), dtype=bool)
+        new_round[1:] = rnd[1:] != rnd[:-1]
+        starts = np.flatnonzero(new_round)
         if len(starts):
             union = np.bitwise_or.reduceat(masks, starts, axis=0)
             union_pop = _popcounts(union)
@@ -526,7 +528,7 @@ class ArraySchedule:
         """The rule-1 error text for round ``t``: the first receiver (rows
         in sender order, destinations ascending) that an earlier row of
         the same round already reaches."""
-        lo, hi = int(self.round_ptr[t]), int(self.round_ptr[t + 1])
+        lo, hi = np.searchsorted(self.round, [t, t + 1]).tolist()
         first: Dict[int, int] = {}
         for e in range(lo, hi):
             bits = np.unpackbits(self.dest_mask[e].view(np.uint8), bitorder="little")

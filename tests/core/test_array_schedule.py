@@ -16,6 +16,7 @@ end to end:
 * the removal of the legacy ``ScheduleBuilder`` accumulator.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -267,6 +268,35 @@ class TestInt32Range:
             [(0, 0, -(2**31), (1,)), (1, 1, 2**31 - 1, (0,))], n=2
         )
         assert arr.message.tolist() == [-(2**31), 2**31 - 1]
+
+
+class TestLateRounds:
+    """Construction costs O(rows), whatever the largest round id."""
+
+    def test_one_late_send_allocates_little(self):
+        tracemalloc.start()
+        try:
+            arr = ArraySchedule.from_sends([(2**20, 0, 0, (1,))], n=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.total_time == 2**20 + 1
+        assert peak < 1 << 20
+
+    def test_largest_round_id_constructs(self):
+        arr = ArraySchedule.from_sends([(2**31 - 1, 0, 0, (1,))], n=2)
+        assert arr.total_time == 2**31
+        assert arr.round.tolist() == [2**31 - 1]
+
+    def test_late_receiver_collision_names_the_receiver(self):
+        late = 2**31 - 1
+        with pytest.raises(ScheduleConflictError) as info:
+            ArraySchedule.from_sends(
+                [(late, 0, 0, (1,)), (late, 2, 2, (1, 3))], n=4
+            )
+        assert str(info.value) == (
+            "processor 1 receives two messages in one round: 0 and 2"
+        )
 
 
 class TestFacadeLaziness:
