@@ -23,6 +23,7 @@ from repro.networks.bfs import (
 )
 from repro.networks.graph import Graph
 from repro.networks.random_graphs import random_connected_gnp
+from tests.networks.reference import reference_bfs_parents
 
 
 class TestCutoff:
@@ -105,7 +106,9 @@ class TestParentsFromLevels:
         g = random_connected_gnp(30, 0.12, seed=seed)
         for source in (0, g.n // 2, g.n - 1):
             dist, parent = bfs_tree(g, source)
-            assert (bfs_parents_from_levels(g, dist) == parent).all()
+            expected = reference_bfs_parents(g, source)
+            assert (parent == expected).all()
+            assert (bfs_parents_from_levels(g, dist) == expected).all()
 
     def test_root_and_unreached_get_minus_one(self):
         g = Graph(4, [(0, 1), (2, 3)])
