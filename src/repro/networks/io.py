@@ -36,12 +36,21 @@ def graph_to_edgelist(graph: Graph) -> str:
 
 
 def graph_from_edgelist(text: str, name: str = "") -> Graph:
-    """Parse the :func:`graph_to_edgelist` format."""
+    """Parse the :func:`graph_to_edgelist` format.
+
+    Malformed text raises :class:`~repro.exceptions.GraphError`: no
+    ``n m`` header, a field that is not an integer, a line that is not
+    one ``u v`` pair, an edge count that disagrees with the header, or
+    an edge :class:`Graph` rejects.
+    """
     rows = [line.split() for line in text.strip().splitlines() if line.strip()]
     if not rows or len(rows[0]) != 2:
         raise GraphError("edge list must start with a 'n m' header line")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    edges = [(int(u), int(v)) for u, v in rows[1:]]
+    try:
+        n, m = int(rows[0][0]), int(rows[0][1])
+        edges = [(int(u), int(v)) for u, v in rows[1:]]
+    except ValueError as exc:
+        raise GraphError(f"edge list does not parse: {exc}") from exc
     if len(edges) != m:
         raise GraphError(f"header declares {m} edges but {len(edges)} found")
     return Graph(n, edges, name=name)
@@ -55,9 +64,19 @@ def graph_to_json(graph: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    """Parse the :func:`graph_to_json` envelope."""
-    data = json.loads(text)
-    return Graph(data["n"], [tuple(e) for e in data["edges"]], name=data.get("name", ""))
+    """Parse the :func:`graph_to_json` envelope.
+
+    Malformed input raises :class:`~repro.exceptions.GraphError`: text
+    that is not JSON, an envelope that is not an object with ``n`` and
+    ``edges``, or a network :class:`Graph` rejects.
+    """
+    try:
+        data = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"graph JSON does not parse: {exc}") from exc
+    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
+        raise GraphError("graph JSON must be an object with 'n' and 'edges'")
+    return Graph(data["n"], data["edges"], name=data.get("name", ""))
 
 
 def tree_to_json(tree: Tree) -> str:
