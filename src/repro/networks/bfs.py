@@ -201,21 +201,12 @@ def bfs_tree(graph: Graph, source: Vertex) -> Tuple[np.ndarray, np.ndarray]:
 
     The smallest-id tie-break makes tree construction reproducible, which
     the paper leaves unspecified ("fix the ordering of the subtrees in any
-    arbitrary order") — see the child-order ablation benchmark.
+    arbitrary order") — see the child-order ablation benchmark.  The
+    parents come from one CSR pass (:func:`bfs_parents_from_levels`), so
+    the graph's per-vertex neighbour tuples are never built.
     """
     dist = bfs_levels(graph, source)
-    n = graph.n
-    parent = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        if v == source or dist[v] == UNREACHED:
-            continue
-        target = dist[v] - 1
-        # neighbors(v) is sorted ascending, so the first hit is smallest-id.
-        for u in graph.neighbors(v):
-            if dist[u] == target:
-                parent[v] = u
-                break
-    return dist, parent
+    return dist, bfs_parents_from_levels(graph, dist)
 
 
 def bfs_levels_reference(graph: Graph, source: Vertex) -> List[int]:
