@@ -271,7 +271,9 @@ def _schedule_identity_sweep(n: int = IDENTITY_SWEEP_N) -> Dict[str, bool]:
         fast = concurrent_updown(labeled)
         seed = concurrent_updown_reference(labeled)
         verdicts[family] = (
-            fast.arrays() == seed.arrays() and fast.rounds == seed.rounds
+            fast == seed
+            and (fast.n, fast.n_messages) == (seed.n, seed.n_messages)
+            and fast.rounds == seed.rounds
         )
     return verdicts
 

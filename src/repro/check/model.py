@@ -217,20 +217,11 @@ class ProtocolModel:
             self.neighbours.append(tuple(sorted(nbrs)))
             self.labels.append(block.i)
 
-        # The offline schedule, read once from the canonical columns (rows
-        # in round order, each row's destinations ascending).
-        arrays = plan.arrays()
-        rounds = arrays.round.tolist()
-        messages = arrays.message.tolist()
-        dest_lists: List[List[int]] = [[] for _ in rounds]
-        rows, dests = arrays.destination_pairs()
-        for row, d in zip(rows.tolist(), dests.tolist()):
-            dest_lists[row].append(d)
+        # The offline schedule, read once from the columns (each row's
+        # destinations ascending).
         self._offline = frozenset(
-            SentRecord(round=rnd, sender=sender, message=message,
-                       destinations=tuple(ds))
-            for rnd, sender, message, ds in zip(
-                rounds, arrays.sender.tolist(), messages, dest_lists)
+            SentRecord(round=rnd, sender=sender, message=message, destinations=ds)
+            for rnd, sender, message, ds in plan.schedule.sends()
         )
 
         # Peer-local memos: each maps a peer's own view (plus the action's

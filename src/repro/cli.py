@@ -59,14 +59,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from .analysis.comparison import comparison_table, format_comparison
 from .analysis.sweep import FAMILIES, family_instance
 from .analysis.tables import paper_tables, render_timeline
-from .core.gossip import ALGORITHMS, gossip
+from .core.gossip import ALGORITHMS, GossipPlan, gossip
 from .networks.properties import summarize
 from .viz.ascii import render_schedule, render_tree
+
+if TYPE_CHECKING:  # the runtime is imported only by the commands that run it
+    from .runtime import NetChaos, RuntimeResult
 
 __all__ = ["main", "build_parser"]
 
@@ -547,10 +550,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             fail_stop_rates=tuple(args.fail_stop),
         )
         print(report.format())
-        if args.check:
-            report.check()
-            print("check: makespan + resilience gates hold  OK")
-        return 0
+        return _gate(report, "check: makespan + resilience gates hold  OK") if args.check else 0
     graphs = [
         family_instance(fam, n)
         for fam in (args.families or sorted(FAMILIES))
@@ -715,12 +715,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(result.format())
     if args.check:
-        try:
-            result.check()
-        except AssertionError as err:
-            print(f"CHECK FAILED: {err}")
-            return 1
-        print("check: warm hit >= 10x faster than cold planning  OK")
+        return _gate(result, "check: warm hit >= 10x faster than cold planning  OK")
     return 0
 
 
@@ -740,96 +735,78 @@ def _cmd_serve_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gate(report: Any, ok_line: str) -> int:
+    """The ``--check`` gate: run ``report.check()`` and print ``ok_line``
+    (exit 0), or print the failed assertion (exit 1)."""
+    try:
+        report.check()
+    except AssertionError as err:
+        print(f"CHECK FAILED: {err}")
+        return 1
+    print(ok_line)
+    return 0
+
+
+def _sweep(
+    args: argparse.Namespace, run: Callable[..., Any], ok_line: str, **rates: Any
+) -> int:
+    """Run a seeded fault sweep over ``args.family`` under ``args.timeout``,
+    print its report and, with ``--check``, gate it."""
+    from .exceptions import SweepTimeoutError
+
+    try:
+        report = run(
+            families=args.family or ["random:48"],
+            trials=args.trials,
+            seed=args.seed,
+            algorithm=args.algorithm,
+            deadline=args.timeout,
+            **rates,
+        )
+    except SweepTimeoutError as err:
+        print(f"TIMEOUT: {err}")
+        return 1
+    print(report.format())
+    return _gate(report, ok_line) if args.check else 0
+
+
+def _survival_sweep(args: argparse.Namespace, **rates: Any) -> int:
+    from .analysis.survival import run_survival_sweep
+
+    return _sweep(
+        args, run_survival_sweep,
+        "check: full survivor coverage, typed partitions, degraded bound hold  OK",
+        **rates,
+    )
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .analysis.chaos import run_chaos_sweep
-    from .exceptions import SweepTimeoutError
 
     if args.permanent is not None:
         # Permanent-failure mode: transient repair cannot help once
         # processors are gone for good, so route through survival.
-        from .analysis.survival import run_survival_sweep
-
         drops = args.drop if args.drop is not None else [0.0]
-        try:
-            report = run_survival_sweep(
-                families=args.family or ["random:48"],
-                fail_stop_rates=args.permanent,
-                trials=args.trials,
-                seed=args.seed,
-                algorithm=args.algorithm,
-                drop_rate=drops[0],
-                deadline=args.timeout,
-            )
-        except SweepTimeoutError as err:
-            print(f"TIMEOUT: {err}")
-            return 1
-        print(report.format())
-        if args.check:
-            try:
-                report.check()
-            except AssertionError as err:
-                print(f"CHECK FAILED: {err}")
-                return 1
-            print("check: full survivor coverage, typed partitions, "
-                  "degraded bound hold  OK")
-        return 0
-
-    try:
-        report = run_chaos_sweep(
-            families=args.family or ["random:48"],
-            drop_rates=args.drop if args.drop is not None else [0.2],
-            trials=args.trials,
-            seed=args.seed,
-            algorithm=args.algorithm,
-            max_repair_rounds=args.max_repair_rounds,
-            link_outage_rate=args.link_outage,
-            crash_rate=args.crash,
-            deadline=args.timeout,
+        return _survival_sweep(
+            args, fail_stop_rates=args.permanent, drop_rate=drops[0]
         )
-    except SweepTimeoutError as err:
-        print(f"TIMEOUT: {err}")
-        return 1
-    print(report.format())
-    if args.check:
-        try:
-            report.check()
-        except AssertionError as err:
-            print(f"CHECK FAILED: {err}")
-            return 1
-        print("check: completion >= 95% and all repairs verified fault-free  OK")
-    return 0
+    return _sweep(
+        args, run_chaos_sweep,
+        "check: completion >= 95% and all repairs verified fault-free  OK",
+        drop_rates=args.drop if args.drop is not None else [0.2],
+        max_repair_rounds=args.max_repair_rounds,
+        link_outage_rate=args.link_outage,
+        crash_rate=args.crash,
+    )
 
 
 def _cmd_survive(args: argparse.Namespace) -> int:
-    from .analysis.survival import run_survival_sweep
-    from .exceptions import SweepTimeoutError
-
-    try:
-        report = run_survival_sweep(
-            families=args.family or ["random:48"],
-            fail_stop_rates=(
-                args.fail_stop if args.fail_stop is not None else [0.02]
-            ),
-            trials=args.trials,
-            seed=args.seed,
-            algorithm=args.algorithm,
-            link_fail_rate=args.link_fail,
-            drop_rate=args.drop,
-            deadline=args.timeout,
-        )
-    except SweepTimeoutError as err:
-        print(f"TIMEOUT: {err}")
-        return 1
-    print(report.format())
-    if args.check:
-        try:
-            report.check()
-        except AssertionError as err:
-            print(f"CHECK FAILED: {err}")
-            return 1
-        print("check: full survivor coverage, typed partitions, "
-              "degraded bound hold  OK")
-    return 0
+    return _survival_sweep(
+        args,
+        fail_stop_rates=args.fail_stop if args.fail_stop is not None else [0.02],
+        link_fail_rate=args.link_fail,
+        drop_rate=args.drop,
+    )
 
 
 def _parse_kill_specs(specs: "Optional[List[str]]", flag: str
@@ -844,6 +821,30 @@ def _parse_kill_specs(specs: "Optional[List[str]]", flag: str
             print(f"bad {flag} spec {spec!r}; want V:R with integers")
             return None
     return kills
+
+
+def _print_transport(result: RuntimeResult) -> None:
+    """The transport line and, after deaths, the failures line of a
+    runtime result (either host)."""
+    print(f"transport : {result.stats.sent} sent, {result.stats.dropped} dropped, "
+          f"{result.stats.delayed} delayed, {result.retransmissions} retransmitted, "
+          f"{result.duplicates_suppressed} duplicates absorbed")
+    if result.dead:
+        print(f"failures  : dead={list(result.dead)}  "
+              f"components={[list(c) for c in result.components]}")
+
+
+def _transcript_ok(plan: GossipPlan, result: RuntimeResult, chaos: NetChaos) -> bool:
+    """Under a null chaos model, print whether the run's transcript is
+    the offline schedule row for row and return it; otherwise True."""
+    if not chaos.is_null:
+        return True
+    online = sorted(
+        (e.round, e.sender, e.message, e.destinations) for e in result.transcript
+    )
+    ok = plan.schedule.sends() == online
+    print(f"transcript: {'identical to offline schedule' if ok else 'DIVERGED'}")
+    return ok
 
 
 def _cmd_run_net(args: argparse.Namespace) -> int:
@@ -894,21 +895,8 @@ def _cmd_run_net(args: argparse.Namespace) -> int:
           f"makespan={'n/a' if result.makespan is None else f'{result.makespan:.3f}s'}")
     print(f"rounds    : {result.rounds_completed} online"
           + (f" + {result.survival_rounds} survival" if result.survival_rounds else ""))
-    print(f"transport : {result.stats.sent} sent, {result.stats.dropped} dropped, "
-          f"{result.stats.delayed} delayed, {result.retransmissions} retransmitted, "
-          f"{result.duplicates_suppressed} duplicates absorbed")
-    if result.dead:
-        print(f"failures  : dead={list(result.dead)}  "
-              f"components={[list(c) for c in result.components]}")
-    offline_ok = True
-    if chaos.is_null:
-        offline = plan.arrays().sends()
-        online = sorted(
-            (e.round, e.sender, e.message, e.destinations)
-            for e in result.transcript
-        )
-        offline_ok = offline == online
-        print(f"transcript: {'identical to offline schedule' if offline_ok else 'DIVERGED'}")
+    _print_transport(result)
+    offline_ok = _transcript_ok(plan, result, chaos)
     if args.check:
         ok = offline_ok and result.coverage == 1.0
         if not ok:
@@ -966,12 +954,7 @@ def _cmd_run_proc(args: argparse.Namespace) -> int:
           + (f" + {result.survival_rounds} "
              + ("rejoin-completion" if result.mode == "rejoin" else "survival")
              if result.survival_rounds else ""))
-    print(f"transport : {result.stats.sent} sent, {result.stats.dropped} dropped, "
-          f"{result.stats.delayed} delayed, {result.retransmissions} retransmitted, "
-          f"{result.duplicates_suppressed} duplicates absorbed")
-    if result.dead:
-        print(f"failures  : dead={list(result.dead)}  "
-              f"components={[list(c) for c in result.components]}")
+    _print_transport(result)
     if result.incidents:
         print(f"incidents : {len(result.incidents)}")
         for incident in result.incidents:
@@ -983,16 +966,7 @@ def _cmd_run_proc(args: argparse.Namespace) -> int:
             for incident in result.incidents:
                 fh.write(incident.to_json() + "\n")
         print(f"wrote {args.journal}")
-    offline_ok = True
-    if chaos.is_null:
-        offline = plan.arrays().sends()
-        online = sorted(
-            (e.round, e.sender, e.message, e.destinations)
-            for e in result.transcript
-        )
-        offline_ok = offline == online
-        print("transcript: "
-              f"{'identical to offline schedule' if offline_ok else 'DIVERGED'}")
+    offline_ok = _transcript_ok(plan, result, chaos)
     if args.check:
         detected = all(
             any(i.vertex == victim for i in result.incidents
@@ -1020,14 +994,10 @@ def _cmd_plan_bench(args: argparse.Namespace) -> int:
         report.write_json(args.json)
         print(f"wrote {args.json}")
     if args.check:
-        try:
-            report.check()
-        except AssertionError as err:
-            print(f"CHECK FAILED: {err}")
-            return 1
-        print(
+        return _gate(
+            report,
             "check: bit-identical trees, identical schedules, and "
-            "planner speedup + cold-plan gates hold  OK"
+            "planner speedup + cold-plan gates hold  OK",
         )
     return 0
 
@@ -1059,7 +1029,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         # Lint straight off the canonical array form — same diagnostics
         # as the object view (the differential tests pin that), and the
         # byte size it reports is the cache-weight unit.
-        report = lint_schedule(plan.graph, plan.arrays(), plan=plan)
+        report = lint_schedule(plan.graph, plan.schedule, plan=plan)
         results.append((spec, plan, report))
         if not report.ok:
             failures += 1
@@ -1072,7 +1042,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 dict(
                     report.to_dict(),
                     spec=spec,
-                    schedule_nbytes=plan.arrays().nbytes,
+                    schedule_nbytes=plan.schedule.nbytes,
                 )
                 for spec, plan, report in results
             ],

@@ -32,7 +32,7 @@ from ..exceptions import ScheduleConflictError
 from ..tree.labeling import LabeledTree
 from .propagate_down import propagate_down
 from .propagate_up import _repeat_offsets, parent_masks
-from .schedule import ArraySchedule, Schedule, merge_schedules
+from .schedule import Schedule, merge_schedules
 
 __all__ = [
     "propagate_up_no_lip",
@@ -55,12 +55,11 @@ def propagate_up_no_lip(labeled: LabeledTree) -> Schedule:
     reps, offs = _repeat_offsets(arr.j[nonroot] - arr.i[nonroot] + 1)
     senders = nonroot[reps]
     messages = arr.i[senders] + offs
-    arrays = ArraySchedule.from_events(
+    return Schedule.from_events(
         messages - arr.k[senders], senders, messages,
         parent_masks(labeled, senders),
         n=labeled.n, n_messages=labeled.n, name="Propagate-Up-no-lip",
     )
-    return Schedule.from_arrays(arrays)
 
 
 def concurrent_updown_no_lip(labeled: LabeledTree) -> Schedule:

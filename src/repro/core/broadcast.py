@@ -22,7 +22,7 @@ from ..exceptions import DisconnectedGraphError
 from ..networks.bfs import UNREACHED, bfs_tree
 from ..networks.graph import Graph
 from ..types import Message, Vertex
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = ["broadcast", "broadcast_time", "telephone_broadcast"]
 
@@ -47,9 +47,7 @@ def broadcast(graph: Graph, source: Vertex, message: Message | None = None) -> S
         for v in range(graph.n)
         if v != source
     ]
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(sends, n=graph.n, name=f"broadcast-from-{source}")
-    )
+    return Schedule.from_sends(sends, n=graph.n, name=f"broadcast-from-{source}")
 
 
 def broadcast_time(graph: Graph, source: Vertex) -> int:
@@ -102,8 +100,6 @@ def telephone_broadcast(
         informed_order.extend(sorted(claimed))
         informed |= claimed
         t += 1
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(
-            sends, n=graph.n, name=f"telephone-broadcast-from-{source}"
-        )
+    return Schedule.from_sends(
+        sends, n=graph.n, name=f"telephone-broadcast-from-{source}"
     )

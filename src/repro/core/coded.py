@@ -65,7 +65,7 @@ from .epidemic import (
 )
 from .gossip import register_algorithm
 from .rng import SplitMix64, keyed_u64
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = [
     "RankTracker",
@@ -378,9 +378,7 @@ def systematic_coded_schedule(
             f"systematic coded gossip did not complete within {t} "
             "rounds (disconnected network?)"
         )
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(sends, n=n, name=f"Coded-systematic(seed={seed})")
-    )
+    return Schedule.from_sends(sends, n=n, name=f"Coded-systematic(seed={seed})")
 
 
 @register_algorithm("coded")

@@ -18,7 +18,7 @@ columns are merged by a sorted-key union (each half's ``(time, sender)``
 keys are strictly unique, so a fused row is exactly one up unicast OR-ed
 into one down multicast), destination bitmasks are materialised once for
 the merged rows, and the resulting
-:class:`~repro.core.schedule.ArraySchedule` construction *verifies* the
+:class:`~repro.core.schedule.Schedule` construction *verifies* the
 no-interference property: a same-key pair carrying different messages
 raises :class:`~repro.exceptions.ScheduleConflictError` here, and any
 receiver collision raises inside the schedule's structural validation.
@@ -39,7 +39,7 @@ from ..tree.tree import Tree
 from .gossip import register_algorithm
 from .propagate_down import children_masks, propagate_down_events
 from .propagate_up import propagate_up_events
-from .schedule import ArraySchedule, Schedule, _bit_of
+from .schedule import Schedule, _bit_of
 
 __all__ = ["concurrent_updown", "concurrent_updown_on_tree"]
 
@@ -72,8 +72,7 @@ def concurrent_updown(labeled: LabeledTree) -> Schedule:
     Schedule
         A conflict-free gossiping schedule of total communication time
         exactly ``n + height`` for ``n >= 2`` (0 for the trivial
-        single-vertex tree).  Array-backed: the canonical
-        :class:`~repro.core.schedule.ArraySchedule` is built directly;
+        single-vertex tree).  The columns are built directly;
         ``Round``/``Transmission`` objects materialise only on demand.
     """
     arr = labeled.arrays
@@ -81,7 +80,7 @@ def concurrent_updown(labeled: LabeledTree) -> Schedule:
     ut, us, um = propagate_up_events(labeled)
     dt, ds, dm, dx = propagate_down_events(labeled)
     if len(ut) + len(dt) == 0:
-        return Schedule.from_arrays(ArraySchedule._empty(n, n, "ConcurrentUpDown"))
+        return Schedule._empty(n, n, "ConcurrentUpDown")
 
     # Canonicalise and merge by the (time, sender) key.  Both halves are
     # key-unique by construction (Lemmas 2 and 3); re-verify cheaply and
@@ -192,11 +191,10 @@ def concurrent_updown(labeled: LabeledTree) -> Schedule:
         # Sparse-key fallback: the delivery-count table below would be
         # huge, so materialise the masks now and run the full
         # mask-level validation instead.
-        arrays = ArraySchedule._from_canonical(
+        return Schedule._from_canonical(
             times, senders, messages, _build_masks(), fans,
             n=n, n_messages=n, name="ConcurrentUpDown",
         )
-        return Schedule.from_arrays(arrays)
 
     # Theorem 1, Rule 1 — each processor receives at most one message
     # per round — machine-checked on the flat delivery stream: expand
@@ -221,7 +219,7 @@ def concurrent_updown(labeled: LabeledTree) -> Schedule:
         # Eagerly materialise and run the mask-level validation: it
         # pinpoints the offending round and raises the historical
         # ScheduleConflictError with the exact object-view text.
-        ArraySchedule(
+        Schedule(
             times, senders, messages, _build_masks(),
             n=n, n_messages=n, name="ConcurrentUpDown",
         )
@@ -229,12 +227,11 @@ def concurrent_updown(labeled: LabeledTree) -> Schedule:
             "ConcurrentUpDown produced a receiver collision"
         )
 
-    arrays = ArraySchedule._from_canonical(
+    return Schedule._from_canonical(
         times, senders, messages, None, fans,
         n=n, n_messages=n, name="ConcurrentUpDown",
         mask_builder=_build_masks,
     )
-    return Schedule.from_arrays(arrays)
 
 
 def concurrent_updown_on_tree(tree: Tree) -> Schedule:

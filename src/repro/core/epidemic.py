@@ -62,7 +62,7 @@ from ..simulator.lossy import FaultModel
 from ..tree.labeling import LabeledTree
 from .gossip import register_algorithm
 from .rng import SplitMix64, keyed_u64
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = [
     "EpidemicResult",
@@ -370,7 +370,7 @@ def run_epidemic(
         seed=seed,
         complete=all(h == full for h in holds),
         rounds=t,
-        schedule=Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name=name)),
+        schedule=Schedule.from_sends(sends, n=n, name=name),
         completion_times=tuple(completion),
         messages_sent=messages_sent,
         deliveries=deliveries,

@@ -47,7 +47,7 @@ from ..networks.graph import Graph
 from ..networks.spanning_tree import minimum_depth_spanning_tree
 from ..tree.labeling import LabeledTree
 from ..tree.tree import Tree
-from .schedule import ArraySchedule, Round, Schedule
+from .schedule import Schedule
 
 __all__ = [
     "GossipPlan",
@@ -166,25 +166,13 @@ class GossipPlan:
         """Total communication time of the schedule."""
         return self.schedule.total_time
 
-    def arrays(self) -> ArraySchedule:
-        """The canonical array form of the schedule.
+    def arrays(self) -> Schedule:
+        """The plan's :attr:`schedule`, unchanged.
 
-        Flat ``(round, sender, message)`` columns plus the destination
-        bitmask matrix — the form every consumer (simulator, linter,
-        service cache) works from.  Cheap: array-backed schedules hand
-        back their backing :class:`~repro.core.schedule.ArraySchedule`
-        without materialising any per-transmission objects.
+        Kept only for the benchmark harness under ``perfbench/``, which
+        calls it; library code reads :attr:`schedule` directly.
         """
-        return self.schedule.arrays()
-
-    def rounds(self) -> Tuple[Round, ...]:
-        """The object view: one :class:`Round` of transmissions per time.
-
-        Materialised lazily from the array form on first call (and then
-        cached on the schedule facade); prefer :meth:`arrays` in
-        loops that only need the flat columns.
-        """
-        return self.schedule.rounds
+        return self.schedule
 
     def holds_at(self, vertex: int, time: int) -> int:
         """``vertex``'s hold bitset at ``time`` of the fault-free run.
@@ -195,11 +183,11 @@ class GossipPlan:
         its death round, and what the protocol model checks its abort
         states against.
         """
-        arrays = self.arrays()
-        rows, dests = arrays.destination_pairs()
-        mine = rows[(dests == vertex) & (arrays.round[rows] < time)]
+        schedule = self.schedule
+        rows, dests = schedule.destination_pairs()
+        mine = rows[(dests == vertex) & (schedule.round[rows] < time)]
         holds = 1 << self.labeled.label_of(vertex)
-        for message in arrays.message[mine].tolist():
+        for message in schedule.message[mine].tolist():
             holds |= 1 << message
         return holds
 

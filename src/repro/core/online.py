@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import SimulationError
 from ..tree.labeling import LabeledTree
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = ["OnlineProcessor", "run_online_gossip", "online_matches_offline"]
 
@@ -281,9 +281,7 @@ def run_online_gossip(labeled: LabeledTree, max_rounds: Optional[int] = None) ->
         raise SimulationError(
             f"online gossip did not finish within {horizon} rounds"
         )
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(sends, n=labeled.n, name="ConcurrentUpDown-online")
-    )
+    return Schedule.from_sends(sends, n=labeled.n, name="ConcurrentUpDown-online")
 
 
 def online_matches_offline(labeled: LabeledTree) -> bool:

@@ -31,7 +31,7 @@ import numpy as np
 from ..exceptions import ReproError
 from ..networks.bfs import distance_matrix, require_connected
 from ..networks.graph import Graph
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = ["minimum_gossip_time", "is_gossipable_within", "optimal_schedule"]
 
@@ -221,8 +221,6 @@ def optimal_schedule(graph: Graph, telephone: bool = False) -> Schedule:
                 break
         if not advanced:  # pragma: no cover - cannot happen if opt is right
             raise ReproError("failed to re-trace the optimal schedule")
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(
-            sends, n=graph.n, name=f"optimal-{'tel' if telephone else 'mc'}"
-        )
+    return Schedule.from_sends(
+        sends, n=graph.n, name=f"optimal-{'tel' if telephone else 'mc'}"
     )

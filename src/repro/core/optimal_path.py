@@ -39,7 +39,7 @@ from typing import Dict, List, Set, Tuple
 from ..exceptions import ReproError
 from ..networks.graph import Graph
 from ..networks.topologies import path_graph
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = ["optimal_path_gossip", "optimal_path_time"]
 
@@ -116,5 +116,4 @@ def optimal_path_gossip(n: int) -> Tuple[Graph, Schedule]:
                     t += 1
                 emit(t, v, msg, [nxt])
 
-    arrays = ArraySchedule.from_sends(sends, n=n, name=f"optimal-path-{n}")
-    return path_graph(n), Schedule.from_arrays(arrays)
+    return path_graph(n), Schedule.from_sends(sends, n=n, name=f"optimal-path-{n}")

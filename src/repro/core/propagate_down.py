@@ -47,7 +47,7 @@ import numpy as np
 
 from ..tree.labeling import LabeledTree
 from .propagate_up import _repeat_offsets
-from .schedule import ArraySchedule, Schedule, _bit_of, _mask_width
+from .schedule import Schedule, _bit_of, _mask_width
 
 __all__ = [
     "propagate_down_events",
@@ -251,8 +251,7 @@ def propagate_down(labeled: LabeledTree) -> Schedule:
     ConcurrentUpDown overlap (Lemma 3).
     """
     times, senders, messages, excl = propagate_down_events(labeled)
-    arrays = ArraySchedule.from_events(
+    return Schedule.from_events(
         times, senders, messages, down_event_masks(labeled, senders, excl),
         n=labeled.n, n_messages=labeled.n, name="Propagate-Down",
     )
-    return Schedule.from_arrays(arrays)

@@ -37,7 +37,7 @@ from typing import Tuple
 import numpy as np
 
 from ..tree.labeling import LabeledTree
-from .schedule import ArraySchedule, Schedule, _bit_of, _mask_width
+from .schedule import Schedule, _bit_of, _mask_width
 
 __all__ = ["propagate_up_events", "parent_masks", "propagate_up"]
 
@@ -100,8 +100,7 @@ def propagate_up(labeled: LabeledTree) -> Schedule:
     ``n - 1`` (Lemma 2); it is one half of the ConcurrentUpDown overlap.
     """
     times, senders, messages = propagate_up_events(labeled)
-    arrays = ArraySchedule.from_events(
+    return Schedule.from_events(
         times, senders, messages, parent_masks(labeled, senders),
         n=labeled.n, n_messages=labeled.n, name="Propagate-Up",
     )
-    return Schedule.from_arrays(arrays)

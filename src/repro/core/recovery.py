@@ -57,7 +57,7 @@ from ..exceptions import (
     RecoveryExhaustedError,
     ReproError,
 )
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 if TYPE_CHECKING:  # runtime imports are lazy to avoid core <-> simulator cycles
     from ..networks.graph import Graph
@@ -152,7 +152,7 @@ def plan_repair_rounds(
     *,
     max_rounds: int,
     policy: str = "nearest-holder",
-) -> ArraySchedule:
+) -> Schedule:
     """Plan fault-free repair rounds from the hold state ``holds``.
 
     Greedy nearest-holder propagation: every round, each processor (in
@@ -207,7 +207,7 @@ def plan_repair_rounds(
             break  # nobody can make progress (single vertex, or complete)
         for d, message in deliveries:
             holds[d] |= 1 << message
-    return ArraySchedule.from_sends(sends, n=len(holds), n_messages=n_messages)
+    return Schedule.from_sends(sends, n=len(holds), n_messages=n_messages)
 
 
 def recover(
@@ -297,7 +297,7 @@ def recover(
             max_rounds=budget_now,
             policy=policy,
         )
-        if not repairs.n_transmissions:
+        if not repairs.total_messages():
             raise RecoveryExhaustedError(
                 "repair planner made no progress (disconnected repair "
                 f"substrate?); still missing: {current.missing_sets()}",
@@ -329,22 +329,19 @@ def recover(
     )
 
 
-def _append_rounds(schedule: Schedule, repairs: ArraySchedule, name: str) -> Schedule:
+def _append_rounds(schedule: Schedule, repairs: Schedule, name: str) -> Schedule:
     """``schedule`` followed by ``repairs``, whose round 0 becomes round
     ``schedule.total_time``."""
-    base = schedule.arrays()
-    n = max(base.n, repairs.n)
-    base, repairs = base.widen(n), repairs.widen(n)
-    return Schedule.from_arrays(
-        ArraySchedule.from_events(
-            np.concatenate([base.round, repairs.round + base.total_time]),
-            np.concatenate([base.sender, repairs.sender]),
-            np.concatenate([base.message, repairs.message]),
-            np.vstack([base.dest_mask, repairs.dest_mask]),
-            n=n,
-            n_messages=max(base.n_messages, repairs.n_messages),
-            name=name,
-        )
+    n = max(schedule.n, repairs.n)
+    base, repairs = schedule.widen(n), repairs.widen(n)
+    return Schedule.from_events(
+        np.concatenate([base.round, repairs.round + base.total_time]),
+        np.concatenate([base.sender, repairs.sender]),
+        np.concatenate([base.message, repairs.message]),
+        np.vstack([base.dest_mask, repairs.dest_mask]),
+        n=n,
+        n_messages=max(base.n_messages, repairs.n_messages),
+        name=name,
     )
 
 

@@ -9,7 +9,7 @@ at a time, exactly as Section 3.2 states them, and produce plain
 is the same down stream with the held o-messages left stuck, so
 :mod:`repro.core.updown` reuses :func:`propagate_down_reference`.
 :func:`concurrent_updown_reference` packs both halves through
-:meth:`~repro.core.schedule.ArraySchedule.from_sends`, so the overlap is
+:meth:`~repro.core.schedule.Schedule.from_sends`, so the overlap is
 fused and checked by the same code as every other producer.
 
 The planner benchmark's schedule-identity sweep and the differential
@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..tree.labeling import LabeledTree
 from ..types import Message, Time
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = [
     "propagate_up_reference",
@@ -123,6 +123,4 @@ def concurrent_updown_reference(labeled: LabeledTree) -> Schedule:
     prove the array pipeline bit-identical, round for round.
     """
     sends = propagate_up_reference(labeled) + propagate_down_reference(labeled)
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(sends, n=labeled.n, name="ConcurrentUpDown")
-    )
+    return Schedule.from_sends(sends, n=labeled.n, name="ConcurrentUpDown")

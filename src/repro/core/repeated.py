@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # the engine is only imported lazily, inside execute()
 from ..exceptions import ReproError, ScheduleConflictError
 from ..tree.labeling import LabeledTree
 from .concurrent_updown import concurrent_updown
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = ["RepeatedGossipPlan", "minimal_pipeline_offset", "repeated_gossip"]
 
@@ -76,15 +76,14 @@ def minimal_pipeline_offset(schedule: Schedule) -> int:
     calendars are read off the columns: sender ``s`` is busy at each of
     its rows' rounds, destination ``d`` at each delivery's round + 1.
     """
-    arrays = schedule.arrays()
-    if not arrays.n_transmissions:
+    if not schedule.total_messages():
         return 0
-    horizon = arrays.total_time
-    rows, dests = arrays.destination_pairs()
-    sends = np.zeros((arrays.n, horizon + 1), dtype=np.float64)
-    sends[arrays.sender, arrays.round] = 1.0
+    horizon = schedule.total_time
+    rows, dests = schedule.destination_pairs()
+    sends = np.zeros((schedule.n, horizon + 1), dtype=np.float64)
+    sends[schedule.sender, schedule.round] = 1.0
     recvs = np.zeros_like(sends)
-    recvs[dests, arrays.round[rows] + 1] = 1.0
+    recvs[dests, schedule.round[rows] + 1] = 1.0
     floor = max(int(recvs.sum(axis=1).max()), 1)
     clash = _clash_shifts(sends) | _clash_shifts(recvs)
     for offset in range(floor, horizon + 1):
@@ -169,14 +168,13 @@ def repeated_gossip(
     if offset is None:
         offset = minimal_pipeline_offset(single)
     n = labeled.n
-    cols = single.arrays()
-    q = np.repeat(np.arange(instances, dtype=np.int64), cols.n_transmissions)
+    q = np.repeat(np.arange(instances, dtype=np.int64), single.total_messages())
     try:
-        arrays = ArraySchedule.from_events(
-            np.tile(cols.round, instances) + q * offset,
-            np.tile(cols.sender, instances),
-            np.tile(cols.message, instances) + q * n,
-            np.tile(cols.dest_mask, (instances, 1)),
+        schedule = Schedule.from_events(
+            np.tile(single.round, instances) + q * offset,
+            np.tile(single.sender, instances),
+            np.tile(single.message, instances) + q * n,
+            np.tile(single.dest_mask, (instances, 1)),
             n=n,
             n_messages=instances * n,
             name=f"ConcurrentUpDown-x{instances}",
@@ -187,5 +185,5 @@ def repeated_gossip(
         ) from exc
     return RepeatedGossipPlan(
         labeled=labeled, instances=instances, offset=offset,
-        schedule=Schedule.from_arrays(arrays),
+        schedule=schedule,
     )

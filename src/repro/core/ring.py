@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 from ..exceptions import GraphError
 from ..networks.graph import Graph
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = ["ring_gossip", "hamiltonian_circuit", "ring_gossip_on_graph"]
 
@@ -43,7 +43,7 @@ def ring_gossip(circuit: Sequence[int]) -> Schedule:
         for t in range(n - 1)
         for p in range(n)
     ]
-    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name="ring"))
+    return Schedule.from_sends(sends, n=n, name="ring")
 
 
 def hamiltonian_circuit(graph: Graph) -> Optional[List[int]]:

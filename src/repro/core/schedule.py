@@ -14,21 +14,19 @@ at time ``t`` and received at time ``t + 1``; the *total communication
 time* is the number of rounds (equivalently, the latest time at which a
 communication happens).
 
-One representation lives here, with a facade and a view over it:
+One representation lives here, with a view over it:
 
-* :class:`ArraySchedule` — **the** schedule: parallel ``round`` /
+* :class:`Schedule` — **the** schedule: parallel ``round`` /
   ``sender`` / ``message`` numpy columns plus a packed destination
   bitmask matrix, one row per ``(m, l, D)`` tuple.  Every producer packs
-  its sends through :meth:`ArraySchedule.from_sends` or
-  :meth:`ArraySchedule.from_events`, the one place where the two rules
+  its sends through :meth:`Schedule.from_sends` or
+  :meth:`Schedule.from_events`, the one place where the two rules
   are checked.
-* :class:`Schedule` — a thin named facade over exactly one
-  ``ArraySchedule``; every accessor answers from the columns.
 * :class:`Round` / :class:`Transmission` — a read-only object view,
-  built only by :meth:`ArraySchedule.build_rounds` for display (ASCII
-  timelines, the paper's Tables 1–4) and accepted as raw input by the
-  linter.  Their constructors check nothing: validation lives once, in
-  ``ArraySchedule``.
+  built only by :attr:`Schedule.rounds` for display (ASCII timelines,
+  the paper's Tables 1–4) and accepted as raw input by the linter.
+  Their constructors check nothing: validation lives once, in
+  ``Schedule``.
 
 The *semantic* rules (the sender actually holds the message, every
 destination is an adjacent processor) depend on the network and on the
@@ -38,6 +36,7 @@ and :mod:`repro.lint`.
 
 from __future__ import annotations
 
+import copy
 import zipfile
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -51,12 +50,11 @@ __all__ = [
     "Transmission",
     "Round",
     "Schedule",
-    "ArraySchedule",
     "merge_schedules",
 ]
 
 #: Set-bit count and ascending set-bit positions of every byte value
-#: (rows padded with zeros), for :meth:`ArraySchedule.destination_pairs`.
+#: (rows padded with zeros), for :meth:`Schedule.destination_pairs`.
 _BYTE_POPCOUNT = np.array([v.bit_count() for v in range(256)], dtype=np.int64)
 _BYTE_BITS = np.array(
     [[b for b in range(8) if v >> b & 1] + [0] * (8 - v.bit_count()) for v in range(256)],
@@ -101,7 +99,7 @@ class Transmission:
     ``destinations``.
 
     A plain record: the construction checks (non-empty destinations, no
-    self-send) live in :class:`ArraySchedule`, so a raw ``Transmission``
+    self-send) live in :class:`Schedule`, so a raw ``Transmission``
     can carry a broken send to the linter.
 
     Ordering compares ``(sender, message)`` only: within one round
@@ -136,7 +134,7 @@ class Round:
     """One round of the read-only object view: its transmissions, sorted.
 
     Offers O(1) lookup of "who sends what" and "who receives what".  It
-    checks nothing — rounds built by :meth:`ArraySchedule.build_rounds`
+    checks nothing — rounds built by :attr:`Schedule.rounds`
     already obey the two rules, and a hand-built raw round may break
     them on purpose (the linter's collision rules read such input).
     """
@@ -200,8 +198,8 @@ class Round:
         return f"Round({list(self._transmissions)!r})"
 
 
-class ArraySchedule:
-    """The canonical array form of a schedule: one row per multicast.
+class Schedule:
+    """A communication schedule: one row per multicast.
 
     Columns (parallel arrays, one entry per transmission, sorted by
     ``(round, sender)`` with senders unique within a round):
@@ -219,11 +217,23 @@ class ArraySchedule:
                              processor ``d`` receives transmission ``e``
     ============  =========  =============================================
 
-    ``n`` is the number of processors (fixes the mask width) and
-    ``n_messages`` the number of distinct message ids.  The structural
-    rules of Section 1 are enforced vectorised at construction, for every
-    way in: :meth:`from_sends`, :meth:`from_events`, :meth:`from_npz` and
-    direct construction.
+    ``n`` is the number of processors (fixes the mask width),
+    ``n_messages`` the number of distinct message ids and ``name`` the
+    producing algorithm (used in reports).  The structural rules of
+    Section 1 are enforced vectorised at construction, for every way in:
+    :meth:`from_sends`, :meth:`from_events`, :meth:`from_npz` and direct
+    construction.
+
+    Round ``t`` is *sent* at time ``t`` and *received* at time ``t + 1``;
+    :attr:`total_time` is one past the last send time.  Every accessor
+    answers from the columns; the ``Round`` / ``Transmission`` view is
+    built from them only when :attr:`rounds`, :meth:`round_at` or
+    iteration asks for it, and then cached.
+
+    Two schedules are equal when their sends are: ``n``, ``n_messages``
+    and ``name`` are not compared, and all-zero trailing mask words are
+    ignored, so equal sends compare (and hash) equal whatever universe
+    each side declares.
     """
 
     __slots__ = (
@@ -237,6 +247,7 @@ class ArraySchedule:
         "_mask_builder",
         "_round_ptr",
         "_fan_outs",
+        "_rounds",
     )
 
     def __init__(
@@ -261,7 +272,7 @@ class ArraySchedule:
         if dest_mask is None:
             if mask_builder is None:
                 raise ScheduleError(
-                    "ArraySchedule needs a dest_mask matrix or a mask_builder"
+                    "a Schedule needs a dest_mask matrix or a mask_builder"
                 )
             self._dest_mask: Optional[np.ndarray] = None
             self._mask_builder = mask_builder
@@ -270,6 +281,7 @@ class ArraySchedule:
             self._mask_builder = None
         self._round_ptr: Optional[np.ndarray] = None
         self._fan_outs: Optional[np.ndarray] = None
+        self._rounds: Optional[Tuple[Round, ...]] = None
         if validate:
             self._validate()
 
@@ -315,8 +327,8 @@ class ArraySchedule:
         n: int,
         n_messages: Optional[int] = None,
         name: str = "",
-    ) -> "ArraySchedule":
-        """Canonicalise raw send events into an :class:`ArraySchedule`.
+    ) -> "Schedule":
+        """Canonicalise raw send events into a :class:`Schedule`.
 
         The one place where sends are fused and checked: events with
         empty destination sets are dropped, same-time same-sender events
@@ -376,7 +388,7 @@ class ArraySchedule:
         n: int,
         n_messages: Optional[int] = None,
         name: str = "",
-    ) -> "ArraySchedule":
+    ) -> "Schedule":
         """Pack ``(time, sender, message, destinations)`` send tuples.
 
         The front door for producers that emit sends one by one: the
@@ -414,7 +426,7 @@ class ArraySchedule:
         n_messages: Optional[int] = None,
         name: str = "",
         mask_builder=None,
-    ) -> "ArraySchedule":
+    ) -> "Schedule":
         """Construct from already-canonical rows with known fan-outs.
 
         ``fan_outs`` must equal the per-row mask popcounts.  With an
@@ -440,7 +452,7 @@ class ArraySchedule:
         return self
 
     @classmethod
-    def _empty(cls, n: int, n_messages: Optional[int], name: str) -> "ArraySchedule":
+    def _empty(cls, n: int, n_messages: Optional[int], name: str) -> "Schedule":
         zero = np.zeros(0, dtype=np.int32)
         return cls(
             zero, zero, zero,
@@ -486,7 +498,7 @@ class ArraySchedule:
         if not key_sorted:
             raise ScheduleError(
                 "array schedule rows must be strictly sorted by (round, sender); "
-                "build via ArraySchedule.from_events()"
+                "build via Schedule.from_events()"
             )
         pops = self.fan_outs()
         if np.any(pops == 0):
@@ -546,11 +558,14 @@ class ArraySchedule:
     # ------------------------------------------------------------------
     @property
     def total_time(self) -> int:
-        """The paper's total communication time (number of rounds)."""
+        """The paper's total communication time (number of rounds).
+
+        The last round is sent at ``total_time - 1`` and received at
+        ``total_time``.
+        """
         return int(self.round[-1]) + 1 if len(self.round) else 0
 
-    @property
-    def n_transmissions(self) -> int:
+    def total_messages(self) -> int:
         """Total multicasts across all rounds."""
         return len(self.round)
 
@@ -569,7 +584,7 @@ class ArraySchedule:
             self._fan_outs = _popcounts(self.dest_mask)
         return self._fan_outs
 
-    def delivery_count(self) -> int:
+    def total_deliveries(self) -> int:
         """Total point-to-point deliveries across all rounds."""
         return int(self.fan_outs().sum())
 
@@ -616,7 +631,7 @@ class ArraySchedule:
         )
         return word_row[word].astype(np.int64), dest.astype(np.int64)
 
-    def widen(self, n: int, n_messages: Optional[int] = None) -> "ArraySchedule":
+    def widen(self, n: int, n_messages: Optional[int] = None) -> "Schedule":
         """The same schedule on a larger processor universe.
 
         Pads the destination matrix to ``ceil(n / 64)`` words; contents
@@ -634,10 +649,23 @@ class ArraySchedule:
             masks = np.hstack(
                 [masks, np.zeros((len(self.round), w_new - w_old), dtype=np.uint64)]
             )
-        return ArraySchedule(
+        return Schedule(
             self.round, self.sender, self.message, masks,
             n=n, n_messages=n_msgs, name=self.name, validate=False,
         )
+
+    def with_name(self, name: str) -> "Schedule":
+        """The same schedule carrying a different name.
+
+        Shares the columns and every cache; a destination matrix that
+        has not materialised yet stays lazy and, once built by either
+        copy, is built only once.
+        """
+        twin = copy.copy(self)
+        twin.name = name
+        if self._dest_mask is None:
+            twin._mask_builder = lambda: self.dest_mask
+        return twin
 
     # ------------------------------------------------------------------
     # Serialisation
@@ -655,7 +683,7 @@ class ArraySchedule:
         )
 
     @classmethod
-    def from_npz(cls, path) -> "ArraySchedule":
+    def from_npz(cls, path) -> "Schedule":
         """Load (and re-validate) an :meth:`to_npz` artefact.
 
         A malformed file raises :class:`~repro.exceptions.ScheduleError`:
@@ -696,7 +724,7 @@ class ArraySchedule:
         tuple, destinations ascending — the input form of
         :meth:`from_sends`, in ``(round, sender)`` order."""
         _, dest = self.destination_pairs()
-        bounds = np.zeros(self.n_transmissions + 1, dtype=np.int64)
+        bounds = np.zeros(len(self.round) + 1, dtype=np.int64)
         np.cumsum(self.fan_outs(), out=bounds[1:])
         dests, edges = dest.tolist(), bounds.tolist()
         return [
@@ -706,35 +734,63 @@ class ArraySchedule:
             )
         ]
 
-    def build_rounds(self) -> Tuple[Round, ...]:
+    @property
+    def rounds(self) -> Tuple[Round, ...]:
         """The read-only object view, one :class:`Round` per send time.
 
-        The only place ``Round`` and ``Transmission`` objects are made;
-        for display and for consumers that want objects, never for the
-        hot path.
+        The only place ``Round`` and ``Transmission`` objects are made,
+        once per schedule; for display and for consumers that want
+        objects, never for the hot path.
         """
-        rows = self.sends()
-        ptr = self.round_ptr.tolist()
-        return tuple(
-            Round(
-                Transmission(sender=s, message=m, destinations=frozenset(ds))
-                for _, s, m, ds in rows[ptr[t] : ptr[t + 1]]
+        if self._rounds is None:
+            rows = self.sends()
+            ptr = self.round_ptr.tolist()
+            self._rounds = tuple(
+                Round(
+                    Transmission(sender=s, message=m, destinations=frozenset(ds))
+                    for _, s, m, ds in rows[ptr[t] : ptr[t + 1]]
+                )
+                for t in range(self.total_time)
             )
-            for t in range(self.total_time)
-        )
+        return self._rounds
+
+    def round_at(self, t: Time) -> Round:
+        """The round sent at time ``t`` (empty if past the end)."""
+        rounds = self.rounds
+        if 0 <= t < len(rounds):
+            return rounds[t]
+        return _EMPTY_ROUND
+
+    def transmissions_at(self, t: Time) -> Tuple[Transmission, ...]:
+        """Transmissions sent at time ``t``."""
+        return self.round_at(t).transmissions
+
+    def __iter__(self) -> Iterator[Round]:
+        return iter(self.rounds)
 
     # ------------------------------------------------------------------
+    def _significant_masks(self) -> np.ndarray:
+        """The destination matrix without its all-zero trailing words."""
+        masks = self.dest_mask
+        used = np.flatnonzero(masks.any(axis=0))
+        return masks[:, : int(used[-1]) + 1 if len(used) else 0]
+
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArraySchedule):
+        """The same sends in the same rounds (see the class docstring)."""
+        if not isinstance(other, Schedule):
             return NotImplemented
         return (
-            self.n == other.n
-            and self.n_messages == other.n_messages
-            and np.array_equal(self.round, other.round)
+            np.array_equal(self.round, other.round)
             and np.array_equal(self.sender, other.sender)
             and np.array_equal(self.message, other.message)
-            and np.array_equal(self.dest_mask, other.dest_mask)
+            and np.array_equal(self._significant_masks(), other._significant_masks())
         )
+
+    def __hash__(self) -> int:
+        return hash((
+            self.round.tobytes(), self.sender.tobytes(), self.message.tobytes(),
+            self._significant_masks().tobytes(),
+        ))
 
     def __len__(self) -> int:
         return self.total_time
@@ -742,8 +798,8 @@ class ArraySchedule:
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
         return (
-            f"ArraySchedule(n={self.n}, total_time={self.total_time}, "
-            f"transmissions={self.n_transmissions}{label})"
+            f"Schedule(n={self.n}, total_time={self.total_time}, "
+            f"transmissions={len(self.round)}{label})"
         )
 
 
@@ -769,151 +825,21 @@ def _masks_from_dest_lists(
     return masks
 
 
-class Schedule:
-    """A named facade over exactly one :class:`ArraySchedule`.
-
-    Round ``t`` (0-based) is *sent* at time ``t`` and *received* at time
-    ``t + 1``; :attr:`total_time` is one past the last send time, the
-    paper's "latest time there is a communication".  Every accessor
-    answers from the columns; the ``Round`` / ``Transmission`` view is
-    built from them only when :attr:`rounds`, :meth:`round_at` or
-    iteration asks for it, and then cached.
-    """
-
-    __slots__ = ("_arrays", "_name", "_rounds")
-
-    def __init__(self, arrays: ArraySchedule, name: Optional[str] = None) -> None:
-        if not isinstance(arrays, ArraySchedule):
-            raise ScheduleError(
-                "a Schedule wraps an ArraySchedule; pack sends with "
-                "ArraySchedule.from_sends(...)"
-            )
-        self._arrays = arrays
-        self._name = arrays.name if name is None else name
-        self._rounds: Optional[Tuple[Round, ...]] = None
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: ArraySchedule, name: Optional[str] = None
-    ) -> "Schedule":
-        """The facade over ``arrays`` (named ``name``, default its own)."""
-        return cls(arrays, name)
-
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """Name of the producing algorithm (used in reports)."""
-        return self._name
-
-    @property
-    def rounds(self) -> Tuple[Round, ...]:
-        """All rounds, index = send time (builds the object view once)."""
-        if self._rounds is None:
-            self._rounds = self._arrays.build_rounds()
-        return self._rounds
-
-    def arrays(
-        self, *, n: Optional[int] = None, n_messages: Optional[int] = None
-    ) -> ArraySchedule:
-        """The backing :class:`ArraySchedule`, widened to ``n`` processors
-        and ``n_messages`` messages when those are given and larger."""
-        arr = self._arrays
-        if n is not None and n > arr.n:
-            return arr.widen(n, n_messages)
-        if n_messages is not None and n_messages != arr.n_messages:
-            return arr.widen(arr.n, n_messages)
-        return arr
-
-    @property
-    def total_time(self) -> int:
-        """The paper's total communication time (number of rounds).
-
-        The last round is sent at ``total_time - 1`` and received at
-        ``total_time``.
-        """
-        return self._arrays.total_time
-
-    def round_at(self, t: Time) -> Round:
-        """The round sent at time ``t`` (empty if past the end)."""
-        rounds = self.rounds
-        if 0 <= t < len(rounds):
-            return rounds[t]
-        return _EMPTY_ROUND
-
-    def transmissions_at(self, t: Time) -> Tuple[Transmission, ...]:
-        """Transmissions sent at time ``t``."""
-        return self.round_at(t).transmissions
-
-    def total_messages(self) -> int:
-        """Total multicasts across all rounds."""
-        return self._arrays.n_transmissions
-
-    def total_deliveries(self) -> int:
-        """Total point-to-point deliveries across all rounds."""
-        return self._arrays.delivery_count()
-
-    def max_fan_out(self) -> int:
-        """Largest multicast fan-out anywhere in the schedule (0 if empty)."""
-        return self._arrays.max_fan_out()
-
-    def with_name(self, name: str) -> "Schedule":
-        """Same schedule carrying a different name."""
-        return Schedule(self._arrays, name)
-
-    def __iter__(self) -> Iterator[Round]:
-        return iter(self.rounds)
-
-    def __len__(self) -> int:
-        return self.total_time
-
-    def _significant_masks(self) -> np.ndarray:
-        """The destination matrix without its all-zero trailing words, so
-        equal sends compare equal whatever ``n`` each side declares."""
-        masks = self._arrays.dest_mask
-        used = np.flatnonzero(masks.any(axis=0))
-        return masks[:, : int(used[-1]) + 1 if len(used) else 0]
-
-    def __eq__(self, other: object) -> bool:
-        """The same sends in the same rounds; names, ``n`` and
-        ``n_messages`` are not compared."""
-        if not isinstance(other, Schedule):
-            return NotImplemented
-        a, b = self._arrays, other._arrays
-        return (
-            np.array_equal(a.round, b.round)
-            and np.array_equal(a.sender, b.sender)
-            and np.array_equal(a.message, b.message)
-            and np.array_equal(self._significant_masks(), other._significant_masks())
-        )
-
-    def __hash__(self) -> int:
-        a = self._arrays
-        return hash((
-            a.round.tobytes(), a.sender.tobytes(), a.message.tobytes(),
-            self._significant_masks().tobytes(),
-        ))
-
-    def __repr__(self) -> str:
-        label = f" name={self._name!r}" if self._name else ""
-        return f"Schedule(total_time={self.total_time}{label})"
-
-
 _EMPTY_ROUND = Round(())
 
 
 def merge_schedules(first: Schedule, second: Schedule, name: str = "") -> Schedule:
     """Overlap two schedules into one (the ConcurrentUpDown combination).
 
-    The two inputs' event rows are concatenated and re-canonicalised by :meth:`ArraySchedule.from_events`, which raises
+    The two inputs' event rows are concatenated and re-canonicalised by
+    :meth:`Schedule.from_events`, which raises
     :class:`ScheduleConflictError` when the overlap breaks a model rule
     — by Theorem 1 this never happens for the Propagate-Up /
     Propagate-Down pair.
     """
-    a = first.arrays()
-    b = second.arrays()
-    n = max(a.n, b.n)
-    a, b = a.widen(n), b.widen(n)
-    merged = ArraySchedule.from_events(
+    n = max(first.n, second.n)
+    a, b = first.widen(n), second.widen(n)
+    return Schedule.from_events(
         np.concatenate([a.round, b.round]),
         np.concatenate([a.sender, b.sender]),
         np.concatenate([a.message, b.message]),
@@ -922,4 +848,3 @@ def merge_schedules(first: Schedule, second: Schedule, name: str = "") -> Schedu
         n_messages=max(a.n_messages, b.n_messages),
         name=name,
     )
-    return Schedule.from_arrays(merged)

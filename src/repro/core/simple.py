@@ -27,7 +27,7 @@ from __future__ import annotations
 from ..tree.labeling import LabeledTree
 from ..tree.tree import Tree
 from .gossip import register_algorithm
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = ["simple_gossip", "simple_gossip_on_tree", "simple_total_time"]
 
@@ -45,7 +45,7 @@ def simple_gossip(labeled: LabeledTree) -> Schedule:
     tree = labeled.tree
     n = labeled.n
     if n <= 1:
-        return Schedule.from_arrays(ArraySchedule.from_sends((), n=n, name="Simple"))
+        return Schedule.from_sends((), n=n, name="Simple")
 
     # Up phase: message m climbs one level per round, timed to reach the
     # root at time m.  The ancestor at level l sends it at time m - l.
@@ -70,7 +70,7 @@ def simple_gossip(labeled: LabeledTree) -> Schedule:
         k = tree.level(v)
         for m in range(n):
             sends.append((n - 2 + m + k, v, m, kids))
-    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name="Simple"))
+    return Schedule.from_sends(sends, n=n, name="Simple")
 
 
 def simple_gossip_on_tree(tree: Tree) -> Schedule:

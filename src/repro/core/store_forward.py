@@ -43,7 +43,7 @@ from ..networks.graph import Graph
 from ..simulator.state import initial_holdings, labeled_holdings
 from ..tree.labeling import LabeledTree
 from .gossip import register_algorithm
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = [
     "SendPolicy",
@@ -211,7 +211,7 @@ def store_forward_schedule(
                 sends.append((time, sender, message, granted))
                 pending.extend((d, message) for d in granted)
         time += 1
-    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name=name))
+    return Schedule.from_sends(sends, n=n, name=name)
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import PartitionedNetworkError, ReproError, SurvivorSetError
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 if TYPE_CHECKING:  # runtime imports are lazy to avoid core <-> simulator cycles
     from ..networks.graph import Graph
@@ -428,7 +428,7 @@ def survive(
         }
         sends.extend(
             (t, comp[s], message_of[m], tuple(comp[d] for d in ds))
-            for t, s, m, ds in sub_plan.arrays().sends()
+            for t, s, m, ds in sub_plan.schedule.sends()
         )
         component_plans.append(
             ComponentPlan(
@@ -441,10 +441,8 @@ def survive(
     # The components are vertex-disjoint, so their rows merge side by
     # side without a conflict.
     name = plan.schedule.name
-    schedule = Schedule.from_arrays(
-        ArraySchedule.from_sends(
-            sends, n=graph.n, name=f"{name}+survival" if name else "survival"
-        )
+    schedule = Schedule.from_sends(
+        sends, n=graph.n, name=f"{name}+survival" if name else "survival"
     )
 
     if sends:

@@ -45,7 +45,7 @@ from ..types import Message, Time
 from .gossip import register_algorithm
 from .propagate_up import propagate_up_events
 from .reference import propagate_down_reference
-from .schedule import ArraySchedule, Schedule
+from .schedule import Schedule
 
 __all__ = ["updown_gossip", "updown_gossip_on_tree", "updown_total_time_bound"]
 
@@ -73,7 +73,7 @@ def updown_gossip(labeled: LabeledTree) -> Schedule:
     tree = labeled.tree
     n = labeled.n
     if n <= 1:
-        return Schedule.from_arrays(ArraySchedule.from_sends((), n=n, name="UpDown"))
+        return Schedule.from_sends((), n=n, name="UpDown")
 
     # Phase 1: the (U3)/(U4) up half (unicasts to the parent) plus the
     # immediate (D2)/(D3) down stream, with the stuck o-messages held back.
@@ -116,7 +116,7 @@ def updown_gossip(labeled: LabeledTree) -> Schedule:
                 recv_busy[c].add(t + 1)
                 flushed_arrivals[c].append((t + 1, m))
 
-    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name="UpDown"))
+    return Schedule.from_sends(sends, n=n, name="UpDown")
 
 
 def updown_gossip_on_tree(tree: Tree) -> Schedule:

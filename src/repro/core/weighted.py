@@ -161,15 +161,15 @@ class WeightedGossipPlan:
         paper's "mimicking" requirement.
         """
         worst: Dict[int, int] = {v: 0 for v in range(self.graph.n)}
-        arrays = self.schedule.arrays()
+        schedule = self.schedule
         owner = np.asarray(self.owner, dtype=np.int64)
-        rows, dests = arrays.destination_pairs()
-        real = owner[arrays.sender]
+        rows, dests = schedule.destination_pairs()
+        real = owner[schedule.sender]
         # chain-internal transmissions are bookkeeping, not wire traffic
-        external = np.zeros(arrays.n_transmissions, dtype=bool)
+        external = np.zeros(schedule.total_messages(), dtype=bool)
         external[rows[owner[dests] != real[rows]]] = True
         keys, counts = np.unique(
-            arrays.round[external].astype(np.int64) * self.graph.n + real[external],
+            schedule.round[external].astype(np.int64) * self.graph.n + real[external],
             return_counts=True,
         )
         for key, count in zip(keys.tolist(), counts.tolist()):

@@ -2,8 +2,8 @@
 
 The driver never executes a schedule.  It reads the schedule as flat
 columns — one ``(round, sender, message)`` row per transmission plus the
-``(row, destination)`` delivery pairs, the canonical
-:class:`~repro.core.schedule.ArraySchedule` form — and answers every rule
+``(row, destination)`` delivery pairs, the
+:class:`~repro.core.schedule.Schedule` form — and answers every rule
 as a vectorised query over one **arrival matrix**: ``A[v, m]`` is the
 first time processor ``v`` holds message ``m`` (0 for initial holdings,
 ``t + 1`` for the earliest delivery sent in round ``t``).  This is exact
@@ -17,13 +17,12 @@ built by :func:`arrival_pass` with only the execution rules active, is
 what :func:`repro.simulator.engine.execute_schedule` answers from: the
 simulator imports this module, never the other way round.
 
-A :class:`~repro.core.schedule.Schedule` or
-:class:`~repro.core.schedule.ArraySchedule` is read straight from its
+A :class:`~repro.core.schedule.Schedule` is read straight from its
 columns; the ``Transmission`` object view is never built.  A raw
 sequence of rounds (each a ``Round`` or an iterable of
 ``Transmission``) is packed into the same columns by one loop.  Only raw
 rounds can reach the ``model/sender-collision`` /
-``model/receiver-collision`` rules, since ``ArraySchedule`` refuses
+``model/receiver-collision`` rules, since ``Schedule`` refuses
 them — which is how the test suite proves the lint layer agrees with
 the packer's conflict checks.
 
@@ -54,7 +53,7 @@ from typing import (
 import numpy as np
 
 from ..core.gossip import GossipPlan
-from ..core.schedule import ArraySchedule, Round, Schedule, Transmission
+from ..core.schedule import Round, Schedule, Transmission
 from ..exceptions import (
     IncompleteGossipError,
     ModelViolationError,
@@ -74,12 +73,10 @@ __all__ = [
     "lint_schedule",
 ]
 
-#: Anything the driver understands as a schedule: the facade, the
-#: canonical array form, or a raw sequence of rounds (each a ``Round``
-#: or iterable of transmissions).
-ScheduleLike = Union[
-    Schedule, ArraySchedule, Sequence[Union[Round, Iterable[Transmission]]]
-]
+#: Anything the driver understands as a schedule: a :class:`Schedule`,
+#: or a raw sequence of rounds (each a ``Round`` or iterable of
+#: transmissions) that may carry the collisions a ``Schedule`` refuses.
+ScheduleLike = Union[Schedule, Sequence[Union[Round, Iterable[Transmission]]]]
 
 #: Exception class the dynamic layer raises for each model rule —
 #: :func:`repro.simulator.validator.check_static` uses this table so the
@@ -95,7 +92,7 @@ _EXCEPTION_OF_RULE: Dict[str, type] = {
 }
 
 #: Arrival time of a message a processor never holds.
-_NEVER = np.iinfo(np.int32).max
+_NEVER = np.iinfo(np.int64).max
 
 #: Word budget of the idle-sender scan: one round block of packed hold
 #: bitsets (rounds x n x words) and one candidate batch each stay near it.
@@ -130,8 +127,6 @@ class _Columns(NamedTuple):
 def _columns(schedule: ScheduleLike) -> _Columns:
     """Read a schedule-like object as flat columns."""
     if isinstance(schedule, Schedule):
-        schedule = schedule.arrays()
-    if isinstance(schedule, ArraySchedule):
         row, d = schedule.destination_pairs()
         return _Columns(
             schedule.round.astype(np.int64), schedule.sender.astype(np.int64),
@@ -233,8 +228,7 @@ def lint_schedule(
     graph:
         The communication network the schedule claims to run on.
     schedule:
-        A :class:`~repro.core.schedule.Schedule`, a bare
-        :class:`~repro.core.schedule.ArraySchedule`, or a raw sequence
+        A :class:`~repro.core.schedule.Schedule`, or a raw sequence
         of rounds (each a ``Round`` or an iterable of ``Transmission``)
         for material the constructors would reject outright.
     plan:
@@ -287,15 +281,10 @@ def lint_schedule(
         holds=_initial_holds(graph.n, plan, initial_holds), n_messages=n_msgs,
         plan=plan,
     )
-    name = (
-        schedule.name
-        if isinstance(schedule, (Schedule, ArraySchedule))
-        else ""
-    )
     return LintReport(
         diagnostics=ctx.diagnostics(),
         rules_run=tuple(sorted(active)),
-        name=name,
+        name=schedule.name if isinstance(schedule, Schedule) else "",
     )
 
 
@@ -359,7 +348,8 @@ class ArrivalPass:
         # Per-pair views of the row columns.
         self.pt, self.ps, self.pm = cols.t[cols.row], cols.s[cols.row], cols.m[cols.row]
         held = _hold_bits(holds, n_messages)
-        self.arrival = np.where(held, 0, _NEVER).astype(np.int32)
+        # int64: a send in the last int32 round lands at 2**31.
+        self.arrival = np.where(held, 0, _NEVER)
         self.redundant = self._land()
         inner = self.arrival[:, :n_messages]
         full = (inner < _NEVER).all(axis=1) & ~held[:, n_messages:].any(axis=1)
@@ -426,15 +416,19 @@ class ArrivalPass:
                     f"which already holds it",
                     (t + 1, 0, p), round=t, sender=s, message_id=m, destination=d,
                 )
-        busy = np.bincount(self.cols.t, minlength=self.total) > 0
-        for t in np.flatnonzero(~busy[:-1]).tolist():
-            self.emit(
-                R.IDLE_ROUND,
-                f"round {t} performs no communication but later rounds do",
-                (t, 1), round=t,
-            )
-        if R.IDLE_SENDER.id in self.active and busy.any():
-            self._check_idle_senders(busy)
+        # ``busy`` is one flag per round: build it only for the idle
+        # rules, so a sparse schedule costs nothing per idle round here.
+        if {R.IDLE_ROUND.id, R.IDLE_SENDER.id} & self.active:
+            busy = np.bincount(self.cols.t, minlength=self.total) > 0
+            if R.IDLE_ROUND.id in self.active:
+                for t in np.flatnonzero(~busy[:-1]).tolist():
+                    self.emit(
+                        R.IDLE_ROUND,
+                        f"round {t} performs no communication but later rounds do",
+                        (t, 1), round=t,
+                    )
+            if R.IDLE_SENDER.id in self.active and busy.any():
+                self._check_idle_senders(busy)
         self._check_completeness()
         self._check_mergeable()
 

@@ -57,6 +57,15 @@ def _vertex_count(n: int) -> int:
     return int(count)
 
 
+def _vertex_id(v: Any) -> int:
+    """``v`` as a vertex id; a non-integer (a float, say) raises
+    :class:`GraphError` rather than being truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise GraphError(f"vertex {v!r} is not an integer") from None
+
+
 def _edge_fault(edge: Any, n: int) -> Optional[str]:
     """Why ``edge`` is not a pair of int64 vertex ids, or ``None`` if it is one."""
     try:
@@ -250,7 +259,7 @@ class Graph:
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
         """Whether the undirected edge ``{u, v}`` is present."""
-        u, v = int(u), int(v)
+        u, v = _vertex_id(u), _vertex_id(v)
         key = (u, v) if u < v else (v, u)
         if self._edge_set is None:
             self._edge_set = frozenset(self.edge_list())
@@ -374,7 +383,7 @@ class Graph:
         return self._adj
 
     def _check_vertex(self, v: Vertex) -> int:
-        v = int(v)
+        v = _vertex_id(v)
         if not 0 <= v < self._n:
             raise GraphError(f"vertex {v} out of range for n={self._n}")
         return v
@@ -399,15 +408,13 @@ class GraphBuilder:
     __slots__ = ("_n", "_edges", "_name")
 
     def __init__(self, n: int, name: str = "") -> None:
-        if n < 1:
-            raise GraphError(f"graph needs at least one vertex, got n={n}")
-        self._n = n
+        self._n = _vertex_count(n)
         self._edges: Set[Tuple[int, int]] = set()
         self._name = name
 
     def add_edge(self, u: Vertex, v: Vertex) -> "GraphBuilder":
         """Insert the undirected edge ``{u, v}`` (idempotent)."""
-        u, v = int(u), int(v)
+        u, v = _vertex_id(u), _vertex_id(v)
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={self._n}")
         if u == v:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-from ..core.schedule import ArraySchedule, Schedule
+from ..core.schedule import Schedule
 from ..exceptions import GraphError, ScheduleConflictError, ScheduleError
 from ..tree.tree import Tree
 from .graph import Graph
@@ -105,9 +105,8 @@ def tree_from_json(text: str) -> Tree:
 
 def schedule_to_json(schedule: Schedule) -> str:
     """JSON envelope: rounds as ``[[message, sender, [dests]], ...]``."""
-    arrays = schedule.arrays()
-    rounds: List[List[List[Any]]] = [[] for _ in range(arrays.total_time)]
-    for t, sender, message, dests in arrays.sends():
+    rounds: List[List[List[Any]]] = [[] for _ in range(schedule.total_time)]
+    for t, sender, message, dests in schedule.sends():
         rounds[t].append([message, sender, list(dests)])
     return json.dumps({"name": schedule.name, "rounds": rounds})
 
@@ -169,4 +168,4 @@ def schedule_from_json(text: str) -> Schedule:
             senders[sender] = message
             sends.append((t, sender, message, dests))
     n = max((v for _, s, _, ds in sends for v in (s, *ds)), default=-1) + 1
-    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name=name))
+    return Schedule.from_sends(sends, n=n, name=name)

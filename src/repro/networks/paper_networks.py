@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..core.schedule import ArraySchedule, Schedule
+from ..core.schedule import Schedule
 from ..exceptions import GraphError
 from ..tree.tree import Tree
 from .graph import Graph, GraphBuilder
@@ -191,9 +191,7 @@ def petersen_gossip_schedule() -> Schedule:
         out_carried = [out_carried[-1]] + out_carried[:-1]
         in_carried = [in_carried[-1]] + in_carried[:-1]
 
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(sends, n=10, name="petersen-telephone-9")
-    )
+    return Schedule.from_sends(sends, n=10, name="petersen-telephone-9")
 
 
 def n3_multicast_schedule() -> Schedule:
@@ -211,6 +209,4 @@ def n3_multicast_schedule() -> Schedule:
         (2, 0, 2, (3, 4)), (2, 1, 3, (2,)), (2, 4, 4, (0, 1)),
         (3, 0, 4, (2, 3)), (3, 1, 3, (4,)), (3, 2, 0, (1,)), (3, 3, 1, (0,)),
     ]
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(sends, n=5, name="n3-multicast-4")
-    )
+    return Schedule.from_sends(sends, n=5, name="n3-multicast-4")

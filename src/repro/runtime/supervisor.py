@@ -71,7 +71,7 @@ from typing import (
 
 from ..core.gossip import GossipPlan, NetworkSpec, gossip
 from ..core.recovery import _tree_adjacency, plan_repair_rounds
-from ..core.schedule import ArraySchedule
+from ..core.schedule import Schedule
 from ..core.survival import survive, survivor_coverage, validate_survival
 from ..exceptions import (
     GossipRuntimeError,
@@ -310,7 +310,7 @@ class RestartPolicy:
         return min(self.backoff_cap, self.backoff_base * 2 ** (attempt - 1))
 
 
-def script_slices(schedule: ArraySchedule, horizon: int) -> Dict[int, PeerScript]:
+def script_slices(schedule: Schedule, horizon: int) -> Dict[int, PeerScript]:
     """Slice a merged schedule into per-peer send/expect scripts.
 
     Every peer receives *only its own rows*: what it sends each round
@@ -958,9 +958,7 @@ class Supervisor:
             n_messages=self.n,
         )
         outcome = survive(self.plan.graph, self.plan, faulty)
-        scripts = script_slices(
-            outcome.schedule.arrays(), outcome.schedule.total_time
-        )
+        scripts = script_slices(outcome.schedule, outcome.schedule.total_time)
         dead = set(outcome.diagnosis.dead)
         for victim in dead & set(scripts):
             raise PeerDeadError(

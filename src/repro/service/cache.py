@@ -12,8 +12,8 @@ Two bounds keep a long-lived service from growing without limit:
 
 * ``max_entries`` — LRU entry count;
 * ``max_weight`` — summed plan weight in *bytes* of the canonical
-  schedule arrays (:attr:`ArraySchedule.nbytes
-  <repro.core.schedule.ArraySchedule.nbytes>`: the flat columns plus
+  schedule arrays (:attr:`Schedule.nbytes
+  <repro.core.schedule.Schedule.nbytes>`: the flat columns plus
   the destination-mask matrix, whether or not the mask has
   materialised).  ``None`` disables the weight bound.
 """
@@ -59,13 +59,13 @@ def tree_fingerprint(tree: Optional[Tree]) -> str:
 def plan_weight(plan: GossipPlan) -> int:
     """Cache weight of one plan: its canonical schedule arrays' bytes.
 
-    ``plan.arrays().nbytes`` is an analytic property of the schedule
+    ``plan.schedule.nbytes`` is an analytic property of the schedule
     shape (it charges the destination-mask matrix whether or not it has
     materialised), so a plan's weight never changes across its cache
     lifetime — the invariant the accounting in :meth:`PlanCache.put`
     relies on.
     """
-    return plan.arrays().nbytes
+    return plan.schedule.nbytes
 
 
 class PlanCache:

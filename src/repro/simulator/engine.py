@@ -8,8 +8,7 @@ every message.
 Model recap (paper Section 1):
 
 1. per round each processor receives at most one message — enforced
-   structurally by :class:`~repro.core.schedule.Round` and
-   :class:`~repro.core.schedule.ArraySchedule`;
+   structurally by :class:`~repro.core.schedule.Schedule`;
 2. per round each processor sends at most one held message, multicast to
    a subset of its *adjacent* processors — adjacency and possession are
    enforced here;
@@ -38,7 +37,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.schedule import ArraySchedule, Schedule
+from ..core.schedule import Schedule
 from ..exceptions import IncompleteGossipError, ModelViolationError
 from ..lint import ArrivalPass, Diagnostic, arrival_pass
 from ..lint import rules as R
@@ -109,7 +108,7 @@ class ExecutionResult:
 
 def execute_schedule(
     graph: Graph,
-    schedule: "Schedule | ArraySchedule",
+    schedule: Schedule,
     initial_holds: Optional[Sequence[int]] = None,
     n_messages: Optional[int] = None,
     require_complete: bool = False,
@@ -124,10 +123,8 @@ def execute_schedule(
         edges of this graph (multicast = one message to any subset of the
         sender's neighbours).
     schedule:
-        The rounds to execute — a :class:`Schedule` or a bare
-        :class:`ArraySchedule`.  Structural per-round rules were already
-        checked at :class:`~repro.core.schedule.Round` or
-        :class:`ArraySchedule` construction.
+        The rounds to execute.  Structural per-round rules were already
+        checked at :class:`~repro.core.schedule.Schedule` construction.
     initial_holds:
         Initial hold bitsets; defaults to "processor ``v`` holds message
         ``v``".  Pass :func:`repro.simulator.state.labeled_holdings` when

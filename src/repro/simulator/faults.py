@@ -12,7 +12,7 @@ mode is actually detected (and that an unperturbed copy still passes):
 * :func:`redirect_to_nonneighbor` — retarget a destination off-edge:
   adjacency violation;
 * :func:`duplicate_receiver` — aim two same-round transmissions at one
-  processor: refused by :class:`~repro.core.schedule.ArraySchedule`;
+  processor: refused by :class:`~repro.core.schedule.Schedule`;
 * :func:`swap_rounds` — exchange two rounds: a pipelined schedule
   typically turns into a possession violation (rarely the swap is
   harmless; the tests accept either verdict).
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from ..core.schedule import ArraySchedule, Schedule
+from ..core.schedule import Schedule
 from ..exceptions import ScheduleError
 from ..networks.graph import Graph
 
@@ -39,27 +39,25 @@ __all__ = [
 _Send = Tuple[int, int, int, Tuple[int, ...]]
 
 
-def _rebuild(arrays: ArraySchedule, sends: List[_Send], name: str, n: int = 0) -> Schedule:
+def _rebuild(schedule: Schedule, sends: List[_Send], name: str, n: int = 0) -> Schedule:
     """Re-pack edited rows; the packer re-checks the two rules."""
-    return Schedule.from_arrays(
-        ArraySchedule.from_sends(
-            sends, n=max(arrays.n, n), n_messages=arrays.n_messages, name=name
-        )
+    return Schedule.from_sends(
+        sends, n=max(schedule.n, n), n_messages=schedule.n_messages, name=name
     )
 
 
-def _round_rows(arrays: ArraySchedule, round_index: int) -> range:
+def _round_rows(schedule: Schedule, round_index: int) -> range:
     """Row positions of round ``round_index``, indexed like a list of
     rounds (negative indices count from the last round)."""
-    t = range(arrays.total_time)[round_index]
-    ptr = arrays.round_ptr
+    t = range(schedule.total_time)[round_index]
+    ptr = schedule.round_ptr
     return range(int(ptr[t]), int(ptr[t + 1]))
 
 
-def _row(arrays: ArraySchedule, round_index: int, tx_index: int) -> int:
+def _row(schedule: Schedule, round_index: int, tx_index: int) -> int:
     """Row position of transmission ``tx_index`` of round ``round_index``."""
     try:
-        return _round_rows(arrays, round_index)[tx_index]
+        return _round_rows(schedule, round_index)[tx_index]
     except IndexError as exc:
         raise ScheduleError(
             f"no transmission ({round_index}, {tx_index}) in schedule"
@@ -68,35 +66,32 @@ def _row(arrays: ArraySchedule, round_index: int, tx_index: int) -> int:
 
 def drop_round(schedule: Schedule, index: int) -> Schedule:
     """Remove the round at ``index`` entirely (later rounds shift earlier)."""
-    arrays = schedule.arrays()
-    if not 0 <= index < arrays.total_time:
+    if not 0 <= index < schedule.total_time:
         raise ScheduleError(
-            f"no round {index} in a {arrays.total_time}-round schedule"
+            f"no round {index} in a {schedule.total_time}-round schedule"
         )
     sends = [
-        (t - (t > index), s, m, ds) for t, s, m, ds in arrays.sends() if t != index
+        (t - (t > index), s, m, ds) for t, s, m, ds in schedule.sends() if t != index
     ]
-    return _rebuild(arrays, sends, f"{schedule.name}-dropped-round-{index}")
+    return _rebuild(schedule, sends, f"{schedule.name}-dropped-round-{index}")
 
 
 def drop_transmission(schedule: Schedule, round_index: int, tx_index: int) -> Schedule:
     """Remove one multicast from one round."""
-    arrays = schedule.arrays()
-    sends = arrays.sends()
-    del sends[_row(arrays, round_index, tx_index)]
-    return _rebuild(arrays, sends, f"{schedule.name}-dropped-tx")
+    sends = schedule.sends()
+    del sends[_row(schedule, round_index, tx_index)]
+    return _rebuild(schedule, sends, f"{schedule.name}-dropped-tx")
 
 
 def corrupt_message(
     schedule: Schedule, round_index: int, tx_index: int, new_message: int
 ) -> Schedule:
     """Replace the message id of one transmission."""
-    arrays = schedule.arrays()
-    sends = arrays.sends()
-    e = _row(arrays, round_index, tx_index)
+    sends = schedule.sends()
+    e = _row(schedule, round_index, tx_index)
     t, s, _, ds = sends[e]
     sends[e] = (t, s, new_message, ds)
-    return _rebuild(arrays, sends, f"{schedule.name}-corrupt-msg")
+    return _rebuild(schedule, sends, f"{schedule.name}-corrupt-msg")
 
 
 def redirect_to_nonneighbor(
@@ -107,12 +102,11 @@ def redirect_to_nonneighbor(
     Raises :class:`ScheduleError` when the sender is adjacent to every
     other vertex (no off-edge target exists).
     """
-    arrays = schedule.arrays()
-    sends = arrays.sends()
-    e = _row(arrays, round_index, tx_index)
+    sends = schedule.sends()
+    e = _row(schedule, round_index, tx_index)
     t, sender, message, dests = sends[e]
     receiving = {
-        d for other in _round_rows(arrays, round_index) for d in sends[other][3]
+        d for other in _round_rows(schedule, round_index) for d in sends[other][3]
     }
     strangers = [
         v
@@ -124,7 +118,7 @@ def redirect_to_nonneighbor(
     if not strangers:
         raise ScheduleError(f"vertex {sender} is adjacent to everyone")
     sends[e] = (t, sender, message, (*dests[:-1], strangers[0]))
-    return _rebuild(arrays, sends, f"{schedule.name}-offedge", n=graph.n)
+    return _rebuild(schedule, sends, f"{schedule.name}-offedge", n=graph.n)
 
 
 def swap_rounds(schedule: Schedule, a: int, b: int) -> Schedule:
@@ -136,13 +130,12 @@ def swap_rounds(schedule: Schedule, a: int, b: int) -> Schedule:
     completes; the tests accept either verdict but never a silent wrong
     result).
     """
-    arrays = schedule.arrays()
-    total = arrays.total_time
+    total = schedule.total_time
     if not (0 <= a < total and 0 <= b < total):
         raise ScheduleError(f"cannot swap rounds ({a}, {b}) of {total}")
     swap = {a: b, b: a}
-    sends = [(swap.get(t, t), s, m, ds) for t, s, m, ds in arrays.sends()]
-    return _rebuild(arrays, sends, f"{schedule.name}-swapped-{a}-{b}")
+    sends = [(swap.get(t, t), s, m, ds) for t, s, m, ds in schedule.sends()]
+    return _rebuild(schedule, sends, f"{schedule.name}-swapped-{a}-{b}")
 
 
 def duplicate_receiver(schedule: Schedule, round_index: int) -> Schedule:
@@ -152,10 +145,9 @@ def duplicate_receiver(schedule: Schedule, round_index: int) -> Schedule:
     result with :class:`~repro.exceptions.ScheduleConflictError`, proving
     rule 1 is enforced structurally.
     """
-    arrays = schedule.arrays()
-    sends = arrays.sends()
+    sends = schedule.sends()
     try:
-        rows = _round_rows(arrays, round_index)
+        rows = _round_rows(schedule, round_index)
     except IndexError as exc:
         raise ScheduleError(f"no round {round_index} in schedule") from exc
     if len(rows) < 2:
@@ -168,5 +160,5 @@ def duplicate_receiver(schedule: Schedule, round_index: int) -> Schedule:
             for victim in sends[a][3]:
                 if victim != sender and victim not in dests:
                     sends[b] = (t, sender, message, (*dests, victim))
-                    return _rebuild(arrays, sends, f"{schedule.name}-dup-receiver")
+                    return _rebuild(schedule, sends, f"{schedule.name}-dup-receiver")
     raise ScheduleError(f"round {round_index} admits no receiver duplication")

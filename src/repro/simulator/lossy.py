@@ -401,23 +401,22 @@ def execute_with_faults(
     """
     n_msgs = graph.n if n_messages is None else n_messages
     holds = initial_holdings(graph.n, initial_holds, n_msgs)
-    arrays = schedule.arrays()
     out_of_range = (
-        (arrays.sender < 0) | (arrays.sender >= graph.n)
-        | (arrays.message < 0) | (arrays.message >= n_msgs)
+        (schedule.sender < 0) | (schedule.sender >= graph.n)
+        | (schedule.message < 0) | (schedule.message >= n_msgs)
     )
     if out_of_range.any():
         e = int(out_of_range.argmax())
         raise ModelViolationError(id_range_violation(
-            int(arrays.round[e]), int(arrays.sender[e]), int(arrays.message[e]),
+            int(schedule.round[e]), int(schedule.sender[e]), int(schedule.message[e]),
             graph.n, n_msgs,
         ))
-    senders, messages = arrays.sender.tolist(), arrays.message.tolist()
-    rows, dests = arrays.destination_pairs()
-    _check_adjacency(graph, arrays.round[rows], arrays.sender[rows], dests)
-    bounds = np.zeros(arrays.n_transmissions + 1, dtype=np.int64)
-    np.cumsum(arrays.fan_outs(), out=bounds[1:])
-    bounds, dests, ptr = bounds.tolist(), dests.tolist(), arrays.round_ptr.tolist()
+    senders, messages = schedule.sender.tolist(), schedule.message.tolist()
+    rows, dests = schedule.destination_pairs()
+    _check_adjacency(graph, schedule.round[rows], schedule.sender[rows], dests)
+    bounds = np.zeros(schedule.total_messages() + 1, dtype=np.int64)
+    np.cumsum(schedule.fan_outs(), out=bounds[1:])
+    bounds, dests, ptr = bounds.tolist(), dests.tolist(), schedule.round_ptr.tolist()
 
     init_snapshot = tuple(holds)
     full = (1 << n_msgs) - 1
@@ -445,7 +444,7 @@ def execute_with_faults(
             if record_arrivals:
                 arrivals.append(ArrivalEvent(time, receiver, sender, message))
 
-    for t in range(arrays.total_time):
+    for t in range(schedule.total_time):
         land(t)
         pending = []
         for e in range(ptr[t], ptr[t + 1]):
@@ -467,11 +466,11 @@ def execute_with_faults(
                         lost.append(LostDelivery(t, d, sender, message, reason))
                         continue
                 pending.append((d, sender, message))
-    land(arrays.total_time)
+    land(schedule.total_time)
 
     return FaultyExecutionResult(
         complete=all(h == full for h in holds),
-        total_time=arrays.total_time,
+        total_time=schedule.total_time,
         completion_times=completion,
         duplicate_deliveries=duplicates,
         final_holds=holds,

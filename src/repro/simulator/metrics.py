@@ -63,10 +63,9 @@ class ScheduleMetrics:
 
 def link_loads(schedule: Schedule) -> Dict[Tuple[int, int], int]:
     """Deliveries per undirected link ``(min, max) -> count``."""
-    arrays = schedule.arrays()
-    rows, dests = arrays.destination_pairs()
-    senders = arrays.sender[rows].astype(np.int64)
-    width = arrays.n + 1
+    rows, dests = schedule.destination_pairs()
+    senders = schedule.sender[rows].astype(np.int64)
+    width = schedule.n + 1
     keys, counts = np.unique(
         np.minimum(senders, dests) * width + np.maximum(senders, dests),
         return_counts=True,

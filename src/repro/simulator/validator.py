@@ -1,11 +1,7 @@
 """Static and dynamic schedule validation.
 
-:class:`~repro.core.schedule.Round` already rejects per-round rule
-violations at construction.  This module adds:
-
-Every entry point accepts either a :class:`~repro.core.schedule.Schedule`
-or a bare :class:`~repro.core.schedule.ArraySchedule` (the canonical
-array form; both layers below normalise it through the facade):
+:class:`~repro.core.schedule.Schedule` already rejects per-round rule
+violations at construction.  This module adds, for a ``Schedule``:
 
 * :func:`check_static` — network-level checks that need no execution:
   all endpoints and message ids in range, every transmission along an
@@ -30,9 +26,9 @@ in ``tests/simulator/test_faults.py``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from ..core.schedule import ArraySchedule, Schedule
+from ..core.schedule import Schedule
 from ..exceptions import ScheduleError, SimulationError
 from ..lint import (
     STATIC_MODEL_RULES,
@@ -49,7 +45,7 @@ __all__ = ["check_static", "validate_schedule", "assert_gossip_schedule"]
 
 def check_static(
     graph: Graph,
-    schedule: Union[Schedule, ArraySchedule],
+    schedule: Schedule,
     *,
     n_messages: Optional[int] = None,
 ) -> None:
@@ -76,7 +72,7 @@ def check_static(
 
 def validate_schedule(
     graph: Graph,
-    schedule: Union[Schedule, ArraySchedule],
+    schedule: Schedule,
     initial_holds: Optional[Sequence[int]] = None,
     require_complete: bool = True,
 ) -> ExecutionResult:
@@ -104,7 +100,7 @@ def validate_schedule(
 
 def assert_gossip_schedule(
     graph: Graph,
-    schedule: Union[Schedule, ArraySchedule],
+    schedule: Schedule,
     initial_holds: Optional[Sequence[int]] = None,
     max_total_time: Optional[int] = None,
 ) -> ExecutionResult:

@@ -3,8 +3,8 @@
 :meth:`ProtocolModel.offline_records` (computed once per model) and
 :meth:`GossipPlan.holds_at` (the truncated-schedule holds the supervisor
 reconstructs SIGKILLed peers with, and the explorer checks abort states
-against) read ``plan.arrays()``; exploring never builds the
-``Transmission`` object view (:meth:`ArraySchedule.build_rounds` is
+against) read the columns of ``plan.schedule``; exploring never builds
+the ``Transmission`` object view (:attr:`Schedule.rounds` is
 monkeypatched to raise).  Both must still agree with a walk over that
 object view.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro.check.explore import explore, plan_for
 from repro.check.model import ProtocolModel, SentRecord
-from repro.core.schedule import ArraySchedule
+from repro.core.schedule import Schedule
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def no_object_view(monkeypatch):
     def refuse(self):
         raise AssertionError("the model materialised the Transmission object view")
 
-    monkeypatch.setattr(ArraySchedule, "build_rounds", refuse)
+    monkeypatch.setattr(Schedule, "rounds", property(refuse))
 
 
 @pytest.mark.parametrize("crash", [(), ((1, 2),)])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
-from repro.core.schedule import ArraySchedule, Schedule, Transmission
+from repro.core.schedule import Schedule, Transmission
 from repro.networks import topologies
 from repro.networks.builders import graph_to_tree
 from repro.networks.graph import Graph
@@ -61,7 +61,7 @@ def bound_suite() -> list:
 
 def pack(sends, n: int, name: str = "") -> Schedule:
     """A schedule from ``(time, sender, message, destinations)`` sends."""
-    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n, name=name))
+    return Schedule.from_sends(sends, n=n, name=name)
 
 
 def tx(sender, message, dests):
@@ -88,8 +88,7 @@ def sched(*rounds, n=None, name: str = "") -> Schedule:
 
 def schedule_prefix(schedule: Schedule, rounds: int, name: str = "") -> Schedule:
     """The rounds of ``schedule`` sent before time ``rounds``."""
-    arrays = schedule.arrays()
-    return pack([s for s in arrays.sends() if s[0] < rounds], arrays.n, name)
+    return pack([s for s in schedule.sends() if s[0] < rounds], schedule.n, name)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """The array-native schedule pipeline: structure, round-trips, parity.
 
-Covers the :class:`~repro.core.schedule.ArraySchedule` canonical form
-end to end:
+Covers the :class:`~repro.core.schedule.Schedule` columns end to end:
 
 * structural invariants of the flat columns and the destination-mask
   matrix, the analytic ``nbytes``, and the npz round-trip;
@@ -10,10 +9,13 @@ end to end:
 * bit-identity of the array-built ConcurrentUpDown against the
   per-vertex reference emitters across every topology family and
   random trees;
-* identical diagnostics from every ``repro.lint`` rule on both forms;
+* identical diagnostics from every ``repro.lint`` rule on the columns
+  and on the raw object rounds;
 * the engine judging an array-backed plan with and without a delivery
   log identically (results and error text);
-* the removal of the legacy ``ScheduleBuilder`` accumulator.
+* construction and execution costs that do not grow with a late round id;
+* the removal of the legacy ``ScheduleBuilder`` accumulator and of the
+  second schedule class.
 """
 
 import tracemalloc
@@ -25,9 +27,9 @@ from hypothesis import given, settings
 
 from repro.analysis.sweep import FAMILIES, family_instance
 from repro.core.concurrent_updown import concurrent_updown
-from repro.core.gossip import gossip
+from repro.core.gossip import GossipPlan, gossip
 from repro.core.reference import concurrent_updown_reference
-from repro.core.schedule import ArraySchedule, Schedule
+from repro.core.schedule import Schedule
 from repro.exceptions import ScheduleConflictError, ScheduleError
 from repro.lint import lint_schedule
 from repro.networks.builders import tree_to_graph
@@ -44,7 +46,7 @@ def _plan(spec="grid:16"):
 
 class TestStructure:
     def test_canonical_columns(self):
-        arr = _plan().arrays()
+        arr = _plan().schedule
         assert arr.round.dtype == np.int32
         assert arr.sender.dtype == np.int32
         assert arr.message.dtype == np.int32
@@ -54,8 +56,7 @@ class TestStructure:
         assert np.all(np.diff(key) > 0)
 
     def test_nbytes_is_analytic(self):
-        plan = _plan()
-        arr = plan.arrays()
+        arr = _plan().schedule
         words = (arr.n + 63) // 64
         expected = (
             arr.round.nbytes + arr.sender.nbytes + arr.message.nbytes
@@ -64,19 +65,19 @@ class TestStructure:
         assert arr.nbytes == expected
 
     def test_nbytes_does_not_materialise_lazy_masks(self):
-        arr = _plan().arrays()
+        arr = _plan().schedule
         if arr._dest_mask is not None:
             pytest.skip("mask already materialised for this build")
         _ = arr.nbytes
         assert arr._dest_mask is None
 
     def test_round_ptr_and_destination_pairs(self):
-        arr = _plan().arrays()
+        arr = _plan().schedule
         ptr = arr.round_ptr
         assert ptr[0] == 0 and ptr[-1] == len(arr.round)
         assert np.all(np.diff(ptr) >= 0)
         row, dest = arr.destination_pairs()
-        assert len(row) == arr.delivery_count()
+        assert len(row) == arr.total_deliveries()
         assert np.all(np.diff(row) >= 0)
         assert dest.min() >= 0 and dest.max() < arr.n
 
@@ -84,7 +85,7 @@ class TestStructure:
     def test_destination_pairs_match_the_unpacked_masks(self, spec):
         """Multi-word and dense masks: every set bit, rows in order,
         destinations ascending within a row."""
-        arr = _plan(spec).arrays()
+        arr = _plan(spec).schedule
         bits = np.unpackbits(arr.dest_mask.view(np.uint8), axis=1, bitorder="little")
         want_row, want_dest = np.nonzero(bits)
         row, dest = arr.destination_pairs()
@@ -93,14 +94,14 @@ class TestStructure:
 
     def test_destination_pairs_of_an_empty_schedule(self):
         zero = np.zeros(0, dtype=np.int64)
-        arr = ArraySchedule.from_events(
+        arr = Schedule.from_events(
             zero, zero, zero, np.zeros((0, 1), dtype=np.uint64), n=5
         )
         row, dest = arr.destination_pairs()
         assert len(row) == len(dest) == 0 and row.dtype == np.int64
 
     def test_widen_preserves_contents(self):
-        arr = _plan("path:9").arrays()
+        arr = _plan("path:9").schedule
         wide = arr.widen(200)
         assert wide.n == 200
         assert np.array_equal(wide.round, arr.round)
@@ -111,20 +112,21 @@ class TestStructure:
 
 class TestNpzRoundTrip:
     def test_lossless(self, tmp_path):
-        arr = _plan().arrays()
+        arr = _plan().schedule
         path = tmp_path / "sched.npz"
         arr.to_npz(path)
-        back = ArraySchedule.from_npz(path)
+        back = Schedule.from_npz(path)
         assert back == arr
         assert back.name == arr.name
         assert back.n == arr.n and back.n_messages == arr.n_messages
 
     def test_empty_schedule(self, tmp_path):
-        arr = gossip("path:1").arrays()
+        arr = gossip("path:1").schedule
         path = tmp_path / "empty.npz"
         arr.to_npz(path)
-        back = ArraySchedule.from_npz(path)
+        back = Schedule.from_npz(path)
         assert back == arr and back.total_time == 0
+        assert (back.n, back.n_messages) == (arr.n, arr.n_messages)
 
 
 class TestNpzMalformed:
@@ -132,7 +134,7 @@ class TestNpzMalformed:
 
     @pytest.fixture
     def arr(self):
-        return gossip("path:10").arrays()  # 18 rows
+        return gossip("path:10").schedule  # 18 rows
 
     def _write(self, tmp_path, arr, **override):
         fields = dict(
@@ -149,43 +151,43 @@ class TestNpzMalformed:
     def test_short_message_column(self, tmp_path, arr):
         path = self._write(tmp_path, arr, message=arr.message[:15])
         with pytest.raises(ScheduleError, match="differ in length"):
-            ArraySchedule.from_npz(path)
+            Schedule.from_npz(path)
 
     def test_negative_n_messages(self, tmp_path, arr):
         path = self._write(tmp_path, arr, meta=np.array([10, -4], dtype=np.int64))
         with pytest.raises(ScheduleError, match="n_messages >= 0"):
-            ArraySchedule.from_npz(path)
+            Schedule.from_npz(path)
 
     def test_float_round_column(self, tmp_path, arr):
         path = self._write(tmp_path, arr, round=arr.round + 0.5)
         with pytest.raises(ScheduleError, match="expected integers"):
-            ArraySchedule.from_npz(path)
+            Schedule.from_npz(path)
 
     def test_round_beyond_int32(self, tmp_path, arr):
         # int64 rounds past 2**31 would wrap silently in the int32 column
         path = self._write(tmp_path, arr, round=arr.round.astype(np.int64) + 2**32)
         with pytest.raises(ScheduleError, match="exceeds int32"):
-            ArraySchedule.from_npz(path)
+            Schedule.from_npz(path)
 
     def test_missing_meta(self, tmp_path, arr):
         path = self._write(tmp_path, arr, meta=None)
         with pytest.raises(ScheduleError, match="meta"):
-            ArraySchedule.from_npz(path)
+            Schedule.from_npz(path)
 
     def test_three_entry_meta(self, tmp_path, arr):
         path = self._write(tmp_path, arr, meta=np.array([10, 10, 1], dtype=np.int64))
         with pytest.raises(ScheduleError, match="meta has shape"):
-            ArraySchedule.from_npz(path)
+            Schedule.from_npz(path)
 
     def test_non_zip_bytes(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"this is not a zip archive at all")
         with pytest.raises(ScheduleError, match="unreadable"):
-            ArraySchedule.from_npz(path)
+            Schedule.from_npz(path)
 
     def test_missing_file_is_not_wrapped(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            ArraySchedule.from_npz(tmp_path / "absent.npz")
+            Schedule.from_npz(tmp_path / "absent.npz")
 
 
 class TestValidation:
@@ -201,7 +203,7 @@ class TestValidation:
         masks[0, 0] = 1  # processor 0 multicasts to itself
         masks[1, 0] = 1
         with pytest.raises(ScheduleError):
-            ArraySchedule.from_events(t, s, m, masks, n=4)
+            Schedule.from_events(t, s, m, masks, n=4)
 
     def test_receiver_collision_rejected(self):
         t = np.array([0, 0], dtype=np.int64)
@@ -211,7 +213,7 @@ class TestValidation:
         masks[0, 0] = 1 << 2
         masks[1, 0] = 1 << 2  # processor 2 receives twice in round 0
         with pytest.raises(ScheduleConflictError):
-            ArraySchedule.from_events(t, s, m, masks, n=4)
+            Schedule.from_events(t, s, m, masks, n=4)
 
     def test_lazy_mask_validation_is_deferred(self):
         t, s, m = self._cols()
@@ -223,7 +225,7 @@ class TestValidation:
             return masks
 
         fans = np.array([1, 1], dtype=np.int64)
-        arr = ArraySchedule._from_canonical(
+        arr = Schedule._from_canonical(
             t.astype(np.int32), s.astype(np.int32), m.astype(np.int32),
             None, fans, n=4, mask_builder=bad_masks,
         )
@@ -236,35 +238,35 @@ class TestInt32Range:
 
     def test_from_sends_round_beyond_int32(self):
         with pytest.raises(ScheduleError, match="round column exceeds int32"):
-            ArraySchedule.from_sends([(2**32 + 1, 0, 0, (1,))], n=2)
+            Schedule.from_sends([(2**32 + 1, 0, 0, (1,))], n=2)
 
     def test_from_sends_message_beyond_int32(self):
         with pytest.raises(ScheduleError, match="message column exceeds int32"):
-            ArraySchedule.from_sends([(0, 0, 2**32 + 3, (1,))], n=2)
+            Schedule.from_sends([(0, 0, 2**32 + 3, (1,))], n=2)
 
     def test_from_sends_id_beyond_int64(self):
         with pytest.raises(ScheduleError, match="exceed int32"):
-            ArraySchedule.from_sends([(0, 0, 2**70, (1,))], n=2)
+            Schedule.from_sends([(0, 0, 2**70, (1,))], n=2)
 
     def test_from_events_round_beyond_int32(self):
         masks = np.array([[2]], dtype=np.uint64)
         with pytest.raises(ScheduleError, match="round column exceeds int32"):
-            ArraySchedule.from_events(
+            Schedule.from_events(
                 np.array([2**31]), np.array([0]), np.array([0]), masks, n=2
             )
 
     def test_direct_sender_beyond_int32(self):
         masks = np.array([[2]], dtype=np.uint64)
         with pytest.raises(ScheduleError, match="sender column exceeds int32"):
-            ArraySchedule([0], [2**32], [0], masks, n=2)
+            Schedule([0], [2**32], [0], masks, n=2)
 
     def test_negative_message_below_int32(self):
         masks = np.array([[2]], dtype=np.uint64)
         with pytest.raises(ScheduleError, match="message column exceeds int32"):
-            ArraySchedule([0], [0], [-(2**31) - 1], masks, n=2)
+            Schedule([0], [0], [-(2**31) - 1], masks, n=2)
 
     def test_int32_extremes_are_kept(self):
-        arr = ArraySchedule.from_sends(
+        arr = Schedule.from_sends(
             [(0, 0, -(2**31), (1,)), (1, 1, 2**31 - 1, (0,))], n=2
         )
         assert arr.message.tolist() == [-(2**31), 2**31 - 1]
@@ -276,7 +278,7 @@ class TestLateRounds:
     def test_one_late_send_allocates_little(self):
         tracemalloc.start()
         try:
-            arr = ArraySchedule.from_sends([(2**20, 0, 0, (1,))], n=2)
+            arr = Schedule.from_sends([(2**20, 0, 0, (1,))], n=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -284,19 +286,48 @@ class TestLateRounds:
         assert peak < 1 << 20
 
     def test_largest_round_id_constructs(self):
-        arr = ArraySchedule.from_sends([(2**31 - 1, 0, 0, (1,))], n=2)
+        arr = Schedule.from_sends([(2**31 - 1, 0, 0, (1,))], n=2)
         assert arr.total_time == 2**31
         assert arr.round.tolist() == [2**31 - 1]
 
     def test_late_receiver_collision_names_the_receiver(self):
         late = 2**31 - 1
         with pytest.raises(ScheduleConflictError) as info:
-            ArraySchedule.from_sends(
+            Schedule.from_sends(
                 [(late, 0, 0, (1,)), (late, 2, 2, (1, 3))], n=4
             )
         assert str(info.value) == (
             "processor 1 receives two messages in one round: 0 and 2"
         )
+
+    def test_executing_one_late_send_allocates_little(self):
+        """No per-round array unless an idle rule asks for one."""
+        schedule = Schedule.from_sends([(2**24, 0, 0, (1,))], n=2)
+        graph = tree_to_graph(minimum_depth_spanning_tree(family_instance("path", 2)))
+        tracemalloc.start()
+        try:
+            result = execute_schedule(graph, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.total_time == 2**24 + 1
+        assert result.final_holds == [1, 3]
+        assert peak < 1 << 20
+
+    def test_latest_executable_round(self):
+        late = 2**31 - 2
+        schedule = Schedule.from_sends([(late, 0, 0, (1,)), (late, 1, 1, (0,))], n=2)
+        graph = family_instance("path", 2)
+        result = execute_schedule(graph, schedule, require_complete=True)
+        assert result.total_time == late + 1
+        assert result.completion_times == [late + 1, late + 1]
+
+    def test_idle_rounds_are_still_linted_one_by_one(self):
+        schedule = Schedule.from_sends([(0, 0, 0, (1,)), (40, 1, 1, (0,))], n=2)
+        report = lint_schedule(
+            family_instance("path", 2), schedule, select=["efficiency/idle-round"]
+        )
+        assert [d.round for d in report.diagnostics] == list(range(1, 40))
 
 
 class TestFacadeLaziness:
@@ -313,10 +344,9 @@ class TestFacadeLaziness:
 
     def test_plan_accessors(self):
         plan = _plan()
-        arr = plan.arrays()
-        assert isinstance(arr, ArraySchedule)
-        assert plan.rounds() == plan.schedule.rounds
-        assert arr is plan.schedule.arrays()
+        assert type(plan.schedule) is Schedule
+        assert plan.arrays() is plan.schedule
+        assert not hasattr(plan, "rounds")
 
     def test_facade_equals_object_schedule(self):
         plan = _plan("path:8")
@@ -328,17 +358,18 @@ class TestFacadeLaziness:
 @settings(max_examples=40, deadline=None)
 def test_array_object_round_trip_lossless(labeled):
     """arrays -> rounds -> arrays is the identity (property-tested)."""
-    arr = concurrent_updown(labeled).arrays()
-    rebuilt = ArraySchedule.from_sends(
+    arr = concurrent_updown(labeled)
+    rebuilt = Schedule.from_sends(
         (
             (t, tx.sender, tx.message, tx.destinations)
-            for t, rnd in enumerate(arr.build_rounds())
+            for t, rnd in enumerate(arr.rounds)
             for tx in rnd
         ),
         n=arr.n, n_messages=arr.n_messages, name=arr.name,
     )
     assert rebuilt == arr
-    assert ArraySchedule.from_sends(
+    assert (rebuilt.n, rebuilt.n_messages) == (arr.n, arr.n_messages)
+    assert Schedule.from_sends(
         arr.sends(), n=arr.n, n_messages=arr.n_messages, name=arr.name
     ) == arr
 
@@ -350,7 +381,8 @@ def test_array_pipeline_matches_seed_builder_random(labeled):
     fast = concurrent_updown(labeled)
     seed = concurrent_updown_reference(labeled)
     assert fast.rounds == seed.rounds
-    assert fast.arrays() == seed.arrays()
+    assert fast == seed
+    assert (fast.n, fast.n_messages) == (seed.n, seed.n_messages)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -360,23 +392,23 @@ def test_array_pipeline_matches_seed_builder_families(family):
     labeled = LabeledTree(minimum_depth_spanning_tree(graph, method="pruned"))
     fast = concurrent_updown(labeled)
     seed = concurrent_updown_reference(labeled)
-    assert fast.arrays() == seed.arrays()
+    assert fast == seed
+    assert (fast.n, fast.n_messages) == (seed.n, seed.n_messages)
     assert fast.rounds == seed.rounds
 
 
 class TestLintDifferential:
     @pytest.mark.parametrize("spec", ["grid:16", "path:12", "star:10", "random:24"])
     def test_identical_diagnostics_on_both_forms(self, spec):
-        """Every lint rule judges the arrays, the facade and the raw
-        object rounds identically."""
+        """Every lint rule judges the columns and the raw object rounds
+        identically."""
         plan = gossip(spec)
-        on_arrays = lint_schedule(plan.graph, plan.arrays(), plan=plan)
-        on_facade = lint_schedule(plan.graph, plan.schedule, plan=plan)
-        on_objects = lint_schedule(plan.graph, list(plan.rounds()), plan=plan)
-        assert len(on_arrays.rules_run) == 18
-        assert on_arrays.rules_run == on_facade.rules_run == on_objects.rules_run
-        assert on_arrays.diagnostics == on_facade.diagnostics == on_objects.diagnostics
-        assert on_arrays.name == on_facade.name
+        on_columns = lint_schedule(plan.graph, plan.schedule, plan=plan)
+        on_objects = lint_schedule(plan.graph, list(plan.schedule.rounds), plan=plan)
+        assert len(on_columns.rules_run) == 18
+        assert on_columns.rules_run == on_objects.rules_run
+        assert on_columns.diagnostics == on_objects.diagnostics
+        assert on_columns.name == plan.schedule.name
 
 
 class TestPackedStateParity:
@@ -414,9 +446,10 @@ class TestPackedStateParity:
 
 class TestDeprecations:
     def test_from_schedule_shim_is_gone(self):
-        """``ScheduleBuilder``, ``ArraySchedule.from_schedule``,
+        """``ScheduleBuilder``, ``Schedule.from_schedule``,
         ``Schedule.is_array_backed``, ``HoldState`` and
-        ``TelephonePolicy`` are gone; ``Schedule`` wraps arrays only."""
+        ``TelephonePolicy`` are gone, and ``Schedule`` is the one
+        schedule class: no second class, facade hop or plan ``rounds()``."""
         import repro
         import repro.core
         import repro.core.schedule
@@ -427,23 +460,26 @@ class TestDeprecations:
             assert not hasattr(namespace, "TelephonePolicy")
         with pytest.raises(ImportError):
             from repro.core.schedule import ScheduleBuilder  # noqa: F401
-        assert not hasattr(ArraySchedule, "from_schedule")
+        assert not hasattr(Schedule, "from_schedule")
         assert not hasattr(Schedule, "is_array_backed")
         assert not hasattr(repro.simulator, "HoldState")
-        with pytest.raises(ScheduleError, match="wraps an ArraySchedule"):
-            Schedule(_plan("path:6").rounds())
+        for namespace in (repro, repro.core, repro.core.schedule):
+            classes = [k for k in dir(namespace) if k.endswith("Schedule")]
+            assert classes == ["Schedule"], namespace
+        assert [k for k in dir(Schedule) if "arrays" in k] == []
+        assert not hasattr(GossipPlan, "rounds")
 
     def test_builder_builds_arrays_underneath(self):
         """The producers that used the builder pack straight to arrays."""
         for algorithm in ("simple", "updown", "concurrent-updown"):
             plan = gossip("grid:9", algorithm=algorithm)
             assert plan.schedule._rounds is None
-            assert plan.arrays().n == 9
+            assert plan.schedule.n == 9
 
     def test_object_constructed_schedule_does_not_warn(self):
         """Packing the object view's sends back is warning-free."""
         plan = _plan("path:6")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            objects = sched(*plan.rounds(), n=plan.graph.n, name="objects")
+            objects = sched(*plan.schedule.rounds, n=plan.graph.n, name="objects")
         assert objects == plan.schedule

@@ -65,8 +65,11 @@ def test_concurrent_updown_certificate(n):
     for parents, tree in trees(n):
         plan = gossip(tree)
         reference = concurrent_updown_reference(plan.labeled)
-        assert plan.arrays() == reference.arrays(), parents
-        assert plan.rounds() == reference.rounds, parents
+        assert plan.schedule == reference, parents
+        assert (plan.schedule.n, plan.schedule.n_messages) == (
+            reference.n, reference.n_messages
+        ), parents
+        assert plan.schedule.rounds == reference.rounds, parents
         assert plan.total_time == (n + tree.height if n > 1 else 0), parents
         report = lint_schedule(plan.graph, plan.schedule, plan=plan)
         assert len(report.rules_run) == 18

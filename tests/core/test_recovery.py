@@ -200,7 +200,7 @@ class TestPlanRepairRounds:
         holds = [0b1111, 0b0010, 0b0100, 0b1000]  # only 0 is complete
         repairs = plan_repair_rounds(adjacency, holds, 4, max_rounds=10)
         assert repairs.total_time
-        for rnd in repairs.build_rounds():
+        for rnd in repairs.rounds:
             senders = [t.sender for t in rnd]
             receivers = [d for t in rnd for d in t.destinations]
             assert len(senders) == len(set(senders))

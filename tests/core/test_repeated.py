@@ -150,7 +150,7 @@ class TestRepeatedGossip:
     def test_arrays_declare_the_message_universe(self, instances):
         """n_messages covers every instance's ids q * n + label."""
         labeled = labeled_of(topologies.grid_2d(3, 3))
-        arr = repeated_gossip(labeled, instances=instances).schedule.arrays()
+        arr = repeated_gossip(labeled, instances=instances).schedule
         assert arr.n == labeled.n
         assert arr.n_messages == instances * labeled.n
         assert int(arr.message.max()) < arr.n_messages

@@ -1,19 +1,14 @@
 """Unit tests for the schedule data model.
 
-``ArraySchedule.from_sends`` is where the structural rules live; the
+``Schedule.from_sends`` is where the structural rules live; the
 ``Round`` / ``Transmission`` view only records and looks up.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.schedule import (
-    ArraySchedule,
-    Round,
-    Schedule,
-    Transmission,
-    merge_schedules,
-)
+from repro.core.gossip import gossip
+from repro.core.schedule import Round, Schedule, Transmission, merge_schedules
 from repro.exceptions import ScheduleConflictError, ScheduleError
 from tests.conftest import sched
 
@@ -23,7 +18,7 @@ def tx(sender, message, dests):
 
 
 def pack(*sends, n=4):
-    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n))
+    return Schedule.from_sends(sends, n=n)
 
 
 class TestTransmission:
@@ -40,7 +35,7 @@ class TestTransmission:
         # The packer drops an empty send; a stored row must not be empty.
         assert pack((0, 0, 1, ())).total_time == 0
         with pytest.raises(ScheduleError, match="empty"):
-            ArraySchedule([0], [0], [1], np.zeros((1, 1), dtype=np.uint64), n=4)
+            Schedule([0], [0], [1], np.zeros((1, 1), dtype=np.uint64), n=4)
 
     def test_self_send_rejected(self):
         with pytest.raises(ScheduleError, match="itself"):
@@ -133,6 +128,28 @@ class TestSchedule:
         s = sched(n=0, name="a").with_name("b")
         assert s.name == "b"
 
+    def test_with_name_shares_columns_and_keeps_the_mask_lazy(self):
+        plain = gossip("grid:16").schedule
+        assert plain._dest_mask is None  # ConcurrentUpDown builds it lazily
+        named = plain.with_name("renamed")
+        assert (named.name, plain.name) == ("renamed", "ConcurrentUpDown")
+        assert named.round is plain.round
+        assert named.sender is plain.sender
+        assert named.message is plain.message
+        assert named._dest_mask is None and plain._dest_mask is None
+        # Built once, by whichever copy asks first, and shared.
+        assert named.dest_mask is plain.dest_mask
+        assert named == plain
+
+    def test_rounds_are_built_once(self, monkeypatch):
+        s = sched([tx(0, 0, {1, 2})], [], [tx(1, 0, {3})])
+        first = s.rounds
+        monkeypatch.setattr(Schedule, "sends", lambda self: pytest.fail("rebuilt"))
+        assert s.rounds is first
+        assert s.round_at(2) is first[2]
+        assert s.transmissions_at(0) is first[0].transmissions
+        assert list(s) == list(first)
+
     def test_equality(self):
         mk = lambda: sched([tx(0, 0, {1})])  # noqa: E731
         assert mk() == mk()
@@ -147,9 +164,23 @@ class TestSchedule:
         assert narrow != sched([tx(0, 0, {1})], [tx(1, 1, {0})], n=200)
         assert narrow != sched([tx(0, 1, {1})])
 
+    def test_equality_ignores_n_messages_and_name(self):
+        sends = [(0, 0, 1, (1, 2)), (1, 2, 0, (3,))]
+        base = Schedule.from_sends(sends, n=4, n_messages=4, name="a")
+        for other in (
+            Schedule.from_sends(sends, n=4, n_messages=9, name="a"),
+            Schedule.from_sends(sends, n=4, n_messages=4, name="b"),
+            Schedule.from_sends(sends, n=130, n_messages=130, name=""),
+            base.widen(300, 500),
+        ):
+            assert other == base and base == other
+            assert hash(other) == hash(base)
+        assert len({base, base.with_name("c"), base.widen(70)}) == 1
+        assert base != Schedule.from_sends(sends[:1], n=4)
+
 
 class TestScheduleBuilder:
-    """``ArraySchedule.from_sends``, the send packer that replaced the
+    """``Schedule.from_sends``, the send packer that replaced the
     ``ScheduleBuilder`` accumulator (test ids kept stable)."""
 
     def test_build_orders_rounds(self):
@@ -179,9 +210,11 @@ class TestScheduleBuilder:
             pack((-1, 0, 0, {1}))
 
     def test_sends_roundtrip(self):
-        arr = sched([tx(0, 0, {1, 2})], [tx(2, 0, {3})], name="x").arrays()
+        arr = sched([tx(0, 0, {1, 2})], [tx(2, 0, {3})], name="x")
         assert arr.sends() == [(0, 0, 0, (1, 2)), (1, 2, 0, (3,))]
-        assert ArraySchedule.from_sends(arr.sends(), n=arr.n, name="x") == arr
+        again = Schedule.from_sends(arr.sends(), n=arr.n, name="x")
+        assert again == arr
+        assert (again.n, again.n_messages, again.name) == (arr.n, arr.n_messages, "x")
 
     def test_destination_outside_universe_rejected(self):
         with pytest.raises(ScheduleError, match="outside processors 0..3"):

@@ -1,4 +1,4 @@
-"""Conflict paths of ``merge_schedules`` / ``ArraySchedule.from_sends``
+"""Conflict paths of ``merge_schedules`` / ``Schedule.from_sends``
 misuse, and loci parity with the static analyzer.
 
 The packer rejects rule-violating rounds eagerly; the lint layer must
@@ -9,12 +9,7 @@ on what a conflict is and where it happens.
 
 import pytest
 
-from repro.core.schedule import (
-    ArraySchedule,
-    Schedule,
-    Transmission,
-    merge_schedules,
-)
+from repro.core.schedule import Schedule, Transmission, merge_schedules
 from repro.exceptions import ScheduleConflictError, ScheduleError
 from repro.lint import lint_schedule
 from repro.networks import topologies
@@ -31,11 +26,11 @@ def k4():
 
 
 def pack(*sends, n=4):
-    return Schedule.from_arrays(ArraySchedule.from_sends(sends, n=n))
+    return Schedule.from_sends(sends, n=n)
 
 
 class TestBuilderMisuse:
-    """Misuse of the send packer ``ArraySchedule.from_sends``."""
+    """Misuse of the send packer ``Schedule.from_sends``."""
 
     def test_sender_message_conflict(self):
         with pytest.raises(

@@ -29,6 +29,7 @@ from repro.core.online import run_online_gossip
 from repro.core.optimal import optimal_schedule
 from repro.core.recovery import execute_plan_with_faults, recover
 from repro.core.ring import ring_gossip, ring_gossip_on_graph
+from repro.core.schedule import Schedule
 from repro.core.store_forward import greedy_gossip_on_graph, telephone_gossip_on_graph
 from repro.core.survival import survive
 from repro.exceptions import ScheduleConflictError
@@ -52,16 +53,15 @@ FAMILY_N = 12
 
 def schedule_digest(schedule) -> str:
     """SHA-256 over ``(name, total_time, rows)``; ``n`` is left out."""
-    arrays = schedule.arrays()
-    rows, dests = arrays.destination_pairs()
-    per_row = [[] for _ in range(arrays.n_transmissions)]
+    rows, dests = schedule.destination_pairs()
+    per_row = [[] for _ in range(schedule.total_messages())]
     for row, dest in zip(rows.tolist(), dests.tolist()):
         per_row[row].append(dest)
     table = tuple(
         (t, s, m, tuple(sorted(d)))
         for t, s, m, d in zip(
-            arrays.round.tolist(), arrays.sender.tolist(),
-            arrays.message.tolist(), per_row,
+            schedule.round.tolist(), schedule.sender.tolist(),
+            schedule.message.tolist(), per_row,
         )
     )
     text = repr((schedule.name, schedule.total_time, table))
@@ -180,7 +180,7 @@ def _survived(spec: str, model: FaultModel):
 CASES = _cases()
 
 #: Computed once from the producers as they stood before any was ported
-#: to ``ArraySchedule.from_sends``.  Never edit.
+#: to the send packer ``Schedule.from_sends``.  Never edit.
 DIGESTS: Dict[str, str] = {
     'broadcast/grid-3x4/0': 'e8a14a46b3b3242eebe89f91a00e3746c911b15fedc519948a83b7282941af9e',
     'broadcast/grid-3x4/2-msg-7': 'a380b1dd1fc3cd6b58e9391437736bb2330877ed5fc9d18f335b2b077302c572',
@@ -548,7 +548,9 @@ def test_table_covers_every_case():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_producer_output_is_pinned(case):
-    assert schedule_digest(CASES[case]()) == DIGESTS[case]
+    schedule = CASES[case]()
+    assert type(schedule) is Schedule
+    assert schedule_digest(schedule) == DIGESTS[case]
 
 
 def test_duplicate_receiver_refusals_are_pinned():

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.gossip import GossipPlan
-from repro.core.schedule import ArraySchedule, Round, Schedule, Transmission
+from repro.core.schedule import Round, Schedule, Transmission
 from repro.exceptions import ReproError
 from repro.lint import rules as R
 from repro.lint.diagnostics import Diagnostic, LintReport
@@ -28,8 +28,6 @@ __all__ = ["oracle_lint_schedule"]
 
 def _normalize(schedule) -> Tuple[Tuple[Transmission, ...], ...]:
     """Flatten a schedule-like object into tuples of transmissions."""
-    if isinstance(schedule, ArraySchedule):
-        return tuple(rnd.transmissions for rnd in schedule.build_rounds())
     if isinstance(schedule, Schedule):
         return tuple(rnd.transmissions for rnd in schedule)
     out: List[Tuple[Transmission, ...]] = []
@@ -104,11 +102,7 @@ def oracle_lint_schedule(
         ctx.check_paper(plan)
     ctx.check_budget(plan)
 
-    name = (
-        schedule.name
-        if isinstance(schedule, (Schedule, ArraySchedule))
-        else ""
-    )
+    name = schedule.name if isinstance(schedule, Schedule) else ""
     return LintReport(
         diagnostics=tuple(ctx.diagnostics),
         rules_run=tuple(sorted(active)),

@@ -129,7 +129,7 @@ class TestNonEdge:
 
 class TestCollisions:
     """Raw rounds are the only way to reach these rules —
-    ``ArraySchedule`` refuses colliding rows outright."""
+    ``Schedule`` refuses colliding rows outright."""
 
     def test_sender_collision(self, grid):
         report = lint_schedule(

@@ -1,10 +1,10 @@
 """Linting, executing and replanning never build the object view.
 
-The driver reads :class:`~repro.core.schedule.ArraySchedule` columns
-directly, so :meth:`ArraySchedule.build_rounds` is monkeypatched to raise
-while plans are linted through every front door: ``plan.schedule``,
-``plan.arrays()``, :func:`~repro.simulator.validator.check_static` and
-the service's lint gate.  The same guard covers every other consumer of
+The driver reads :class:`~repro.core.schedule.Schedule` columns
+directly, so :attr:`Schedule.rounds` is monkeypatched to raise while
+plans are linted through every front door: :func:`lint_schedule`,
+:func:`~repro.simulator.validator.check_static` and the service's lint
+gate.  The same guard covers every other consumer of
 a schedule that is not a display: the lossy executor, recovery,
 survival, repeated gossip's offset search, the supervisor's script
 slicer, the online driver and JSON export.  ``check_static`` must also
@@ -20,7 +20,7 @@ from repro.core.gossip import gossip
 from repro.core.online import run_online_gossip
 from repro.core.recovery import execute_plan_with_faults, recover
 from repro.core.repeated import repeated_gossip
-from repro.core.schedule import ArraySchedule
+from repro.core.schedule import Schedule
 from repro.core.survival import survive
 from repro.exceptions import ScheduleError
 from repro.lint import STATIC_MODEL_RULES, diagnostic_exception, lint_schedule
@@ -49,18 +49,16 @@ def no_object_view(monkeypatch):
     def refuse(self):
         raise AssertionError("lint materialised the Transmission object view")
 
-    monkeypatch.setattr(ArraySchedule, "build_rounds", refuse)
+    monkeypatch.setattr(Schedule, "rounds", property(refuse))
 
 
 @pytest.mark.parametrize("family", ["grid", "random", "hypercube", "star"])
 def test_lint_reads_columns_only(family, no_object_view):
     plan = gossip(family_instance(family, 48))
-    for schedule in (plan.schedule, plan.arrays()):
-        report = lint_schedule(plan.graph, schedule, plan=plan)
-        assert report.ok
-        assert report.rules_run
+    report = lint_schedule(plan.graph, plan.schedule, plan=plan)
+    assert report.ok
+    assert report.rules_run
     check_static(plan.graph, plan.schedule)
-    check_static(plan.graph, plan.arrays())
 
 
 def test_service_lint_gate_reads_columns_only(no_object_view):
@@ -85,8 +83,8 @@ def test_replanning_and_export_read_columns_only(no_object_view):
     the online driver and JSON export."""
     plan = gossip("grid:16")
     assert repeated_gossip(plan.labeled, instances=2).offset > 0
-    scripts = script_slices(plan.arrays(), plan.total_time)
-    assert sum(len(s.sends) for s in scripts.values()) == plan.arrays().n_transmissions
+    scripts = script_slices(plan.schedule, plan.total_time)
+    assert sum(len(s.sends) for s in scripts.values()) == plan.schedule.total_messages()
     assert run_online_gossip(plan.labeled) == plan.schedule
     assert schedule_from_json(schedule_to_json(plan.schedule)) == plan.schedule
 
@@ -143,6 +141,4 @@ def test_check_static_raises_as_before():
             want = outcome(oracle_check_static, graph, schedule, n_messages=n_messages)
             assert got == want
             raised += got is not None
-            packed = outcome(check_static, graph, schedule.arrays(), n_messages=n_messages)
-            assert packed == want
     assert raised > len(corpus)

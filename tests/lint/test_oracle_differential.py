@@ -176,20 +176,20 @@ class TestSeededRawRounds:
 
 
 # ----------------------------------------------------------------------
-# Every family under every algorithm, object and array forms
+# Every family under every algorithm, with and without the plan
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_family_and_algorithm(family):
     for algorithm in sorted(ALGORITHMS):
         plan = family_plan(family, FAMILY_N, algorithm)
         assert_same_report(plan.graph, plan.schedule, plan=plan)
-        assert_same_report(plan.graph, plan.arrays())
+        assert_same_report(plan.graph, plan.schedule)
 
 
 @pytest.mark.parametrize("family", ["grid", "random", "star"])
 def test_broken_object_schedules_in_both_forms(family):
-    """Broken schedules (as the fault mutators build them), through the
-    facade and as bare arrays on the network's universe."""
+    """Broken schedules (as the fault mutators build them), as built and
+    widened to the network's universe."""
     plan = gossip(family_instance(family, 16))
     for t in range(0, plan.total_time - 1, 3):
         for broken in (
@@ -197,7 +197,7 @@ def test_broken_object_schedules_in_both_forms(family):
             swap_rounds(plan.schedule, t, t + 1),
         ):
             assert_same_report(plan.graph, broken, plan=plan)
-            packed = broken.arrays(n=plan.graph.n)
+            packed = broken.widen(plan.graph.n)
             assert_same_report(plan.graph, packed, plan=plan)
 
 

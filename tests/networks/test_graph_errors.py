@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.networks.graph import Graph
+from repro.networks.graph import Graph, GraphBuilder
 from repro.networks.io import graph_from_edgelist, graph_from_json
 
 
@@ -48,6 +48,15 @@ from repro.networks.io import graph_from_edgelist, graph_from_json
     (lambda: graph_from_json("{"), "graph JSON does not parse"),
     (lambda: graph_from_json('{"n": 3, "edges": [[0, 1, 2]]}'), "edge [0, 1, 2] is not a pair"),
     (lambda: graph_from_json('{"n": null, "edges": []}'), "vertex count must be an integer"),
+    # Float vertex ids are refused, never truncated to an int.
+    (lambda: GraphBuilder(3).add_edge(0.5, 1.9), "vertex 0.5 is not an integer"),
+    (lambda: GraphBuilder(3).add_edge(0, 1.0), "vertex 1.0 is not an integer"),
+    (lambda: Graph(3, [(0, 1)]).has_edge(0.7, 1), "vertex 0.7 is not an integer"),
+    (lambda: Graph(3, [(0, 1)]).neighbors(1.5), "vertex 1.5 is not an integer"),
+    (lambda: Graph(3, [(0, 1)]).degree(0.2), "vertex 0.2 is not an integer"),
+    (lambda: GraphBuilder(3.0), "vertex count must be an integer"),
+    (lambda: GraphBuilder(0), "graph needs at least one vertex"),
+    (lambda: GraphBuilder(2**40), "vertices, more than the"),
 ])
 def test_malformed_input_raises_graph_error(make, text):
     with pytest.raises(GraphError) as info:
@@ -62,6 +71,13 @@ def test_numpy_unsigned_scalars_are_vertex_ids():
     assert Graph(3, np.array([[2, 0]], dtype=np.uint64)).edge_list() == [(0, 2)]
     with pytest.raises(GraphError, match="out of range"):
         Graph(3, np.array([[0, 2**64 - 1]], dtype=np.uint64))
+    # Numpy integers are vertex ids on every other way in too.
+    b = GraphBuilder(np.int64(3)).add_edge(np.int32(0), np.uint8(1))
+    g = b.add_edge(np.int64(1), 2).build()
+    assert g.edge_list() == [(0, 1), (1, 2)]
+    assert g.has_edge(np.int64(1), np.uint64(0))
+    assert g.neighbors(np.int16(1)) == (0, 2)
+    assert g.degree(np.int64(2)) == 1
 
 
 def test_derived_constructions_raise_graph_error():

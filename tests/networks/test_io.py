@@ -108,5 +108,5 @@ class TestScheduleJsonMalformed:
 
     def test_universe_is_largest_id_plus_one(self):
         schedule = schedule_from_json('{"rounds": [[], [[3, 1, [6]]]], "name": "x"}')
-        assert schedule.arrays().n == 7
+        assert schedule.n == 7
         assert (schedule.name, schedule.total_time) == ("x", 2)

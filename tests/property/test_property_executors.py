@@ -145,7 +145,7 @@ def _bad_id(schedule: Schedule, graph, data) -> Schedule:
     A negative sender cannot be packed into a schedule at all, so the
     ids drawn are the ones a schedule can carry onto a smaller network.
     """
-    sends = schedule.arrays().sends()
+    sends = schedule.sends()
     e = data.draw(st.integers(0, len(sends) - 1), label="bad-id row")
     t, s, m, ds = sends[e]
     field, value = data.draw(st.sampled_from(

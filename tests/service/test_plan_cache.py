@@ -54,7 +54,7 @@ class TestLRU:
 
     def test_weight_is_schedule_array_bytes(self):
         plan = _plan(6)
-        assert plan_weight(plan) == plan.arrays().nbytes
+        assert plan_weight(plan) == plan.schedule.nbytes
 
     def test_refresh_same_key_does_not_double_count_weight(self):
         """Regression guard: ``put`` on an existing key must subtract the

@@ -144,7 +144,7 @@ class TestPermanentFailures:
         prefix = execute_with_faults(
             g, plan.schedule, model, initial_holds=holds, n_messages=g.n
         )
-        sends = plan.arrays().sends()
+        sends = plan.schedule.sends()
         total = plan.schedule.total_time
         extended_schedule = pack(
             sends + [(t + total, s, m, ds) for t, s, m, ds in sends if t < 5], g.n

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.schedule import ArraySchedule, Schedule
+from repro.core.schedule import Schedule
 from repro.exceptions import ModelViolationError, SimulationError
 from repro.networks import topologies
 from repro.simulator.lossy import FaultModel, execute_with_faults
@@ -31,7 +31,7 @@ class TestInitialHoldings:
 def run(sends, initial=None, n_messages=None):
     """Execute ``sends`` on the 2-path with the round-walking executor,
     whose plain list of hold bitsets is the hold state under test."""
-    schedule = Schedule.from_arrays(ArraySchedule.from_sends(sends, n=2))
+    schedule = Schedule.from_sends(sends, n=2)
     return execute_with_faults(
         topologies.path_graph(2), schedule, FaultModel(),
         initial_holds=initial, n_messages=n_messages,

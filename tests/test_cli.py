@@ -116,6 +116,33 @@ class TestSweepTimeouts:
         assert "chaos sweep" in capsys.readouterr().out
 
 
+class _FailingReport:
+    def format(self):
+        return "report"
+
+    def check(self):
+        raise AssertionError("gate broken")
+
+
+class TestCheckGate:
+    """A failing ``--check`` gate prints one ``CHECK FAILED`` line and
+    exits 1 on every command that has one, never a traceback."""
+
+    @pytest.mark.parametrize("argv,target", [
+        (["compare", "--epidemic", "--check"],
+         "repro.analysis.comparison.run_epidemic_comparison"),
+        (["chaos", "--check"], "repro.analysis.chaos.run_chaos_sweep"),
+        (["chaos", "--permanent", "0.1", "--check"],
+         "repro.analysis.survival.run_survival_sweep"),
+        (["survive", "--check"], "repro.analysis.survival.run_survival_sweep"),
+        (["plan-bench", "--check"], "repro.analysis.planner_bench.run_planner_bench"),
+    ])
+    def test_failing_gate(self, argv, target, monkeypatch, capsys):
+        monkeypatch.setattr(target, lambda *args, **kwargs: _FailingReport())
+        assert main(argv) == 1
+        assert capsys.readouterr().out == "report\nCHECK FAILED: gate broken\n"
+
+
 class TestRunNet:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["run-net"])
