@@ -331,7 +331,7 @@ class TestLateRounds:
 
 
 class TestFacadeLaziness:
-    def test_counters_answer_from_arrays(self):
+    def test_counters_answer_from_columns(self):
         plan = _plan()
         sched = plan.schedule
         assert sched._rounds is None
